@@ -94,11 +94,17 @@ def cmd_count(args) -> int:
     doc = report.to_json_dict()
     status = OK if report.applicable else NOT_APPLICABLE
     if report.applicable and args.mode == "float":
-        approx = counting.count_float(args.g, args.rank, args.ell)
-        doc["float_value"] = approx
-        doc["float_agrees"] = _float_agrees(report.value, approx)
-        if not doc["float_agrees"]:
-            status = VERIFY_FAIL
+        try:
+            approx = counting.count_float(args.g, args.rank, args.ell)
+        except OverflowError:
+            # the exact N stands; only the float route ran out of range
+            doc["float_value"] = None
+            doc["float_note"] = f"N has {len(doc['N'])} digits and cannot be represented as a double"
+        else:
+            doc["float_value"] = approx
+            doc["float_agrees"] = _float_agrees(report.value, approx)
+            if not doc["float_agrees"]:
+                status = VERIFY_FAIL
     if args.format == "json":
         print(json.dumps(doc, indent=2))
     else:
@@ -107,7 +113,9 @@ def cmd_count(args) -> int:
             print(f"e0 = {report.e0}, required w2 = {report.required_w2} (mod 2)")
             for note in report.notes:
                 print(f"note: {note}")
-            if args.mode == "float":
+            if "float_note" in doc:
+                print(f"float route: {doc['float_note']}")
+            elif args.mode == "float":
                 print(f"float route: {doc['float_value']!r} ({'agree' if doc['float_agrees'] else 'DISAGREE'})")
         else:
             print(report.reason)

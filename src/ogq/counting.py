@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from . import partitions, quantum
 from .cyclotomic import CycloNum
-from .symfunc import AlphaPolynomial, alpha_evaluate
+from .symfunc import AlphaPolynomial, _alpha_from_elem
 from .quantum import GWQuery, NonIntegralResultError, UnsupportedRankError
 
 logger = logging.getLogger(__name__)
@@ -59,10 +59,7 @@ _NOT_COVERED_KNOWN = (
 def expected_dim(n: int, ell: int, e: int, genus: int) -> int:
     """Expected dimension of the space of rank-n isotropic subbundles of
     degree e in a rank-2n bundle with invariant ell, over genus g."""
-    first = -(n - 1) * e - n * (n - 1) * (genus - 1 - ell) // 2
-    second = (1 - n) * e + n * (n - 1) * (ell + 1 - genus) // 2
-    assert first == second
-    return first
+    return -(n - 1) * e - n * (n - 1) * (genus - 1 - ell) // 2
 
 
 def expected_dim_t(n: int, ell: int, e: int, genus: int, t: int) -> int:
@@ -136,26 +133,25 @@ def _ell_split_odd(ell: int) -> tuple[int, int]:
 def _staircase_sum(
     n: int, genus: int, rho_power: int, q_poly: AlphaPolynomial | None
 ) -> CycloNum:
-    # sum over evaluation tuples of S_rho^(g-1) * P~_rho^rho_power * Q
-    tabs = quantum._tables(n)
+    # sum over evaluation tuples of S_rho^(g-1) * P~_rho^rho_power * Q, read
+    # from the staircase-only per-point table
+    points = quantum._staircase_table(n)
     spows = quantum._schur_powers(n, genus - 1)
-    staircase = partitions.rho(n - 1)
     total = CycloNum.rational(quantum.session_order(n), 0)
-    for tab, sp in zip(tabs, spows):
-        term = sp
+    for sp, spow in zip(points, spows):
+        term = spow
         if rho_power:
-            term = term * tab.ptilde[staircase] ** rho_power
+            term = term * sp.ptilde_rho ** rho_power
         if q_poly is not None:
-            term = term * alpha_evaluate(q_poly, tab.ep.point)
+            term = term * _alpha_from_elem(q_poly, sp.elem)
         total = total + term
     return total
 
 
 def _staircase_sum_float(n: int, genus: int, rho_power: int) -> complex:
-    staircase = partitions.rho(n - 1)
     total = 0j
-    for values, schur in quantum._float_tables(n):
-        total += schur ** (genus - 1) * values[staircase] ** rho_power
+    for sp in quantum._staircase_table(n):
+        total += sp.schur_rho_c ** (genus - 1) * sp.ptilde_rho_c ** rho_power
     return total
 
 
@@ -252,7 +248,7 @@ def _count_even_plan(genus: int, n: int, ell: int) -> tuple[int, int, int]:
         exponent = 2 * m * n - e0 + doubling
         # the prefactor is an exact power of two; its square matches the
         # closed form in n, a, g, which pins the decomposition
-        assert 2 * exponent == n * (a + genus - 1) + 2 * doubling
+        _check_prefactor(exponent, n, a, genus, doubling)
         return e0, exponent, a
     if n % 2 == 0:
         raise NotCoveredError(
@@ -262,8 +258,17 @@ def _count_even_plan(genus: int, n: int, ell: int) -> tuple[int, int, int]:
         )
     k, b = _ell_split_odd(ell)
     exponent = (2 * k + 1) * n - e0 + doubling
-    assert 2 * exponent == n * (b + genus - 1) + 2 * doubling
+    _check_prefactor(exponent, n, b, genus, doubling)
     return e0, exponent, b
+
+
+def _check_prefactor(exponent: int, n: int, shift: int, genus: int, doubling: int) -> None:
+    closed = n * (shift + genus - 1) + 2 * doubling
+    if 2 * exponent != closed:
+        raise NonIntegralResultError(
+            f"prefactor 2^{exponent} does not match the closed form: "
+            f"2 * {exponent} != n*(shift+g-1) + 2*doubling = {closed}"
+        )
 
 
 def count_even(genus: int, n: int, ell: int) -> CountReport:
@@ -322,7 +327,11 @@ def count_odd(genus: int, n: int, ell: int) -> CountReport:
             f"rank {2 * n + 1}: companion even-rank query is not covered ({exc})",
             e0=e0,
         ) from exc
-    assert partner.e0 == e0 + ell // 2
+    if partner.e0 != e0 + ell // 2:
+        raise NonIntegralResultError(
+            f"rank {2 * n + 1}: companion extremal degree {partner.e0} "
+            f"is not e0 + ell/2 = {e0 + ell // 2}"
+        )
     half = Fraction(partner.value, 2)
     if half.denominator != 1:
         raise NonIntegralResultError(f"odd-rank halving gave non-integer {half}")

@@ -26,7 +26,7 @@ from functools import lru_cache
 from . import partitions
 from .cyclotomic import CycloNum, NotRationalError, root_of_unity
 from .partitions import Partition
-from .symfunc import _ptilde_from_elem, elementary_values, schur_value
+from .symfunc import _ptilde_from_elem, _schur_from_elem, elementary_values
 
 
 class UnsupportedRankError(ValueError):
@@ -115,39 +115,56 @@ def degree_ok(query: GWQuery) -> bool:
 
 
 @dataclasses.dataclass(frozen=True)
-class _PointTable:
+class _StaircasePoint:
+    """What the counting sums read at one evaluation point: the elementary
+    values, the staircase values S_rho and P~_rho, and their complex images."""
+
     ep: EvalPoint
-    ptilde: dict
+    elem: tuple[CycloNum, ...]
     schur_rho: CycloNum
+    ptilde_rho: CycloNum
+    schur_rho_c: complex
+    ptilde_rho_c: complex
 
 
 @lru_cache(maxsize=None)
-def _tables(n: int) -> tuple[_PointTable, ...]:
-    # Per evaluation point: all P~ values on the Schubert index set, and the
-    # staircase Schur value entering as S^(g-1).
-    m = n - 1
-    basis = partitions.all_strict(m)
-    staircase = partitions.rho(m)
+def _staircase_table(n: int) -> tuple[_StaircasePoint, ...]:
+    # The per-point base table: elementary values are computed here once and
+    # reused by _tables, so the counting sums never build all 4^m P~ values.
+    staircase = partitions.rho(n - 1)
     out = []
-    for ep in eval_points(m):
-        evals = elementary_values(ep.point)
-        values = {lam: _ptilde_from_elem(lam, evals) for lam in basis}
-        out.append(_PointTable(ep, values, schur_value(staircase, ep.point)))
+    for ep in eval_points(n - 1):
+        evals = tuple(elementary_values(ep.point))
+        schur = _schur_from_elem(staircase, evals)
+        ptilde = _ptilde_from_elem(staircase, evals)
+        out.append(_StaircasePoint(ep, evals, schur, ptilde,
+                                   schur.embed_complex(), ptilde.embed_complex()))
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
+def _tables(n: int) -> tuple[dict[Partition, CycloNum], ...]:
+    # Per evaluation point: P~ on the whole Schubert index set.
+    basis = partitions.all_strict(n - 1)
+    staircase = partitions.rho(n - 1)
+    return tuple(
+        {lam: sp.ptilde_rho if lam == staircase else _ptilde_from_elem(lam, sp.elem)
+         for lam in basis}
+        for sp in _staircase_table(n)
+    )
+
+
+@lru_cache(maxsize=None)
 def _schur_powers(n: int, exponent: int) -> tuple[CycloNum, ...]:
-    return tuple(t.schur_rho ** exponent for t in _tables(n))
+    return tuple(sp.schur_rho ** exponent for sp in _staircase_table(n))
 
 
 @lru_cache(maxsize=None)
 def _float_tables(n: int) -> tuple[tuple[dict, complex], ...]:
     # Complex-double image of the cached exact tables, for the float path.
     return tuple(
-        ({lam: v.embed_complex() for lam, v in t.ptilde.items()},
-         t.schur_rho.embed_complex())
-        for t in _tables(n)
+        ({lam: v.embed_complex() for lam, v in tab.items()}, sp.schur_rho_c)
+        for tab, sp in zip(_tables(n), _staircase_table(n))
     )
 
 
@@ -179,7 +196,7 @@ def gw_invariant(query: GWQuery) -> int:
     for tab, sp in zip(tabs, spows):
         term = sp
         for lam in query.insertions:
-            term = term * tab.ptilde[lam]
+            term = term * tab[lam]
         total = total + term
     total = total * Fraction(4) ** query.degree
     return _as_count(total, f"invariant {query}")
@@ -239,13 +256,13 @@ def structure_table(n: int, max_d: int | None = None) -> tuple[TableEntry, ...]:
     sinv = _schur_powers(n, -1)
     # vec[lam][J] = S^-1 * P~_lam at point J; reused across all pairs.
     vec = {
-        lam: tuple(sp * tab.ptilde[lam] for sp, tab in zip(sinv, tabs))
+        lam: tuple(sp * tab[lam] for sp, tab in zip(sinv, tabs))
         for lam in basis
     }
     entries = []
     for i, lam in enumerate(basis):
         for mu in basis[i:]:
-            pair = tuple(v * tab.ptilde[mu] for v, tab in zip(vec[lam], tabs))
+            pair = tuple(v * tab[mu] for v, tab in zip(vec[lam], tabs))
             wsum = partitions.weight(lam) + partitions.weight(mu)
             d = 0
             while True:
@@ -256,7 +273,7 @@ def structure_table(n: int, max_d: int | None = None) -> tuple[TableEntry, ...]:
                     dualnu = partitions.dual(nu, m)
                     acc = None
                     for v, tab in zip(pair, tabs):
-                        term = v * tab.ptilde[dualnu]
+                        term = v * tab[dualnu]
                         acc = term if acc is None else acc + term
                     acc = acc * Fraction(4) ** d
                     c = _as_count(acc, f"structure constant ({lam},{mu},{nu},{d})")

@@ -111,14 +111,18 @@ def schur_value(parts, point: PointTuple) -> CycloNum:
 
     lambda may be any weakly decreasing tuple of nonnegative integers.
     """
+    return _schur_from_elem(parts, elementary_values(point))
+
+
+def _schur_from_elem(parts, evals: list[CycloNum]) -> CycloNum:
     parts = tuple(p for p in parts if p != 0)
     if any(a < b for a, b in zip(parts, parts[1:])) or any(p < 0 for p in parts):
         raise InvalidPartitionError(f"{parts} is not weakly decreasing and nonnegative")
-    order = point[0].order
+    order = evals[0].order
     if not parts:
         return CycloNum.rational(order, 1)
     size = len(parts)
-    hvals = _complete_from_elementary(elementary_values(point), parts[0] + size - 1)
+    hvals = _complete_from_elementary(evals, parts[0] + size - 1)
     zero = CycloNum.rational(order, 0)
 
     def h_at(k: int) -> CycloNum:
@@ -354,21 +358,27 @@ def parse_alpha_poly(text: str) -> AlphaPolynomial:
 
 def alpha_evaluate(poly: AlphaPolynomial, point: PointTuple) -> CycloNum:
     """Evaluate at a_i = e_i(point)/2; variables beyond len(point) are zero."""
-    order = point[0].order
-    evals = elementary_values(point)
+    return _alpha_from_elem(poly, elementary_values(point))
+
+
+def _alpha_from_elem(poly: AlphaPolynomial, evals: list[CycloNum]) -> CycloNum:
+    # evals = [e_0, ..., e_m]; a_i is halved on first use only.
+    order = evals[0].order
     half = Fraction(1, 2)
-    alpha = [_elem_at(evals, i) * half for i in range(len(evals))]
+    alpha: dict[int, CycloNum] = {}
     total = CycloNum.rational(order, 0)
     for exps, coeff in poly.terms:
         term = CycloNum.rational(order, coeff)
         dead = False
-        for i, k in enumerate(exps):
+        for i, k in enumerate(exps, 1):
             if not k:
                 continue
-            if i + 1 > len(point):
+            if i >= len(evals):
                 dead = True
                 break
-            term = term * alpha[i + 1] ** k
+            if i not in alpha:
+                alpha[i] = evals[i] * half
+            term = term * alpha[i] ** k
         if not dead:
             total = total + term
     return total

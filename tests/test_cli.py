@@ -102,6 +102,20 @@ def test_count_float_mode(capsys):
     assert "(agree)" in out
 
 
+def test_count_float_mode_reports_an_unrepresentable_count(capsys):
+    code, out, _ = run(
+        ["count", "--g", "1201", "--rank", "6", "--ell", "0", "--mode", "float",
+         "--format", "json"],
+        capsys,
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert len(doc["N"]) == 724
+    assert doc["float_value"] is None
+    assert "cannot be represented as a double" in doc["float_note"]
+    assert "float_agrees" not in doc
+
+
 def test_count_not_covered_exits_3(capsys):
     code, out, _ = run(["count", "--g", "2", "--rank", "3", "--ell", "0"], capsys)
     assert code == 3

@@ -1,11 +1,13 @@
 """Dimension formulas, extremal isotropic degrees, the arbitrary-bundle
 intersection numbers, and the subbundle counts."""
 
+import random
+
 import pytest
 
 from fractions import Fraction
 
-from ogq import verify
+from ogq import counting, quantum, verify
 from ogq.counting import (
     CountReport,
     NQuery,
@@ -24,8 +26,15 @@ from ogq.counting import (
     n_tilde_float,
     trivial_bundle_number,
 )
-from ogq.quantum import UnsupportedRankError
-from ogq.symfunc import parse_alpha_poly, ptilde_alpha
+from ogq.quantum import NonIntegralResultError, UnsupportedRankError, eval_points
+from ogq.symfunc import (
+    AlphaPolynomial,
+    _alpha_from_elem,
+    alpha_evaluate,
+    elementary_values,
+    parse_alpha_poly,
+    ptilde_alpha,
+)
 
 
 def test_expected_dim_examples():
@@ -296,3 +305,55 @@ def test_integrand_route_matches_insertion_route():
     q2 = ptilde_alpha((1,), 1) * ptilde_alpha((1,), 1)
     assert trivial_bundle_number(1, 2, -2, 0, [(1,), (1,)]) == 2
     assert n_tilde(NQuery(1, 2, 0, -2, 0, q2)) == 2
+
+
+def _random_integrand(rng, width):
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        exps = tuple(rng.randint(0, 2) for _ in range(rng.randint(0, width)))
+        terms[exps] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    return AlphaPolynomial.from_dict(terms)
+
+
+def test_alpha_from_elem_matches_alpha_evaluate():
+    rng = random.Random(3)
+    for _ in range(40):
+        m = rng.randint(1, 4)
+        point = rng.choice(eval_points(m)).point
+        poly = _random_integrand(rng, m + 1)
+        evals = elementary_values(point)
+        # a_i = e_i/2 by hand, with variables beyond m set to zero
+        expected = evals[0] * 0
+        for exps, coeff in poly.terms:
+            term = evals[0] * coeff
+            for i, k in enumerate(exps, 1):
+                term = term * ((evals[i] * Fraction(1, 2) if i <= m else evals[0] * 0) ** k)
+            expected = expected + term
+        assert _alpha_from_elem(poly, evals) == alpha_evaluate(poly, point) == expected
+
+
+def test_counting_sums_never_build_the_full_tables():
+    quantum._tables.cache_clear()
+    exact = count(3, 14, 0).value
+    assert abs(count_float(3, 14, 0) - exact) <= 1e-6 * exact
+    n_tilde(NQuery(2, 3, 0, -4, 0, ptilde_alpha((2,), 2) * ptilde_alpha((2, 1), 2)))
+    assert quantum._tables.cache_info().currsize == 0
+
+
+def test_prefactor_mismatch_raises_with_a_reason():
+    counting._check_prefactor(3, 2, 0, 3, 1)
+    with pytest.raises(NonIntegralResultError, match="closed form"):
+        counting._check_prefactor(4, 2, 0, 3, 1)
+
+
+def test_odd_rank_companion_degree_is_checked(monkeypatch):
+    real = counting.count_even
+
+    def shifted(genus, n, ell):
+        report = real(genus, n, ell)
+        report.e0 += 2
+        return report
+
+    monkeypatch.setattr(counting, "count_even", shifted)
+    with pytest.raises(NonIntegralResultError, match="companion extremal degree"):
+        count_odd(3, 1, 0)

@@ -29,7 +29,8 @@ from ogq.quantum import (
     three_point,
     trace_invariant,
 )
-from ogq import verify
+from ogq import quantum, verify
+from ogq.symfunc import elementary_values, ptilde_value, schur_value
 
 
 def test_session_order():
@@ -334,3 +335,27 @@ def test_gw_float_path_tracks_exact_values():
         exact = gw_invariant(q)
         approx = gw_invariant_float(q)
         assert abs(approx - exact) <= 1e-6 * max(1.0, abs(exact))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_staircase_table_matches_full_tables(n):
+    staircase = rho(n - 1)
+    points = quantum._staircase_table(n)
+    tabs = quantum._tables(n)
+    floats = quantum._float_tables(n)
+    assert len(points) == len(tabs) == len(floats) == 2 ** (n - 1)
+    for ep, sp, tab, (fvals, fschur) in zip(eval_points(n - 1), points, tabs, floats):
+        assert sp.ep == ep
+        assert list(sp.elem) == elementary_values(ep.point)
+        # recomputed from the point itself, not from the cached values
+        assert sp.schur_rho == schur_value(staircase, ep.point)
+        assert sp.ptilde_rho == ptilde_value(staircase, ep.point) == tab[staircase]
+        assert sp.schur_rho_c == fschur == sp.schur_rho.embed_complex()
+        assert sp.ptilde_rho_c == fvals[staircase] == tab[staircase].embed_complex()
+        for lam in all_strict(n - 1):
+            assert tab[lam] == ptilde_value(lam, ep.point)
+
+
+def test_schur_powers_read_the_staircase_table():
+    points = quantum._staircase_table(4)
+    assert quantum._schur_powers(4, 3) == tuple(sp.schur_rho ** 3 for sp in points)
