@@ -11,6 +11,7 @@ is not applicable or not covered, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -24,6 +25,7 @@ from .counting import (
     NQuery,
     OddDegreeUnsupportedError,
     OddEllUnsupportedError,
+    decimal_string,
 )
 from .quantum import GWQuery, QuantumElement
 from .symfunc import parse_alpha_poly
@@ -63,12 +65,12 @@ def cmd_gw(args) -> int:
         "g": args.g,
         "d": args.d,
         "insertions": [partitions.format_partition(lam) for lam in query.insertions],
-        "value": str(value),
+        "value": decimal_string(value),
     }
     status = OK
     if args.trace:
         trace = quantum.trace_invariant(query)
-        doc["trace_value"] = str(trace)
+        doc["trace_value"] = decimal_string(trace)
         doc["trace_agrees"] = trace == value
         if not doc["trace_agrees"]:
             status = VERIFY_FAIL
@@ -81,7 +83,7 @@ def cmd_gw(args) -> int:
     if args.format == "json":
         print(json.dumps(doc, indent=2))
     else:
-        print(value)
+        print(doc["value"])
         if args.trace:
             print(f"trace route: {doc['trace_value']} ({'agree' if doc['trace_agrees'] else 'DISAGREE'})")
         if args.mode == "float":
@@ -109,7 +111,7 @@ def cmd_count(args) -> int:
         print(json.dumps(doc, indent=2))
     else:
         if report.applicable:
-            print(report.value)
+            print(doc["N"])
             print(f"e0 = {report.e0}, required w2 = {report.required_w2} (mod 2)")
             for note in report.notes:
                 print(f"note: {note}")
@@ -193,20 +195,30 @@ def cmd_ntilde(args) -> int:
         "e": args.e,
         "u": args.u,
         "Q": str(q_poly),
-        "value": str(value),
+        "value": decimal_string(value),
     }
     status = OK
     if args.mode == "float" and q_poly.terms == parse_alpha_poly("1").terms:
-        approx = counting.n_tilde_float(query)
-        doc["float_value"] = approx
-        doc["float_agrees"] = _float_agrees(value, approx)
-        if not doc["float_agrees"]:
-            status = VERIFY_FAIL
+        try:
+            approx = counting.n_tilde_float(query)
+        except OverflowError:
+            # the exact value stands; only the float route ran out of range
+            doc["float_value"] = None
+            doc["float_note"] = (
+                f"the value has {len(doc['value'])} digits and cannot be represented as a double"
+            )
+        else:
+            doc["float_value"] = approx
+            doc["float_agrees"] = _float_agrees(value, approx)
+            if not doc["float_agrees"]:
+                status = VERIFY_FAIL
     if args.format == "json":
         print(json.dumps(doc, indent=2))
     else:
-        print(value)
-        if "float_value" in doc:
+        print(doc["value"])
+        if "float_note" in doc:
+            print(f"float route: {doc['float_note']}")
+        elif "float_value" in doc:
             print(f"float route: {doc['float_value']!r} ({'agree' if doc['float_agrees'] else 'DISAGREE'})")
     return status
 
@@ -219,7 +231,7 @@ def cmd_verify(args) -> int:
             json.dumps(
                 {
                     "suite": args.suite,
-                    "checks": [dataclass_dict(r) for r in results],
+                    "checks": [dataclasses.asdict(r) for r in results],
                     "failures": len(failures),
                 },
                 indent=2,
@@ -234,10 +246,6 @@ def cmd_verify(args) -> int:
             print(line)
         print(f"{len(results) - len(failures)}/{len(results)} checks passed")
     return OK if not failures else VERIFY_FAIL
-
-
-def dataclass_dict(r) -> dict:
-    return {"suite": r.suite, "name": r.name, "ok": r.ok, "detail": r.detail}
 
 
 def build_parser() -> argparse.ArgumentParser:

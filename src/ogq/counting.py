@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import sys
 from fractions import Fraction
 
 from . import partitions, quantum
@@ -203,6 +204,27 @@ def n_tilde_float(query: NQuery) -> float:
     return (2.0 ** exponent * total).real
 
 
+def decimal_string(value: int | Fraction) -> str:
+    """What str() writes for an int or a Fraction, at any size.
+
+    str() refuses ints past sys.get_int_max_str_digits(); this splits such a
+    value into halves that str() accepts, and leaves the limit alone.
+    """
+    if isinstance(value, Fraction):
+        if value.denominator != 1:
+            return f"{decimal_string(value.numerator)}/{decimal_string(value.denominator)}"
+        value = value.numerator
+    if value < 0:
+        return "-" + decimal_string(-value)
+    limit = sys.get_int_max_str_digits()
+    # 2^(3L) < 10^(0.91L), so fewer than 3L bits means at most L digits
+    if not limit or value.bit_length() < 3 * limit:
+        return str(value)
+    low_digits = value.bit_length() * 3 // 20  # about half the digits
+    high, low = divmod(value, 10 ** low_digits)
+    return decimal_string(high) + decimal_string(low).zfill(low_digits)
+
+
 @dataclasses.dataclass
 class CountReport:
     """Outcome of a maximal-isotropic-subbundle count."""
@@ -230,7 +252,7 @@ class CountReport:
         if self.required_w2 is not None:
             out["required_w2"] = self.required_w2
         if self.applicable:
-            out["N"] = str(self.value)
+            out["N"] = decimal_string(self.value)
             out["decomposition"] = self.decomposition
         else:
             out["reason"] = self.reason
@@ -390,12 +412,15 @@ def count_float(genus: int, rank: int, ell: int) -> float:
     return count_float(genus, rank + 1, ell) / 2.0
 
 
+# (rank, ell): hypotheses, their test on g, the closed form and its name.
+# Notes name the form instead of printing its value, which can have more
+# digits than str() accepts.
 _CATALOG = {
-    (4, 0): ("g odd", lambda g: g % 2 == 1, lambda g: 2 ** (g + 1)),
-    (3, 0): ("g odd", lambda g: g % 2 == 1, lambda g: 2 ** g),
-    (6, 0): ("g odd", lambda g: g % 2 == 1, lambda g: 2 ** (2 * g + 1)),
-    (6, 1): ("g even", lambda g: g % 2 == 0, lambda g: 2 ** (2 * g)),
-    (5, 0): ("g odd", lambda g: g % 2 == 1, lambda g: 2 ** (2 * g)),
+    (4, 0): ("g odd", lambda g: g % 2 == 1, lambda g: 2 ** (g + 1), "2^(g+1)"),
+    (3, 0): ("g odd", lambda g: g % 2 == 1, lambda g: 2 ** g, "2^g"),
+    (6, 0): ("g odd", lambda g: g % 2 == 1, lambda g: 2 ** (2 * g + 1), "2^(2g+1)"),
+    (6, 1): ("g even", lambda g: g % 2 == 0, lambda g: 2 ** (2 * g), "2^(2g)"),
+    (5, 0): ("g odd", lambda g: g % 2 == 1, lambda g: 2 ** (2 * g), "2^(2g)"),
 }
 
 
@@ -403,14 +428,13 @@ def _catalog_note(report: CountReport) -> None:
     entry = _CATALOG.get((report.rank, report.ell))
     if entry is None:
         return
-    label, predicate, value_fn = entry
+    label, predicate, value_fn, form = entry
     if predicate(report.genus):
-        expected = value_fn(report.genus)
-        if report.value == expected:
-            report.notes.append(f"matches catalogued closed form {expected}")
+        if report.value == value_fn(report.genus):
+            report.notes.append(f"matches catalogued closed form {form}")
         else:
             report.notes.append(
-                f"MISMATCH against catalogued closed form {expected} (hypotheses: {label})"
+                f"MISMATCH against catalogued closed form {form} (hypotheses: {label})"
             )
     else:
         report.notes.append(f"outside catalogued hypotheses ({label}) for this family")

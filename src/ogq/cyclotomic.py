@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import math
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import lru_cache
 
@@ -321,6 +323,77 @@ def root_of_unity(order: int, power: int = 1) -> CycloNum:
         return CycloNum.rational(order, (-1) ** power if order == 2 else 1)
     w = CycloNum(order, tuple(Fraction(int(i == 1)) for i in range(phi)))
     return w ** power
+
+
+def fused_dot(vectors: Sequence[Sequence[CycloNum]], arity: int) -> Callable[..., CycloNum]:
+    """Exact sums of pointwise products over equal-length vectors of Q(w).
+
+    Returns `dot(i, j, ...)`, which takes 1 to `arity` indices into `vectors`
+    and returns sum over J of vectors[i][J] * vectors[j][J] * ....
+
+    Each vector is turned once into integer numerators over its own common
+    denominator, and every numerator polynomial is packed into one int,
+    sum c_k * 2^(slot*k) (Kronecker substitution).  A product of packed ints
+    is then the packed unreduced product of the polynomials, so a dot is one
+    integer multiply-and-add per point, unpacked and reduced mod Phi_order
+    once.  The slot is sized from the numerators so that no coefficient of
+    a sum of `arity`-fold products can reach it, which keeps every dot exact.
+    """
+    lengths = {len(vec) for vec in vectors}
+    if len(lengths) != 1:
+        raise ValueError("need one or more vectors, all of the same length")
+    orders = {x.order for vec in vectors for x in vec}
+    if not orders:
+        raise ValueError("need at least one point")
+    if len(orders) > 1:
+        raise OrderMismatchError(f"cannot combine roots of unity of orders {sorted(orders)}")
+    if arity < 1:
+        raise ValueError("arity must be >= 1")
+    (order,) = orders
+    (points,) = lengths
+    phi = field_degree(order)
+    nums, dens = [], []
+    for vec in vectors:
+        den = math.lcm(1, *(c.denominator for x in vec for c in x.coeffs))
+        dens.append(den)
+        nums.append([[c.numerator * (den // c.denominator) for c in x.coeffs] for x in vec])
+    top = max((abs(c) for vec in nums for x in vec for c in x), default=0)
+    slot = (points * phi ** (arity - 1) * top ** arity).bit_length() + 1
+    packed = []
+    for vec in nums:
+        row = []
+        for coeffs in vec:
+            acc = 0
+            for c in reversed(coeffs):
+                acc = (acc << slot) + c
+            row.append(acc)
+        packed.append(row)
+    mod = cyclotomic_polynomial(order)
+    mask, half = (1 << slot) - 1, 1 << (slot - 1)
+
+    def dot(*which: int) -> CycloNum:
+        if not 1 <= len(which) <= arity:
+            raise ValueError(f"a dot takes 1 to {arity} vectors, got {len(which)}")
+        total = sum(map(math.prod, zip(*(packed[i] for i in which))))
+        # Signed base-2^slot digits of the total: the unreduced coefficients.
+        conv = []
+        for _ in range(len(which) * (phi - 1) + 1):
+            digit = total & mask
+            if digit >= half:
+                digit -= 1 << slot
+            conv.append(digit)
+            total = (total - digit) >> slot
+        if total:
+            raise ArithmeticError("packed sum overflowed its slot")
+        for k in range(len(conv) - 1, phi - 1, -1):
+            c = conv[k]
+            if c:
+                for i in range(phi):
+                    conv[k - phi + i] -= c * mod[i]
+        den = math.prod(dens[i] for i in which)
+        return CycloNum(order, tuple(Fraction(c, den) for c in conv[:phi]))
+
+    return dot
 
 
 def zero(order: int) -> CycloNum:

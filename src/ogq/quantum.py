@@ -20,11 +20,12 @@ cross-check the direct sum.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 
 from . import partitions
-from .cyclotomic import CycloNum, NotRationalError, root_of_unity
+from .cyclotomic import CycloNum, NotRationalError, fused_dot, root_of_unity
 from .partitions import Partition
 from .symfunc import _ptilde_from_elem, _schur_from_elem, elementary_values
 
@@ -239,7 +240,7 @@ class TableEntry:
 @lru_cache(maxsize=None)
 def structure_table(n: int, max_d: int | None = None) -> tuple[TableEntry, ...]:
     """All nonzero quantum structure constants c^{nu,d}_{lam,mu} for the
-    given n, ordered by (lam, mu, d, nu).
+    given n, ordered by (lam, mu, d, nu); with max_d, those with d <= max_d.
 
     tau_lam * tau_mu = sum over (nu, d) of c q^d tau_nu, where c is the
     genus-0 three-point number against the dual of nu and the admissible d
@@ -247,41 +248,32 @@ def structure_table(n: int, max_d: int | None = None) -> tuple[TableEntry, ...]:
     """
     if n < 2:
         raise UnsupportedRankError(f"n must be >= 2, got {n}")
+    if max_d is not None:
+        return tuple(e for e in structure_table(n) if e.d <= max_d)
     m = n - 1
     basis = partitions.all_strict(m)
-    by_weight: dict[int, list[Partition]] = {}
-    for lam in basis:
-        by_weight.setdefault(partitions.weight(lam), []).append(lam)
     tabs = _tables(n)
-    sinv = _schur_powers(n, -1)
-    # vec[lam][J] = S^-1 * P~_lam at point J; reused across all pairs.
-    vec = {
-        lam: tuple(sp * tab[lam] for sp, tab in zip(sinv, tabs))
-        for lam in basis
-    }
+    # Vector 0 is S_rho^-1, vector i+1 is P~ of basis[i], over all points.
+    dot = fused_dot(
+        [_schur_powers(n, -1)] + [[tab[lam] for tab in tabs] for lam in basis], arity=4
+    )
+    weights = [partitions.weight(lam) for lam in basis]
+    # The three-point number is symmetric in its insertions: sum each
+    # unordered triple once and emit it for every distinct ordering.
     entries = []
-    for i, lam in enumerate(basis):
-        for mu in basis[i:]:
-            pair = tuple(v * tab[mu] for v, tab in zip(vec[lam], tabs))
-            wsum = partitions.weight(lam) + partitions.weight(mu)
-            d = 0
-            while True:
-                rest = wsum - 2 * m * d
-                if rest < 0 or (max_d is not None and d > max_d):
-                    break
-                for nu in by_weight.get(rest, ()):
-                    dualnu = partitions.dual(nu, m)
-                    acc = None
-                    for v, tab in zip(pair, tabs):
-                        term = v * tab[dualnu]
-                        acc = term if acc is None else acc + term
-                    acc = acc * Fraction(4) ** d
-                    c = _as_count(acc, f"structure constant ({lam},{mu},{nu},{d})")
-                    if c:
-                        entries.append(TableEntry(lam, mu, nu, d, c))
-                        if mu != lam:
-                            entries.append(TableEntry(mu, lam, nu, d, c))
-                d += 1
+    for a, b, c in itertools.combinations_with_replacement(range(len(basis)), 3):
+        excess = weights[a] + weights[b] + weights[c] - m * (m + 1) // 2
+        if excess < 0 or excess % (2 * m):
+            continue
+        d = excess // (2 * m)
+        triple = (basis[a], basis[b], basis[c])
+        count = _as_count(
+            dot(0, a + 1, b + 1, c + 1) * 4 ** d,
+            f"three-point invariant {triple} in degree {d}",
+        )
+        if count:
+            for lam, mu, ins in set(itertools.permutations(triple)):
+                entries.append(TableEntry(lam, mu, partitions.dual(ins, m), d, count))
     entries.sort(key=lambda e: (e.lam, e.mu, e.d, e.nu))
     return tuple(entries)
 

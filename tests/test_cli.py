@@ -123,6 +123,26 @@ def test_count_not_covered_exits_3(capsys):
     assert "2^g" in out
 
 
+def _digits_of(text: str) -> int:
+    # int() refuses more than 4300 digits too; read the string in two parts
+    return int(text[:-3000]) * 10 ** 3000 + int(text[-3000:])
+
+
+def test_count_past_the_int_to_str_limit(capsys):
+    argv = ["count", "--g", "7201", "--rank", "6", "--ell", "0"]
+    code, out, _ = run(argv + ["--format", "json"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert len(doc["N"]) == 4336
+    assert _digits_of(doc["N"]) == 2 ** (2 * 7201 + 1)
+    assert doc["notes"] == ["matches catalogued closed form 2^(2g+1)"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == doc["N"]
+    assert lines[2] == "note: matches catalogued closed form 2^(2g+1)"
+
+
 def test_count_not_applicable_exits_3(capsys):
     code, out, _ = run(["count", "--g", "4", "--rank", "6", "--ell", "0"], capsys)
     assert code == 3
@@ -244,6 +264,20 @@ def test_ntilde_float_mode(capsys):
     assert doc["float_agrees"] is True
 
 
+def test_ntilde_float_mode_reports_an_unrepresentable_value(capsys):
+    argv = ["ntilde", "--g", "1201", "--n", "3", "--ell", "0", "--e", "-1800", "--mode", "float"]
+    code, out, _ = run(argv + ["--format", "json"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert len(doc["value"]) == 724
+    assert doc["float_value"] is None
+    assert "cannot be represented as a double" in doc["float_note"]
+    assert "float_agrees" not in doc
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert out.splitlines() == [doc["value"], f"float route: {doc['float_note']}"]
+
+
 def test_ntilde_not_covered_exits_3(capsys):
     code, _, err = run(
         ["ntilde", "--g", "3", "--n", "2", "--ell", "0", "--e", "-1"], capsys
@@ -266,6 +300,7 @@ def test_verify_json(capsys):
     assert doc["suite"] == "counts"
     assert doc["failures"] == 0
     assert all(c["ok"] for c in doc["checks"])
+    assert all(list(c) == ["suite", "name", "ok", "detail"] for c in doc["checks"])
 
 
 def test_verify_failure_exits_1(monkeypatch, capsys):

@@ -2,6 +2,7 @@
 intersection numbers, and the subbundle counts."""
 
 import random
+import sys
 
 import pytest
 
@@ -357,3 +358,23 @@ def test_odd_rank_companion_degree_is_checked(monkeypatch):
     monkeypatch.setattr(counting, "count_even", shifted)
     with pytest.raises(NonIntegralResultError, match="companion extremal degree"):
         count_odd(3, 1, 0)
+
+
+def test_decimal_string_matches_str_past_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    rng = random.Random(5)
+    for digits in (1, 9, limit, limit + 1, 3 * limit, 20000):
+        for value in (10 ** digits, 10 ** digits - 1, rng.randrange(10 ** digits)):
+            for sign in (1, -1):
+                text = counting.decimal_string(sign * value)
+                head = text.lstrip("-")
+                assert head == "0" or not head.startswith("0")
+                # str() and int() are capped alike: compare 1000 digits at a time
+                pieces = [head[i:i + 1000] for i in range(0, len(head), 1000)]
+                back = 0
+                for piece in pieces:
+                    back = back * 10 ** len(piece) + int(piece)
+                assert (-back if text.startswith("-") else back) == sign * value
+    assert counting.decimal_string(Fraction(-7, 3)) == "-7/3"
+    assert counting.decimal_string(Fraction(8)) == "8"
+    assert sys.get_int_max_str_digits() == limit

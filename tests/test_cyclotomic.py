@@ -13,6 +13,7 @@ from ogq.cyclotomic import (
     OrderMismatchError,
     cyclotomic_polynomial,
     field_degree,
+    fused_dot,
     one,
     root_of_unity,
     zero,
@@ -212,3 +213,65 @@ def test_rational_round_trip(value, order):
     num = CycloNum.rational(order, value)
     assert num.is_rational()
     assert num.as_rational() == value
+
+
+# Denominators mix 1, 2, 16 (as in P~) and 4, 9, 12, 36 (as in S_rho^-1);
+# zero coefficients and zero entries are drawn often.
+dot_fractions = st.builds(
+    Fraction,
+    st.one_of(st.just(0), st.integers(-300, 300)),
+    st.sampled_from([1, 2, 16, 4, 9, 12, 36]),
+)
+
+
+@st.composite
+def dot_cases(draw):
+    order = draw(st.integers(4, 24))
+    points = draw(st.integers(1, 6))
+    arity = draw(st.integers(1, 4))
+    phi = field_degree(order)
+    element = st.one_of(
+        st.just(zero(order)),
+        st.tuples(*([dot_fractions] * phi)).map(lambda t: CycloNum(order, t)),
+    )
+    vectors = draw(st.lists(st.lists(element, min_size=points, max_size=points),
+                            min_size=1, max_size=4))
+    which = draw(st.lists(st.integers(0, len(vectors) - 1), min_size=1, max_size=arity))
+    return order, vectors, arity, which
+
+
+@given(dot_cases())
+def test_fused_dot_equals_the_plain_sum_of_products(case):
+    order, vectors, arity, which = case
+    expected = zero(order)
+    for j in range(len(vectors[0])):
+        term = one(order)
+        for i in which:
+            term = term * vectors[i][j]
+        expected = expected + term
+    got = fused_dot(vectors, arity)(*which)
+    assert got.order == order
+    assert got == expected
+
+
+def test_fused_dot_sums_to_non_rational_and_rational_values():
+    w = root_of_unity(12, 1)
+    dot = fused_dot([[w, w.invert()], [w, w], [Fraction(1, 36) * w.invert(), w]], 3)
+    assert dot(0, 1) == w * w + 1
+    assert not dot(0, 1).is_rational()
+    assert dot(0, 2).as_rational() == Fraction(37, 36)
+
+
+def test_fused_dot_refuses_bad_input():
+    w4, w8 = root_of_unity(4, 1), root_of_unity(8, 1)
+    with pytest.raises(OrderMismatchError):
+        fused_dot([[w4], [w8]], 2)
+    with pytest.raises(ValueError, match="same length"):
+        fused_dot([[w4], [w4, w4]], 2)
+    with pytest.raises(ValueError, match="at least one point"):
+        fused_dot([[], []], 2)
+    dot = fused_dot([[w4], [w4]], 2)
+    with pytest.raises(ValueError, match="1 to 2"):
+        dot(0, 1, 1)
+    with pytest.raises(ValueError, match="1 to 2"):
+        dot()

@@ -1,6 +1,7 @@
 """Evaluation tuples, the closed invariant formula, the quantum product and
 its structure table, and the Frobenius-algebra trace route."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -29,7 +30,7 @@ from ogq.quantum import (
     three_point,
     trace_invariant,
 )
-from ogq import quantum, verify
+from ogq import cli, quantum, verify
 from ogq.symfunc import elementary_values, ptilde_value, schur_value
 
 
@@ -310,6 +311,49 @@ def test_table_max_d_truncates():
     full = structure_table(3)
     trimmed = structure_table(3, 0)
     assert set(trimmed) == {e for e in full if e.d == 0}
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("max_d", [0, 1, 2])
+def test_table_max_d_filters_the_full_table(n, max_d):
+    assert structure_table(n, max_d) == tuple(e for e in structure_table(n) if e.d <= max_d)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_structure_table_matches_three_point_entrywise(n):
+    # The reference sums each ordered (lam, mu, nu, d) on its own through
+    # gw_invariant, with no use of the symmetry or of the fused dot.
+    m = n - 1
+    basis = all_strict(m)
+    reference = []
+    for lam in basis:
+        for mu in basis:
+            for nu in basis:
+                excess = weight(lam) + weight(mu) - weight(nu)
+                if excess < 0 or excess % (2 * m):
+                    continue
+                d = excess // (2 * m)
+                c = three_point(n, lam, mu, nu, d)
+                if c:
+                    reference.append(TableEntry(lam, mu, nu, d, c))
+    reference.sort(key=lambda e: (e.lam, e.mu, e.d, e.nu))
+    assert structure_table(n) == tuple(reference)
+
+
+# SHA-256 of `ogq table --n k --format json`, as recorded in perfbench/reference.json.
+TABLE_SHA256 = {
+    2: "b0336b9fa3c04263a55f204045aadd31008b13613dbaa1544081a3070014570b",
+    3: "05c08367c10af692121357d90e48e8ade2cb70c5bda6ba99e489ab648ea66808",
+    4: "d7977799eb6863225b696a60e117676cbf589958c1a4cb2934606ba14a38d5a4",
+    5: "525f3a116d28c2500cca4244f75c3d4419d09c4a33c5d0c7ca3bd694f2e6ed40",
+    6: "c2ed502c7c3bcea725258502fd330266de5cbf5abe73823367993196f8ad04ee",
+}
+
+
+@pytest.mark.parametrize("n", sorted(TABLE_SHA256))
+def test_table_json_bytes_are_unchanged(n):
+    payload = cli._table_bytes(table_json_dict(n))
+    assert hashlib.sha256(payload).hexdigest() == TABLE_SHA256[n]
 
 
 def test_quantum_element_rendering():
