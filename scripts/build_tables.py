@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Precompute quantum structure-constant tables and drop them in the cache.
 
-Same artifacts as `ogq table --n k` for each k, without echoing the entries;
-useful before working interactively with larger n, where the table build
-dominates.
+Same artifacts as `ogq table --n k` for each k, without echoing the entries.
+The default range n = 2..7 takes a few seconds from a cold start; n = 8 takes
+about 12 s more, almost all of it the structure-constant sum.
 """
 
 import argparse
@@ -16,7 +16,7 @@ from ogq.cli import _resolve_cache_dir, _table_bytes
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--min-n", type=int, default=2)
-    parser.add_argument("--max-n", type=int, default=5)
+    parser.add_argument("--max-n", type=int, default=7)
     parser.add_argument("--cache-dir", default=None)
     args = parser.parse_args()
 

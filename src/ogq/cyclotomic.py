@@ -93,6 +93,47 @@ def _reduction_rows(order: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+def int_mul(a: Sequence[int], b: Sequence[int], order: int) -> list[int]:
+    """Product of two elements of Z[w] given by their phi(order) integer
+    power-basis coefficients, reduced mod Phi_order as `CycloNum.__mul__`
+    reduces it, with the same `_reduction_rows`.
+
+    >>> int_mul([0, 1], [0, 1], 4)
+    [-1, 0]
+    """
+    phi = len(a)
+    conv = [0] * (2 * phi - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                if y:
+                    conv[j] += x * y
+    out = conv[:phi]
+    rows = _reduction_rows(order)
+    for k in range(2 * phi - 2, phi - 1, -1):
+        c = conv[k]
+        if c:
+            for i, r in enumerate(rows[k - phi]):
+                if r:
+                    out[i] += c * r
+    return out
+
+
+def int_pow(a: Sequence[int], exponent: int, order: int) -> list[int]:
+    """a^exponent in Z[w] by square-and-multiply with `int_mul`, exponent >= 0."""
+    if exponent < 0:
+        raise ValueError("integer powers need a nonnegative exponent")
+    result = [1] + [0] * (len(a) - 1)
+    base = list(a)
+    while exponent:
+        if exponent & 1:
+            result = int_mul(result, base, order)
+        exponent >>= 1
+        if exponent:
+            base = int_mul(base, base, order)
+    return result
+
+
 def _poly_inverse(a: tuple[Fraction, ...], order: int) -> tuple[Fraction, ...]:
     # Extended Euclid for u*a + v*Phi = gcd; Phi_order is irreducible over Q,
     # so any nonzero a is invertible and gcd is a nonzero constant.
@@ -161,6 +202,17 @@ class CycloNum:
         if self.is_rational():
             return hash(self.coeffs[0])
         return hash((self.order, self.coeffs))
+
+    @staticmethod
+    def from_ints(order: int, coeffs: Sequence[int], den: int = 1) -> "CycloNum":
+        """The element (sum_i coeffs[i] * w^i) / den, from phi(order) integers."""
+        return CycloNum(order, tuple(Fraction(c, den) for c in coeffs))
+
+    def int_coeffs(self) -> list[int]:
+        """The power-basis coefficients of an element of Z[w], as ints."""
+        if any(c.denominator != 1 for c in self.coeffs):
+            raise ArithmeticError(f"element is not in Z[w]: {self!r}")
+        return [c.numerator for c in self.coeffs]
 
     def _check(self, other: "CycloNum") -> None:
         if self.order != other.order:

@@ -11,6 +11,12 @@ polynomials P~_lambda(zeta^J) of the insertions.  Everything is exact: zeta^j
 lives in the cyclotomic field of order 4m (the exponents j are half-integers
 when m is even, so doubled exponents are used throughout).
 
+The evaluation points are tuples of roots of unity, so the elementary values,
+S_rho and 2^len(lambda) * P~_lambda there all lie in Z[w].  The per-point
+tables are built in that integer arithmetic (symfunc's _int_* helpers on
+cyclotomic.int_mul) and turned into CycloNums once, at the table boundary;
+the public symfunc evaluators stay the independent oracle in the tests.
+
 The same engine yields the genus-0 three-point numbers, hence the structure
 constants of the small quantum cohomology ring, the quantum Euler class, and
 an independent trace-formula route to every positive-genus invariant, used to
@@ -25,9 +31,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import partitions
-from .cyclotomic import CycloNum, NotRationalError, fused_dot, root_of_unity
+from .cyclotomic import CycloNum, NotRationalError, fused_dot, int_pow, root_of_unity
 from .partitions import Partition
-from .symfunc import _ptilde_from_elem, _schur_from_elem, elementary_values
+from .symfunc import _int_elementary, _int_ptilde, _int_staircase_schur
 
 
 class UnsupportedRankError(ValueError):
@@ -130,14 +136,20 @@ class _StaircasePoint:
 
 @lru_cache(maxsize=None)
 def _staircase_table(n: int) -> tuple[_StaircasePoint, ...]:
-    # The per-point base table: elementary values are computed here once and
-    # reused by _tables, so the counting sums never build all 4^m P~ values.
-    staircase = partitions.rho(n - 1)
+    # The per-point base table, built in Z[w] and turned into CycloNums once.
+    # Only the sub-partitions that P~_rho's recursion needs are built, and
+    # they are dropped after each point, so the counting sums never hold all
+    # 4^m P~ values.
+    m = n - 1
+    order = session_order(n)
+    staircase = partitions.rho(m)
     out = []
-    for ep in eval_points(n - 1):
-        evals = tuple(elementary_values(ep.point))
-        schur = _schur_from_elem(staircase, evals)
-        ptilde = _ptilde_from_elem(staircase, evals)
+    for ep in eval_points(m):
+        xs = [x.int_coeffs() for x in ep.point]
+        elem = _int_elementary(xs, order)
+        schur = CycloNum.from_ints(order, _int_staircase_schur(xs, elem[m], order))
+        ptilde = CycloNum.from_ints(order, _int_ptilde(staircase, elem, order, {}), 2 ** m)
+        evals = tuple(CycloNum.from_ints(order, e) for e in elem)
         out.append(_StaircasePoint(ep, evals, schur, ptilde,
                                    schur.embed_complex(), ptilde.embed_complex()))
     return tuple(out)
@@ -145,19 +157,33 @@ def _staircase_table(n: int) -> tuple[_StaircasePoint, ...]:
 
 @lru_cache(maxsize=None)
 def _tables(n: int) -> tuple[dict[Partition, CycloNum], ...]:
-    # Per evaluation point: P~ on the whole Schubert index set.
+    # Per evaluation point: P~ on the whole Schubert index set, each value
+    # read off one memoized integer Pfaffian recursion over the point.
+    order = session_order(n)
     basis = partitions.all_strict(n - 1)
-    staircase = partitions.rho(n - 1)
-    return tuple(
-        {lam: sp.ptilde_rho if lam == staircase else _ptilde_from_elem(lam, sp.elem)
-         for lam in basis}
-        for sp in _staircase_table(n)
-    )
+    out = []
+    for sp in _staircase_table(n):
+        elem = [e.int_coeffs() for e in sp.elem]
+        memo: dict[Partition, list[int]] = {}
+        out.append({
+            lam: CycloNum.from_ints(order, _int_ptilde(lam, elem, order, memo), 2 ** len(lam))
+            for lam in basis
+        })
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def _schur_powers(n: int, exponent: int) -> tuple[CycloNum, ...]:
-    return tuple(sp.schur_rho ** exponent for sp in _staircase_table(n))
+    # S_rho lies in Z[w], so a nonnegative power is taken on its integer
+    # coefficients; S_rho^-1 and its powers go through CycloNum.invert.
+    points = _staircase_table(n)
+    if exponent < 0:
+        return tuple(sp.schur_rho ** exponent for sp in points)
+    order = session_order(n)
+    return tuple(
+        CycloNum.from_ints(order, int_pow(sp.schur_rho.int_coeffs(), exponent, order))
+        for sp in points
+    )
 
 
 @lru_cache(maxsize=None)
@@ -237,7 +263,6 @@ class TableEntry:
     c: int
 
 
-@lru_cache(maxsize=None)
 def structure_table(n: int, max_d: int | None = None) -> tuple[TableEntry, ...]:
     """All nonzero quantum structure constants c^{nu,d}_{lam,mu} for the
     given n, ordered by (lam, mu, d, nu); with max_d, those with d <= max_d.
@@ -248,8 +273,12 @@ def structure_table(n: int, max_d: int | None = None) -> tuple[TableEntry, ...]:
     """
     if n < 2:
         raise UnsupportedRankError(f"n must be >= 2, got {n}")
-    if max_d is not None:
-        return tuple(e for e in structure_table(n) if e.d <= max_d)
+    full = _structure_table(n)
+    return full if max_d is None else tuple(e for e in full if e.d <= max_d)
+
+
+@lru_cache(maxsize=None)
+def _structure_table(n: int) -> tuple[TableEntry, ...]:
     m = n - 1
     basis = partitions.all_strict(m)
     tabs = _tables(n)
@@ -278,9 +307,14 @@ def structure_table(n: int, max_d: int | None = None) -> tuple[TableEntry, ...]:
     return tuple(entries)
 
 
+# The one cache behind every spelling of a structure_table call, keyed by n.
+structure_table.cache_info = _structure_table.cache_info
+structure_table.cache_clear = _structure_table.cache_clear
+
+
 def table_json_dict(n: int, max_d: int | None = None) -> dict:
     """JSON-ready structure table; coefficients as decimal strings."""
-    entries = structure_table(n) if max_d is None else structure_table(n, max_d)
+    entries = structure_table(n, max_d)
     return {
         "schema": "ogq-table/1",
         "n": n,

@@ -8,6 +8,11 @@ the maximal orthogonal Grassmannian.  P~ on one or two rows is an explicit
 quadratic expression in the e's; longer indices reduce to a Pfaffian of the
 two-row values.
 
+The private _int_* helpers compute the same values at points of Z[w]^m on
+integer coefficient lists, for the per-point tables in quantum: the e's,
+S_rho by the product formula e_m * prod_{i<j} (x_i + x_j), and 2^len * P~ by a
+first-row Pfaffian expansion memoized over sub-partitions.
+
 The small AlphaPolynomial ring tracks polynomials in a_i := e_i/2, which is
 how intersection-number integrands are fed in from the outside.
 """
@@ -15,10 +20,12 @@ how intersection-number integrands are fed in from the outside.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import re
+from collections.abc import Sequence
 from fractions import Fraction
 
-from .cyclotomic import CycloNum
+from .cyclotomic import CycloNum, int_mul
 from .partitions import InvalidPartitionError, Partition, validate
 
 
@@ -111,10 +118,7 @@ def schur_value(parts, point: PointTuple) -> CycloNum:
 
     lambda may be any weakly decreasing tuple of nonnegative integers.
     """
-    return _schur_from_elem(parts, elementary_values(point))
-
-
-def _schur_from_elem(parts, evals: list[CycloNum]) -> CycloNum:
+    evals = elementary_values(point)
     parts = tuple(p for p in parts if p != 0)
     if any(a < b for a, b in zip(parts, parts[1:])) or any(p < 0 for p in parts):
         raise InvalidPartitionError(f"{parts} is not weakly decreasing and nonnegative")
@@ -216,6 +220,77 @@ def _ptilde_from_elem(parts: Partition, evals: list[CycloNum]) -> CycloNum:
             rows[i][j] = val
             rows[j][i] = -val
     return pfaffian(rows)
+
+
+# Integer builds at points of Z[w]^m.  A value of Z[w] is the list of its
+# power-basis coefficients; products go through cyclotomic.int_mul, and the
+# caller turns the results into CycloNums once.
+
+IntVec = list[int]
+
+
+def _int_elementary(point: Sequence[IntVec], order: int) -> list[IntVec]:
+    # [e_0, ..., e_m] at the point, by multiplying out prod_i (1 + x_i t).
+    evals = [[1] + [0] * (len(point[0]) - 1)]
+    for x in point:
+        nxt = [evals[0]]
+        for k in range(1, len(evals)):
+            nxt.append([a + b for a, b in zip(evals[k], int_mul(x, evals[k - 1], order))])
+        nxt.append(int_mul(x, evals[-1], order))
+        evals = nxt
+    return evals
+
+
+def _int_staircase_schur(point: Sequence[IntVec], e_m: IntVec, order: int) -> IntVec:
+    # S_rho for rho = (m, ..., 1) in m variables: S_rho = e_m * S_(m-1,...,0)
+    # and S_(m-1,...,0) = prod_{i<j} (x_i + x_j), so no determinant is needed.
+    acc = e_m
+    for x, y in itertools.combinations(point, 2):
+        acc = int_mul(acc, [a + b for a, b in zip(x, y)], order)
+    return acc
+
+
+def _int_ptilde(parts: Partition, evals: list[IntVec], order: int,
+                memo: dict[Partition, IntVec]) -> IntVec:
+    """2^len(parts) * P~_parts at the point with elementary values `evals`.
+
+    The scaled values lie in Z[w].  Lengths 1 and 2 use the closed forms in
+    the e's.  Longer indices expand the Pfaffian of the pair matrix along its
+    first row, P~_lam = sum_k (-1)^k P~_(lam_1,lam_k) P~_(lam minus lam_1, lam_k),
+    plus P~_(lam_1,0) P~_(lam minus lam_1) for odd length (the padded zero
+    part); each factor is a smaller strict partition, built once in `memo`.
+    """
+    if parts in memo:
+        return memo[parts]
+    phi = len(evals[0])
+
+    def e(k: int) -> IntVec:
+        return evals[k] if k < len(evals) else [0] * phi
+
+    if len(parts) == 0:
+        val = evals[0]
+    elif len(parts) == 1:
+        val = e(parts[0])
+    elif len(parts) == 2:
+        a, b = parts
+        val = int_mul(e(a), e(b), order)
+        for k in range(1, b + 1):
+            term = int_mul(e(a + k), e(b - k), order)
+            sign = -2 if k % 2 else 2
+            val = [v + sign * t for v, t in zip(val, term)]
+    else:
+        first, rest = parts[0], parts[1:]
+        val = [0] * phi
+        for pos, part in enumerate(rest):
+            term = int_mul(_int_ptilde((first, part), evals, order, memo),
+                           _int_ptilde(rest[:pos] + rest[pos + 1:], evals, order, memo), order)
+            sign = -1 if pos % 2 else 1
+            val = [v + sign * t for v, t in zip(val, term)]
+        if len(parts) % 2:
+            term = int_mul(e(first), _int_ptilde(rest, evals, order, memo), order)
+            val = [v + t for v, t in zip(val, term)]
+    memo[parts] = val
+    return val
 
 
 _TERM_FACTOR = re.compile(r"^a(\d+)(?:\^(\d+))?$")

@@ -14,6 +14,8 @@ from ogq.cyclotomic import (
     cyclotomic_polynomial,
     field_degree,
     fused_dot,
+    int_mul,
+    int_pow,
     one,
     root_of_unity,
     zero,
@@ -275,3 +277,44 @@ def test_fused_dot_refuses_bad_input():
         dot(0, 1, 1)
     with pytest.raises(ValueError, match="1 to 2"):
         dot()
+
+
+# Integer coefficients of Z[w]: zeros often, small values, and values far
+# past a machine word, as in high powers of S_rho.
+int_coeffs = st.one_of(st.just(0), st.integers(-5, 5), st.integers(-10 ** 30, 10 ** 30))
+
+
+@st.composite
+def int_cases(draw):
+    order = draw(st.integers(4, 28))
+    phi = field_degree(order)
+    vec = st.lists(int_coeffs, min_size=phi, max_size=phi)
+    return order, draw(vec), draw(vec)
+
+
+@given(int_cases())
+def test_int_mul_equals_cyclonum_mul(case):
+    order, a, b = case
+    got = int_mul(a, b, order)
+    assert len(got) == field_degree(order)
+    assert CycloNum.from_ints(order, got) == CycloNum.from_ints(order, a) * CycloNum.from_ints(order, b)
+
+
+@given(int_cases(), st.integers(0, 9))
+def test_int_pow_equals_cyclonum_pow(case, exponent):
+    order, a, _ = case
+    assert CycloNum.from_ints(order, int_pow(a, exponent, order)) == CycloNum.from_ints(order, a) ** exponent
+
+
+def test_int_pow_refuses_negative_exponents():
+    with pytest.raises(ValueError, match="nonnegative"):
+        int_pow([0, 1], -1, 4)
+
+
+def test_from_ints_and_int_coeffs_round_trip():
+    w = root_of_unity(12, 1)
+    x = 3 * w * w - 7 + w.invert()
+    assert CycloNum.from_ints(12, x.int_coeffs()) == x
+    assert CycloNum.from_ints(12, [2, 0, 0, 6], 4) == Fraction(1, 2) + Fraction(3, 2) * w ** 3
+    with pytest.raises(ArithmeticError, match=r"Z\[w\]"):
+        (x * Fraction(1, 2)).int_coeffs()

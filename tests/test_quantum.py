@@ -340,13 +340,16 @@ def test_structure_table_matches_three_point_entrywise(n):
     assert structure_table(n) == tuple(reference)
 
 
-# SHA-256 of `ogq table --n k --format json`, as recorded in perfbench/reference.json.
+# SHA-256 of `ogq table --n k --format json`: k = 2..6 as recorded in
+# perfbench/reference.json, k = 7 as computed by the Fraction-based Pfaffian
+# build that the integer build replaced.
 TABLE_SHA256 = {
     2: "b0336b9fa3c04263a55f204045aadd31008b13613dbaa1544081a3070014570b",
     3: "05c08367c10af692121357d90e48e8ade2cb70c5bda6ba99e489ab648ea66808",
     4: "d7977799eb6863225b696a60e117676cbf589958c1a4cb2934606ba14a38d5a4",
     5: "525f3a116d28c2500cca4244f75c3d4419d09c4a33c5d0c7ca3bd694f2e6ed40",
     6: "c2ed502c7c3bcea725258502fd330266de5cbf5abe73823367993196f8ad04ee",
+    7: "c2f8d4685c15f61b56761edfdc73061bf3bd2948f4f834601edb3942436adbe9",
 }
 
 
@@ -381,7 +384,7 @@ def test_gw_float_path_tracks_exact_values():
         assert abs(approx - exact) <= 1e-6 * max(1.0, abs(exact))
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_staircase_table_matches_full_tables(n):
     staircase = rho(n - 1)
     points = quantum._staircase_table(n)
@@ -400,6 +403,31 @@ def test_staircase_table_matches_full_tables(n):
             assert tab[lam] == ptilde_value(lam, ep.point)
 
 
+def test_staircase_table_n7_matches_the_direct_evaluation():
+    staircase = rho(6)
+    for ep, sp in zip(eval_points(6), quantum._staircase_table(7)):
+        assert sp.ep == ep
+        assert sp.schur_rho == schur_value(staircase, ep.point)
+        assert sp.ptilde_rho == ptilde_value(staircase, ep.point)
+
+
 def test_schur_powers_read_the_staircase_table():
     points = quantum._staircase_table(4)
     assert quantum._schur_powers(4, 3) == tuple(sp.schur_rho ** 3 for sp in points)
+
+
+@pytest.mark.parametrize("n,exponent", [(2, 0), (3, -1), (4, -2), (5, 1), (5, 17), (6, 40)])
+def test_integer_schur_powers_equal_cyclonum_powers(n, exponent):
+    points = quantum._staircase_table(n)
+    assert quantum._schur_powers(n, exponent) == tuple(sp.schur_rho ** exponent for sp in points)
+
+
+def test_every_spelling_of_the_full_structure_table_shares_one_cache_entry():
+    structure_table.cache_clear()
+    full = structure_table(3)
+    assert structure_table(3, None) is full
+    assert structure_table(n=3) is full
+    assert structure_table(3, max_d=None) is full
+    assert structure_table(3, 0) == tuple(e for e in full if e.d == 0)
+    info = structure_table.cache_info()
+    assert (info.hits, info.misses) == (4, 1)

@@ -8,10 +8,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from ogq.cyclotomic import CycloNum, root_of_unity
+from ogq.cyclotomic import CycloNum, field_degree, root_of_unity
 from ogq.partitions import all_strict, rho
 from ogq.symfunc import (
     AlphaPolynomial,
+    _int_elementary,
+    _int_ptilde,
+    _int_staircase_schur,
     NotSkewSymmetricError,
     OddDimensionError,
     alpha_evaluate,
@@ -255,6 +258,41 @@ def test_ptilde_is_symmetric_in_the_coordinates(m):
             perm = list(p)
             rng.shuffle(perm)
             assert ptilde_value(lam, tuple(perm)) == base
+
+
+def random_int_point(rng, m, order):
+    # Generic elements of Z[w], not roots of unity: the integer builds must
+    # hold as polynomial identities, not only at the evaluation points.
+    phi = field_degree(order)
+    return tuple(CycloNum.from_ints(order, [rng.randrange(-3, 4) for _ in range(phi)])
+                 for _ in range(m))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_integer_staircase_schur_is_the_product_formula(m):
+    # S_rho = e_m * prod_{i<j} (x_i + x_j) against the Jacobi-Trudi determinant.
+    rng = random.Random(100 + m)
+    order = 12
+    for _ in range(2):
+        point = random_int_point(rng, m, order)
+        xs = [x.int_coeffs() for x in point]
+        evals = _int_elementary(xs, order)
+        assert [CycloNum.from_ints(order, e) for e in evals] == elementary_values(point)
+        got = _int_staircase_schur(xs, evals[m], order)
+        assert CycloNum.from_ints(order, got) == schur_value(rho(m), point)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_integer_ptilde_recursion_matches_the_pfaffian(m):
+    rng = random.Random(200 + m)
+    order = 20
+    point = random_int_point(rng, m, order)
+    evals = _int_elementary([x.int_coeffs() for x in point], order)
+    memo = {}
+    for lam in sorted(all_strict(m), key=len, reverse=True):
+        got = CycloNum.from_ints(order, _int_ptilde(lam, evals, order, memo), 2 ** len(lam))
+        assert got == ptilde_value(lam, point)
+    assert set(memo) == set(all_strict(m))
 
 
 def test_alpha_polynomial_str_and_parse_round_trip():
