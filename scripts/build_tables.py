@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Precompute quantum structure-constant tables and drop them in the cache.
+"""Write quantum structure-constant tables as JSON into the cache directory.
 
 Same artifacts as `ogq table --n k` for each k, without echoing the entries.
 The default range n = 2..7 takes a few seconds from a cold start; n = 8 takes

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: gw (one invariant), count (subbundle count), table (structure
-constants, cached as JSON), qmul (product of two Schubert classes), ntilde
-(arbitrary-bundle intersection number), verify (self-check suites).
+constants, written as JSON to the cache directory, an export nothing reads
+back), qmul (product of two Schubert classes), ntilde (arbitrary-bundle
+intersection number), verify (self-check suites).
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input, 3 the query
 is not applicable or not covered, 4 I/O failure.
@@ -145,13 +146,6 @@ def cmd_table(args) -> int:
     path = cache_dir / f"table-n{args.n}{suffix}.json"
     try:
         cache_dir.mkdir(parents=True, exist_ok=True)
-        if path.exists():
-            try:
-                old = json.loads(path.read_text())
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                old = None
-            if not isinstance(old, dict) or old.get("schema") != "ogq-table/1":
-                print(f"warning: ignoring stale cache file {path}", file=sys.stderr)
         path.write_bytes(payload)
     except OSError as exc:
         _emit_error("io_error", f"cannot write {path}: {exc}")
@@ -273,7 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", parents=[common], help="quantum structure constants")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-d", type=int, default=None, dest="max_d")
-    p.add_argument("--cache-dir", default=None, help="overrides OGQ_CACHE_DIR and the default")
+    p.add_argument("--cache-dir", default=None,
+                   help="where the JSON is written; overrides OGQ_CACHE_DIR and the default")
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("qmul", parents=[common], help="product of two Schubert classes")

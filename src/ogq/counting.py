@@ -3,12 +3,14 @@
 For a stable orthogonal bundle V of rank r and even Stiefel-Whitney-compatible
 degree data on a smooth curve of genus g, the number of maximal isotropic
 subbundles of the extremal degree e_0 is finite, and it is computed here by
-specializing the same evaluation sums that drive the Gromov-Witten engine:
-N is a power of two times a sum over the 2^(n-1) evaluation tuples of
-staircase-Schur powers and staircase P~ powers.  The intermediate quantity
-n_tilde covers arbitrary degree e and an arbitrary polynomial integrand in
-the halved elementary classes a_i, and the trivial-bundle case is literally a
-Gromov-Witten invariant, which gives an independent bridge for testing.
+specializing the one evaluation sum behind the Gromov-Witten invariants,
+quantum.evaluation_sum: N is a power of two times a sum over the 2^(n-1)
+evaluation tuples of staircase-Schur powers and staircase P~ powers.  One
+plan (_plan) picks the power of two and the staircase power for every
+caller, exact or float.  The intermediate quantity n_tilde covers arbitrary
+degree e and an arbitrary polynomial integrand in the halved elementary
+classes a_i, and the trivial-bundle case is literally a Gromov-Witten
+invariant, which gives an independent bridge for testing.
 
 Parity limits are first-class outcomes: a query whose extremal degree does
 not exist raises NotApplicableError, and the even-rank route with n even but
@@ -24,8 +26,7 @@ import sys
 from fractions import Fraction
 
 from . import partitions, quantum
-from .cyclotomic import CycloNum
-from .symfunc import AlphaPolynomial, _alpha_from_elem
+from .symfunc import AlphaPolynomial
 from .quantum import GWQuery, NonIntegralResultError, UnsupportedRankError
 
 logger = logging.getLogger(__name__)
@@ -36,7 +37,8 @@ class NotApplicableError(ValueError):
 
 
 class NotCoveredError(ValueError):
-    """The even-rank route does not cover this regime (n even, e_0 odd)."""
+    """The even-rank route does not cover this regime (n even, degree odd);
+    e0 is the odd degree the route was asked at, when known."""
 
     def __init__(self, message: str, e0: int | None = None):
         super().__init__(message)
@@ -119,41 +121,42 @@ class NQuery:
             raise ValueError(f"u must be >= 0, got {self.u}")
 
 
-def _ell_split_even(ell: int) -> tuple[int, int]:
-    # ell = 4*m - a with a in 0..3
-    m = (ell + 3) // 4
-    return m, 4 * m - ell
+def _plan(n: int, ell: int, e: int) -> tuple[int, int]:
+    # (power-of-two exponent, staircase power): the number at rank 2n,
+    # invariant ell and degree e is 2^exponent times the evaluation sum with
+    # that many staircase insertions.  Even e splits ell = 4m - a, odd e with
+    # odd n splits ell = 4k + 2 - b, with a, b in 0..3 the staircase power.
+    if e % 2 == 0:
+        m = (ell + 3) // 4
+        return 2 * m * n - e, 4 * m - ell
+    if n % 2:
+        k = (ell + 1) // 4
+        return (2 * k + 1) * n - e, 4 * k + 2 - ell
+    raise NotCoveredError(
+        f"rank {2 * n}: degree e = {e} is odd while n = {n} is even, "
+        f"outside the evaluated route; {_NOT_COVERED_KNOWN}",
+        e0=e,
+    )
 
 
-def _ell_split_odd(ell: int) -> tuple[int, int]:
-    # ell = 4*k + 2 - b with b in 0..3
-    k = (ell + 1) // 4
-    return k, 4 * k + 2 - ell
-
-
-def _staircase_sum(
-    n: int, genus: int, rho_power: int, q_poly: AlphaPolynomial | None
-) -> CycloNum:
-    # sum over evaluation tuples of S_rho^(g-1) * P~_rho^rho_power * Q, read
-    # from the staircase-only per-point table
-    points = quantum._staircase_table(n)
-    spows = quantum._schur_powers(n, genus - 1)
-    total = CycloNum.rational(quantum.session_order(n), 0)
-    for sp, spow in zip(points, spows):
-        term = spow
-        if rho_power:
-            term = term * sp.ptilde_rho ** rho_power
-        if q_poly is not None:
-            term = term * _alpha_from_elem(q_poly, sp.elem)
-        total = total + term
-    return total
-
-
-def _staircase_sum_float(n: int, genus: int, rho_power: int) -> complex:
-    total = 0j
-    for sp in quantum._staircase_table(n):
-        total += sp.schur_rho_c ** (genus - 1) * sp.ptilde_rho_c ** rho_power
-    return total
+def _n_tilde(query: NQuery, exact: bool) -> Fraction | float:
+    # n_tilde and n_tilde_float: one plan, one weight target, one sum.
+    exponent, rho_power = _plan(query.n, query.ell, query.e)
+    target = expected_dim_t(query.n, query.ell, query.e, query.genus, query.u)
+    qp = query.q_poly
+    if not qp or not qp.is_homogeneous() or qp.weighted_degree() != target:
+        logger.debug(
+            "integrand weight %s does not match expected dimension %s; returning 0",
+            qp.weighted_degree(),
+            target,
+        )
+        return Fraction(0) if exact else 0.0
+    integrand = None if qp.terms == AlphaPolynomial.one().terms else qp
+    insertions = (partitions.rho(query.n - 1),) * (rho_power + query.u)
+    total = quantum.evaluation_sum(query.n, query.genus, insertions, integrand, exact)
+    if exact:
+        return Fraction(2) ** exponent * total.as_rational()
+    return (2.0 ** exponent * total).real
 
 
 def n_tilde(query: NQuery) -> Fraction:
@@ -163,45 +166,14 @@ def n_tilde(query: NQuery) -> Fraction:
     Returns 0 when the integrand is not homogeneous of the expected weight.
     Raises NotCoveredError when n is even and e is odd.
     """
-    exponent, rho_power = _n_tilde_plan(query)
-    target = expected_dim_t(query.n, query.ell, query.e, query.genus, query.u)
-    qp = query.q_poly
-    if not qp or not qp.is_homogeneous() or qp.weighted_degree() != target:
-        logger.debug(
-            "integrand weight %s does not match expected dimension %s; returning 0",
-            qp.weighted_degree(),
-            target,
-        )
-        return Fraction(0)
-    total = _staircase_sum(query.n, query.genus, rho_power + query.u, qp)
-    return Fraction(2) ** exponent * total.as_rational()
-
-
-def _n_tilde_plan(query: NQuery) -> tuple[int, int]:
-    # Shared branch selection: returns (power-of-two exponent, staircase power).
-    n, e, ell = query.n, query.e, query.ell
-    if e % 2 == 0:
-        m, a = _ell_split_even(ell)
-        return 2 * m * n - e, a
-    if n % 2:
-        k, b = _ell_split_odd(ell)
-        return (2 * k + 1) * n - e, b
-    raise NotCoveredError(
-        f"rank {2 * n} with n = {n} even and odd subbundle degree e = {e} "
-        f"is outside the evaluated route; {_NOT_COVERED_KNOWN}"
-    )
+    return _n_tilde(query, exact=True)
 
 
 def n_tilde_float(query: NQuery) -> float:
     """Float fast path of n_tilde, constant integrand only."""
     if query.q_poly.terms != AlphaPolynomial.one().terms:
         raise ValueError("float route only evaluates the constant integrand")
-    exponent, rho_power = _n_tilde_plan(query)
-    target = expected_dim_t(query.n, query.ell, query.e, query.genus, query.u)
-    if target != 0:
-        return 0.0
-    total = _staircase_sum_float(query.n, query.genus, rho_power + query.u)
-    return (2.0 ** exponent * total).real
+    return _n_tilde(query, exact=False)
 
 
 def decimal_string(value: int | Fraction) -> str:
@@ -262,26 +234,16 @@ class CountReport:
 
 
 def _count_even_plan(genus: int, n: int, ell: int) -> tuple[int, int, int]:
-    # Returns (e0, exponent, rho_power) with N = 2^exponent * staircase sum.
+    # Returns (e0, exponent, rho_power) with N = 2^exponent * evaluation sum:
+    # the plan at e0, doubled when ell is even.
     e0 = max_iso_degree(2 * n, genus, ell)
     doubling = 1 if ell % 2 == 0 else 0
-    if e0 % 2 == 0:
-        m, a = _ell_split_even(ell)
-        exponent = 2 * m * n - e0 + doubling
-        # the prefactor is an exact power of two; its square matches the
-        # closed form in n, a, g, which pins the decomposition
-        _check_prefactor(exponent, n, a, genus, doubling)
-        return e0, exponent, a
-    if n % 2 == 0:
-        raise NotCoveredError(
-            f"rank {2 * n}: extremal degree e0 = {e0} is odd while n = {n} is even, "
-            f"outside the evaluated route; {_NOT_COVERED_KNOWN}",
-            e0=e0,
-        )
-    k, b = _ell_split_odd(ell)
-    exponent = (2 * k + 1) * n - e0 + doubling
-    _check_prefactor(exponent, n, b, genus, doubling)
-    return e0, exponent, b
+    exponent, rho_power = _plan(n, ell, e0)
+    exponent += doubling
+    # the prefactor is an exact power of two; its square matches the
+    # closed form in n, the staircase power and g, which pins the decomposition
+    _check_prefactor(exponent, n, rho_power, genus, doubling)
+    return e0, exponent, rho_power
 
 
 def _check_prefactor(exponent: int, n: int, shift: int, genus: int, doubling: int) -> None:
@@ -302,7 +264,7 @@ def count_even(genus: int, n: int, ell: int) -> CountReport:
     if n < 2:
         raise UnsupportedRankError(f"even rank needs n >= 2, got n = {n}")
     e0, exponent, rho_power = _count_even_plan(genus, n, ell)
-    total = _staircase_sum(genus=genus, n=n, rho_power=rho_power, q_poly=None)
+    total = quantum.evaluation_sum(n, genus, (partitions.rho(n - 1),) * rho_power)
     value = Fraction(2) ** exponent * total.as_rational()
     bridge = n_tilde(NQuery(genus, n, ell, e0))
     expected = bridge * (2 if ell % 2 == 0 else 1)
@@ -402,10 +364,11 @@ def count_float(genus: int, rank: int, ell: int) -> float:
     if rank < 3:
         raise UnsupportedRankError(f"rank must be >= 3, got {rank}")
     if rank % 2 == 0:
-        _e0, exponent, rho_power = _count_even_plan(genus, rank // 2, ell)
-        total = _staircase_sum_float(rank // 2, genus, rho_power)
+        n = rank // 2
+        _e0, exponent, rho_power = _count_even_plan(genus, n, ell)
+        staircase = (partitions.rho(n - 1),) * rho_power
+        total = quantum.evaluation_sum(n, genus, staircase, exact=False)
         return (2.0 ** exponent * total).real
-    n = (rank - 1) // 2
     if ell % 2:
         raise OddEllUnsupportedError(f"odd rank supports even ell only, got {ell}")
     max_iso_degree(rank, genus, ell)
@@ -415,7 +378,7 @@ def count_float(genus: int, rank: int, ell: int) -> float:
 # (rank, ell): hypotheses, their test on g, the closed form and its name.
 # Notes name the form instead of printing its value, which can have more
 # digits than str() accepts.
-_CATALOG = {
+CATALOG = {
     (4, 0): ("g odd", lambda g: g % 2 == 1, lambda g: 2 ** (g + 1), "2^(g+1)"),
     (3, 0): ("g odd", lambda g: g % 2 == 1, lambda g: 2 ** g, "2^g"),
     (6, 0): ("g odd", lambda g: g % 2 == 1, lambda g: 2 ** (2 * g + 1), "2^(2g+1)"),
@@ -425,7 +388,7 @@ _CATALOG = {
 
 
 def _catalog_note(report: CountReport) -> None:
-    entry = _CATALOG.get((report.rank, report.ell))
+    entry = CATALOG.get((report.rank, report.ell))
     if entry is None:
         return
     label, predicate, value_fn, form = entry

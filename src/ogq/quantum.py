@@ -17,23 +17,28 @@ tables are built in that integer arithmetic (symfunc's _int_* helpers on
 cyclotomic.int_mul) and turned into CycloNums once, at the table boundary;
 the public symfunc evaluators stay the independent oracle in the tests.
 
-The same engine yields the genus-0 three-point numbers, hence the structure
-constants of the small quantum cohomology ring, the quantum Euler class, and
-an independent trace-formula route to every positive-genus invariant, used to
-cross-check the direct sum.
+One engine, evaluation_sum, carries that sum for every caller, exact or
+through the complex embedding: the invariants here, and n_tilde and the
+subbundle counts in counting, which add an integrand in the halved
+elementary classes and read only the staircase values.  The same sum yields
+the genus-0 three-point numbers, hence the structure constants of the small
+quantum cohomology ring (summed there as one fused integer dot per triple),
+the quantum Euler class, and an independent trace-formula route to every
+positive-genus invariant, used to cross-check the direct sum.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
+import operator
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from . import partitions
-from .cyclotomic import CycloNum, NotRationalError, fused_dot, int_pow, root_of_unity
+from .cyclotomic import CycloNum, NotRationalError, fused_dot, int_pow, root_of_unity, zero
 from .partitions import Partition
-from .symfunc import _int_elementary, _int_ptilde, _int_staircase_schur
+from .symfunc import AlphaPolynomial, _alpha_from_elem, _int_elementary, _int_ptilde, _int_staircase_schur
 
 
 class UnsupportedRankError(ValueError):
@@ -187,12 +192,41 @@ def _schur_powers(n: int, exponent: int) -> tuple[CycloNum, ...]:
 
 
 @lru_cache(maxsize=None)
-def _float_tables(n: int) -> tuple[tuple[dict, complex], ...]:
-    # Complex-double image of the cached exact tables, for the float path.
-    return tuple(
-        ({lam: v.embed_complex() for lam, v in tab.items()}, sp.schur_rho_c)
-        for tab, sp in zip(_tables(n), _staircase_table(n))
-    )
+def _float_tables(n: int) -> tuple[dict[Partition, complex], ...]:
+    # Complex-double image of the cached P~ tables, for the float path; the
+    # image of S_rho is in the staircase table.
+    return tuple({lam: v.embed_complex() for lam, v in tab.items()} for tab in _tables(n))
+
+
+def evaluation_sum(n: int, genus: int, insertions: tuple[Partition, ...] = (),
+                   q_poly: AlphaPolynomial | None = None, exact: bool = True) -> CycloNum | complex:
+    """The closed formula's sum over the evaluation points of OG(n)_0:
+    S_rho^(genus-1) * prod of P~_lam over the insertions * Q(a_i = e_i/2).
+
+    A CycloNum when exact, otherwise its complex-double image, which takes
+    no integrand.  Staircase insertions are read from the staircase table,
+    so a sum with no other insertion never builds the full P~ tables.  Each
+    point multiplies its P~ and integrand factors first and the S_rho power,
+    by far the largest factor at high genus, last.
+    """
+    if q_poly is not None and not exact:
+        raise ValueError("the float path only evaluates the constant integrand")
+    points = _staircase_table(n)
+    staircase = partitions.rho(n - 1)
+    columns = []
+    for lam in insertions:
+        if lam == staircase:
+            columns.append([sp.ptilde_rho if exact else sp.ptilde_rho_c for sp in points])
+        else:
+            columns.append([tab[lam] for tab in (_tables(n) if exact else _float_tables(n))])
+    if q_poly is not None:
+        columns.append([_alpha_from_elem(q_poly, sp.elem) for sp in points])
+    if exact:
+        spows = _schur_powers(n, genus - 1)
+    else:
+        spows = [sp.schur_rho_c ** (genus - 1) for sp in points]
+    terms = (reduce(operator.mul, row) for row in zip(*columns, spows))
+    return sum(terms, zero(session_order(n)) if exact else 0j)
 
 
 def _as_count(value: CycloNum, context: str) -> int:
@@ -217,28 +251,15 @@ def gw_invariant(query: GWQuery) -> int:
     """
     if not degree_ok(query):
         return 0
-    tabs = _tables(query.n)
-    spows = _schur_powers(query.n, query.genus - 1)
-    total = CycloNum.rational(session_order(query.n), 0)
-    for tab, sp in zip(tabs, spows):
-        term = sp
-        for lam in query.insertions:
-            term = term * tab[lam]
-        total = total + term
-    total = total * Fraction(4) ** query.degree
-    return _as_count(total, f"invariant {query}")
+    total = evaluation_sum(query.n, query.genus, query.insertions)
+    return _as_count(total * Fraction(4) ** query.degree, f"invariant {query}")
 
 
 def gw_invariant_float(query: GWQuery) -> float:
     """Float fast path for the same sum, via the complex embedding."""
     if not degree_ok(query):
         return 0.0
-    total = 0j
-    for values, schur in _float_tables(query.n):
-        term = schur ** (query.genus - 1)
-        for lam in query.insertions:
-            term *= values[lam]
-        total += term
+    total = evaluation_sum(query.n, query.genus, query.insertions, exact=False)
     return (total * 4.0 ** query.degree).real
 
 

@@ -27,7 +27,14 @@ from ogq.counting import (
     n_tilde_float,
     trivial_bundle_number,
 )
-from ogq.quantum import NonIntegralResultError, UnsupportedRankError, eval_points
+from ogq.quantum import (
+    GWQuery,
+    NonIntegralResultError,
+    UnsupportedRankError,
+    eval_points,
+    gw_invariant,
+    gw_invariant_float,
+)
 from ogq.symfunc import (
     AlphaPolynomial,
     _alpha_from_elem,
@@ -338,6 +345,11 @@ def test_counting_sums_never_build_the_full_tables():
     exact = count(3, 14, 0).value
     assert abs(count_float(3, 14, 0) - exact) <= 1e-6 * exact
     n_tilde(NQuery(2, 3, 0, -4, 0, ptilde_alpha((2,), 2) * ptilde_alpha((2, 1), 2)))
+    # Gromov-Witten invariants whose insertions are all staircase classes
+    assert trivial_bundle_number(3, 4, -14, 5, []) == trivial_bundle_number(3, 4, -6, 1, []) == 832
+    staircase_only = GWQuery(7, 1, 7, ((6, 5, 4, 3, 2, 1),) * 4)
+    assert gw_invariant(staircase_only) == gw_invariant(GWQuery(7, 1, 0, ())) == 64
+    assert gw_invariant_float(staircase_only) == pytest.approx(64)
     assert quantum._tables.cache_info().currsize == 0
 
 

@@ -1,0 +1,69 @@
+"""counting, verify and cli use only the public names of the other ogq
+modules: a helper one of them needs belongs in that module's public API."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "ogq"
+PACKAGE = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _sibling(module: str | None, level: int) -> str | None:
+    # the ogq module an import names: "symfunc" for `from .symfunc` and for
+    # `from ogq.symfunc`, "" for `from .` and `from ogq`, else None
+    if level:
+        return module or ""
+    if module == "ogq":
+        return ""
+    if module and module.startswith("ogq."):
+        return module[4:]
+    return None
+
+
+def foreign_private_uses(name: str, src: Path = SRC) -> list[str]:
+    tree = ast.parse((src / f"{name}.py").read_text())
+    bound = {}  # local name -> the ogq module it is bound to
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = _sibling(node.module, node.level)
+            if source is None:
+                continue
+            for alias in node.names:
+                if source == "" and alias.name in PACKAGE:
+                    bound[alias.asname or alias.name] = alias.name
+                elif source != name and _private(alias.name):
+                    found.append(f"{source}.{alias.name}")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname and alias.name.startswith("ogq."):
+                    bound[alias.asname] = alias.name[4:]
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and _private(node.attr)
+                and isinstance(node.value, ast.Name) and node.value.id in bound
+                and bound[node.value.id] != name):
+            found.append(f"{bound[node.value.id]}.{node.attr}")
+    return found
+
+
+@pytest.mark.parametrize("name", ["counting", "verify", "cli"])
+def test_uses_no_private_name_of_another_ogq_module(name):
+    assert foreign_private_uses(name) == []
+
+
+def test_the_guard_sees_both_kinds_of_private_use(tmp_path):
+    (tmp_path / "probe.py").write_text(
+        "from . import quantum\n"
+        "from .symfunc import _alpha_from_elem, alpha_evaluate\n"
+        "from .probe import _own\n"
+        "def f(n):\n"
+        "    return quantum._staircase_table(n), quantum.eval_points, quantum.__name__\n"
+    )
+    assert sorted(foreign_private_uses("probe", tmp_path)) == [
+        "quantum._staircase_table", "symfunc._alpha_from_elem"]

@@ -31,7 +31,7 @@ from ogq.quantum import (
     trace_invariant,
 )
 from ogq import cli, quantum, verify
-from ogq.symfunc import elementary_values, ptilde_value, schur_value
+from ogq.symfunc import AlphaPolynomial, elementary_values, ptilde_alpha, ptilde_value, schur_value
 
 
 def test_session_order():
@@ -391,16 +391,51 @@ def test_staircase_table_matches_full_tables(n):
     tabs = quantum._tables(n)
     floats = quantum._float_tables(n)
     assert len(points) == len(tabs) == len(floats) == 2 ** (n - 1)
-    for ep, sp, tab, (fvals, fschur) in zip(eval_points(n - 1), points, tabs, floats):
+    for ep, sp, tab, fvals in zip(eval_points(n - 1), points, tabs, floats):
         assert sp.ep == ep
         assert list(sp.elem) == elementary_values(ep.point)
         # recomputed from the point itself, not from the cached values
         assert sp.schur_rho == schur_value(staircase, ep.point)
         assert sp.ptilde_rho == ptilde_value(staircase, ep.point) == tab[staircase]
-        assert sp.schur_rho_c == fschur == sp.schur_rho.embed_complex()
+        assert sp.schur_rho_c == sp.schur_rho.embed_complex()
         assert sp.ptilde_rho_c == fvals[staircase] == tab[staircase].embed_complex()
+        assert fvals.keys() == tab.keys()
         for lam in all_strict(n - 1):
             assert tab[lam] == ptilde_value(lam, ep.point)
+            assert fvals[lam] == tab[lam].embed_complex()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_evaluation_sum_float_is_the_image_of_the_exact_sum(n):
+    rng = random.Random(n)
+    staircase = rho(n - 1)
+    others = [lam for lam in all_strict(n - 1) if lam != staircase]
+    for genus in range(4):
+        for rho_count in (0, 1, 2):
+            ins = [rng.choice(others) for _ in range(rng.randint(0, 3))] + [staircase] * rho_count
+            rng.shuffle(ins)
+            exact = quantum.evaluation_sum(n, genus, tuple(ins))
+            approx = quantum.evaluation_sum(n, genus, tuple(ins), exact=False)
+            want = exact.embed_complex()
+            assert abs(approx - want) <= 1e-9 * max(1.0, abs(want)), (genus, ins)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_evaluation_sum_integrand_equals_the_insertion(n):
+    # P~_lam written in the a_i and evaluated per point is P~_lam itself
+    m = n - 1
+    for lam in all_strict(m):
+        for genus in (0, 2):
+            assert quantum.evaluation_sum(n, genus, (lam, rho(m))) == quantum.evaluation_sum(
+                n, genus, (rho(m),), ptilde_alpha(lam, m)
+            )
+
+
+def test_evaluation_sum_float_path_refuses_an_integrand():
+    with pytest.raises(ValueError, match="constant integrand"):
+        quantum.evaluation_sum(3, 1, (), AlphaPolynomial.one(), exact=False)
+    with pytest.raises(ValueError, match="constant integrand"):
+        quantum.evaluation_sum(2, 0, ((1,),), ptilde_alpha((1,), 1), exact=False)
 
 
 def test_staircase_table_n7_matches_the_direct_evaluation():
