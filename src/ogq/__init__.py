@@ -24,6 +24,7 @@ from .quantum import (
     EvalPoint,
     GWQuery,
     QuantumElement,
+    admissible_degree,
     degree_ok,
     euler_class,
     eval_points,

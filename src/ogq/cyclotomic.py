@@ -6,6 +6,12 @@ N-th cyclotomic polynomial Phi_N is obtained by exact division of x^N - 1 by
 the product of Phi_d over proper divisors d of N, and inverses come from the
 extended Euclidean algorithm against Phi_N, which is irreducible over Q.
 
+One private kernel, _reduce, reduces an unreduced coefficient list mod Phi_N
+from the top down, on int and Fraction coefficients alike: at even N by
+w^(N/2) = -1 first, then by Phi's nonzero lower terms.  Every product
+(int_mul, which CycloNum's * calls), power (int_pow, which ** calls), root
+of unity and fused dot goes through it.
+
 >>> w = root_of_unity(8, 1)
 >>> ((w + w.invert()) ** 2).as_rational()
 Fraction(2, 1)
@@ -74,56 +80,65 @@ def field_degree(order: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _reduction_rows(order: int) -> tuple[tuple[int, ...], ...]:
-    # rows[i] holds the coefficients of x^(phi+i) reduced mod Phi_order,
-    # for i in 0..phi-2, enough to reduce any product of two reduced elements.
+def _modulus_tail(order: int) -> tuple[tuple[int, int], ...]:
+    # x^phi = sum of r * x^i over these (i, r) mod Phi_order: the nonzero
+    # lower terms of Phi, negated.
     mod = cyclotomic_polynomial(order)
-    phi = len(mod) - 1
-    if phi == 1:
-        return ()
-    rows: list[tuple[int, ...]] = []
-    cur = [-c for c in mod[:phi]]
-    rows.append(tuple(cur))
-    for _ in range(phi - 2):
-        cur = [0] + cur
-        lead = cur.pop()
-        if lead:
-            cur = [c + lead * r for c, r in zip(cur, rows[0])]
-        rows.append(tuple(cur))
-    return tuple(rows)
+    return tuple((i, -c) for i, c in enumerate(mod[:-1]) if c)
 
 
-def int_mul(a: Sequence[int], b: Sequence[int], order: int) -> list[int]:
-    """Product of two elements of Z[w] given by their phi(order) integer
-    power-basis coefficients, reduced mod Phi_order as `CycloNum.__mul__`
-    reduces it, with the same `_reduction_rows`.
+def _reduce(conv: list, order: int) -> list:
+    # The one reduction mod Phi_order: folds an unreduced coefficient list
+    # (constant term first, at least phi long, ints or Fractions) down from
+    # its top term, in place, and returns its first phi entries.  At even
+    # order, w^(order/2) = -1 folds each term above order/2 in one step
+    # first (Phi_order divides x^(order/2) + 1); without it a product at
+    # order 4p, p prime, pays phi/2 Fraction adds per term above phi.
+    phi = field_degree(order)
+    if order % 2 == 0:
+        half = order // 2
+        for k in range(len(conv) - 1, half - 1, -1):
+            if conv[k]:
+                conv[k - half] -= conv[k]
+        del conv[half:]
+    tail = _modulus_tail(order)
+    for k in range(len(conv) - 1, phi - 1, -1):
+        c = conv[k]
+        if c:
+            # Phi's terms are +-1 below order 105; a Fraction multiply by
+            # +-1 would cost as much as the add.
+            neg = -c
+            for i, r in tail:
+                conv[k - phi + i] += c if r == 1 else neg if r == -1 else c * r
+    return conv[:phi]
+
+
+def int_mul(a: Sequence, b: Sequence, order: int) -> list:
+    """Product of two elements of Q(w) given by their phi(order) power-basis
+    coefficients, ints (an element of Z[w]) or Fractions, reduced mod
+    Phi_order.
 
     >>> int_mul([0, 1], [0, 1], 4)
     [-1, 0]
     """
-    phi = len(a)
-    conv = [0] * (2 * phi - 1)
+    # Seeded with the operands' own zero: an int 0 would send every Fraction
+    # sum through the slower mixed-type path.
+    conv = [a[0] * 0] * (2 * len(a) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b, i):
                 if y:
                     conv[j] += x * y
-    out = conv[:phi]
-    rows = _reduction_rows(order)
-    for k in range(2 * phi - 2, phi - 1, -1):
-        c = conv[k]
-        if c:
-            for i, r in enumerate(rows[k - phi]):
-                if r:
-                    out[i] += c * r
-    return out
+    return _reduce(conv, order)
 
 
-def int_pow(a: Sequence[int], exponent: int, order: int) -> list[int]:
-    """a^exponent in Z[w] by square-and-multiply with `int_mul`, exponent >= 0."""
+def int_pow(a: Sequence, exponent: int, order: int) -> list:
+    """a^exponent in Q(w) by square-and-multiply with `int_mul`, exponent >= 0;
+    the coefficients keep the type of a's."""
     if exponent < 0:
         raise ValueError("integer powers need a nonnegative exponent")
-    result = [1] + [0] * (len(a) - 1)
+    zero = a[0] * 0
+    result = [zero + 1] + [zero] * (len(a) - 1)
     base = list(a)
     while exponent:
         if exponent & 1:
@@ -269,24 +284,7 @@ class CycloNum:
         if not isinstance(other, CycloNum):
             return NotImplemented
         self._check(other)
-        a, b = self.coeffs, other.coeffs
-        phi = len(a)
-        conv = [Fraction(0)] * (2 * phi - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        conv[i + j] += x * y
-        rows = _reduction_rows(self.order)
-        out = conv[:phi]
-        for k in range(2 * phi - 2, phi - 1, -1):
-            c = conv[k]
-            if c:
-                row = rows[k - phi]
-                for i, r in enumerate(row):
-                    if r:
-                        out[i] += c * r
-        return CycloNum(self.order, tuple(out))
+        return CycloNum(self.order, tuple(int_mul(self.coeffs, other.coeffs, self.order)))
 
     __rmul__ = __mul__
 
@@ -311,17 +309,8 @@ class CycloNum:
     def __pow__(self, exponent: int) -> "CycloNum":
         if not isinstance(exponent, int):
             return NotImplemented
-        base = self
-        if exponent < 0:
-            base = self.invert()
-            exponent = -exponent
-        result = CycloNum.rational(self.order, 1)
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
+        base = self.invert() if exponent < 0 else self
+        return CycloNum(self.order, tuple(int_pow(base.coeffs, abs(exponent), self.order)))
 
     def is_rational(self) -> bool:
         return not any(self.coeffs[1:])
@@ -365,16 +354,9 @@ def root_of_unity(order: int, power: int = 1) -> CycloNum:
     True
     """
     power %= order
-    phi = field_degree(order)
-    if power < phi:
-        coeffs = [Fraction(0)] * phi
-        coeffs[power] = Fraction(1)
-        return CycloNum(order, tuple(coeffs))
-    if phi == 1:
-        # Orders 1 and 2 are rational: w is 1 or -1.
-        return CycloNum.rational(order, (-1) ** power if order == 2 else 1)
-    w = CycloNum(order, tuple(Fraction(int(i == 1)) for i in range(phi)))
-    return w ** power
+    coeffs = [Fraction(0)] * max(field_degree(order), power + 1)
+    coeffs[power] = Fraction(1)
+    return CycloNum(order, tuple(_reduce(coeffs, order)))
 
 
 def fused_dot(vectors: Sequence[Sequence[CycloNum]], arity: int) -> Callable[..., CycloNum]:
@@ -388,8 +370,9 @@ def fused_dot(vectors: Sequence[Sequence[CycloNum]], arity: int) -> Callable[...
     sum c_k * 2^(slot*k) (Kronecker substitution).  A product of packed ints
     is then the packed unreduced product of the polynomials, so a dot is one
     integer multiply-and-add per point, unpacked and reduced mod Phi_order
-    once.  The slot is sized from the numerators so that no coefficient of
-    a sum of `arity`-fold products can reach it, which keeps every dot exact.
+    once, by the same reduction as every product.  The slot is sized from
+    the numerators so that no coefficient of a sum of `arity`-fold products
+    can reach it, which keeps every dot exact.
     """
     lengths = {len(vec) for vec in vectors}
     if len(lengths) != 1:
@@ -420,7 +403,6 @@ def fused_dot(vectors: Sequence[Sequence[CycloNum]], arity: int) -> Callable[...
                 acc = (acc << slot) + c
             row.append(acc)
         packed.append(row)
-    mod = cyclotomic_polynomial(order)
     mask, half = (1 << slot) - 1, 1 << (slot - 1)
 
     def dot(*which: int) -> CycloNum:
@@ -437,13 +419,9 @@ def fused_dot(vectors: Sequence[Sequence[CycloNum]], arity: int) -> Callable[...
             total = (total - digit) >> slot
         if total:
             raise ArithmeticError("packed sum overflowed its slot")
-        for k in range(len(conv) - 1, phi - 1, -1):
-            c = conv[k]
-            if c:
-                for i in range(phi):
-                    conv[k - phi + i] -= c * mod[i]
+        conv = _reduce(conv, order)
         den = math.prod(dens[i] for i in which)
-        return CycloNum(order, tuple(Fraction(c, den) for c in conv[:phi]))
+        return CycloNum(order, tuple(Fraction(c, den) for c in conv))
 
     return dot
 

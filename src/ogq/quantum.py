@@ -118,12 +118,22 @@ class GWQuery:
         object.__setattr__(self, "insertions", ins)
 
 
+def admissible_degree(n: int, genus: int, insertions) -> int | None:
+    """The one degree d >= 0 meeting the weight condition, total insertion
+    weight = n(n-1)(1-g)/2 + 2(n-1)d, or None when no degree does.
+
+    >>> admissible_degree(2, 0, ((1,), (1,), (1,)))
+    1
+    """
+    excess = sum(partitions.weight(lam) for lam in insertions) - n * (n - 1) * (1 - genus) // 2
+    if excess < 0 or excess % (2 * (n - 1)):
+        return None
+    return excess // (2 * (n - 1))
+
+
 def degree_ok(query: GWQuery) -> bool:
-    """The weight condition selecting the one admissible degree, if any:
-    total insertion weight = n(n-1)(1-g)/2 + 2(n-1)d."""
-    n, g, d = query.n, query.genus, query.degree
-    want = n * (n - 1) * (1 - g) // 2 + 2 * (n - 1) * d
-    return sum(partitions.weight(lam) for lam in query.insertions) == want
+    """Whether the query's degree is the admissible one."""
+    return admissible_degree(query.n, query.genus, query.insertions) == query.degree
 
 
 @dataclasses.dataclass(frozen=True)

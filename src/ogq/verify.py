@@ -80,13 +80,6 @@ def suite_assoc(include_slow: bool = False) -> list[CheckResult]:
     return out
 
 
-def _admissible_degree(n: int, genus: int, insertions) -> int | None:
-    num = sum(partitions.weight(lam) for lam in insertions) - n * (n - 1) * (1 - genus) // 2
-    if num < 0 or num % (2 * (n - 1)):
-        return None
-    return num // (2 * (n - 1))
-
-
 def suite_recursion(samples: int = 20, seed: int = 20260816) -> list[CheckResult]:
     """Degree/insertion recursion: 4s staircase insertions and s*n extra
     degree leave the invariant unchanged, on sampled admissible queries."""
@@ -98,7 +91,7 @@ def suite_recursion(samples: int = 20, seed: int = 20260816) -> list[CheckResult
         basis = partitions.all_strict(n - 1)
         genus = rng.randint(0, 3)
         ins = tuple(rng.choice(basis) for _ in range(rng.randint(0, 3)))
-        d = _admissible_degree(n, genus, ins)
+        d = quantum.admissible_degree(n, genus, ins)
         if d is None:
             continue
         s = rng.choice((1, 2))
@@ -125,7 +118,7 @@ def suite_trace(max_n: int = 4, max_genus: int = 3, max_insertions: int = 3) -> 
         for genus in range(1, max_genus + 1):
             for size in range(max_insertions + 1):
                 for ins in itertools.combinations_with_replacement(basis, size):
-                    d = _admissible_degree(n, genus, ins)
+                    d = quantum.admissible_degree(n, genus, ins)
                     if d is None:
                         continue
                     q = GWQuery(n, genus, d, ins)
@@ -159,7 +152,7 @@ def _bridge_samples(samples: int, seed: int) -> list[CheckResult]:
         u = rng.randint(0, 2)
         ins = tuple(rng.choice(basis) for _ in range(rng.randint(0, 2)))
         full = (partitions.rho(m),) * u + ins
-        d = _admissible_degree(n, genus, full)
+        d = quantum.admissible_degree(n, genus, full)
         if d is None:
             continue
         e = -2 * d

@@ -116,6 +116,22 @@ def test_count_float_mode_reports_an_unrepresentable_count(capsys):
     assert "float_agrees" not in doc
 
 
+def test_count_float_mode_reports_a_double_overflow(capsys):
+    # the float sum is finite, its scaling by 2^599 is not
+    argv = ["count", "--g", "300", "--rank", "8", "--ell", "0", "--mode", "float"]
+    code, out, _ = run(argv + ["--format", "json"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert len(doc["N"]) == 324
+    assert doc["float_value"] is None
+    assert "cannot be represented as a double" in doc["float_note"]
+    assert "float_agrees" not in doc
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert out.splitlines()[0] == doc["N"]
+    assert out.splitlines()[-1] == f"float route: {doc['float_note']}"
+
+
 def test_count_not_covered_exits_3(capsys):
     code, out, _ = run(["count", "--g", "2", "--rank", "3", "--ell", "0"], capsys)
     assert code == 3

@@ -276,6 +276,44 @@ def test_count_float_tracks_exact():
         count_float(4, 6, 0)
 
 
+def test_float_routes_raise_past_the_double_range():
+    # finite float sums whose scaling by 2^exponent is past the double range
+    with pytest.raises(OverflowError):
+        count_float(300, 8, 0)
+    with pytest.raises(OverflowError):
+        count_float(1023, 4, 0)
+    with pytest.raises(OverflowError):
+        n_tilde_float(NQuery(300, 4, 0, -598))
+    assert count(300, 8, 0).value == 2 * n_tilde(NQuery(300, 4, 0, -598))
+
+
+def test_count_makes_one_exact_sum(monkeypatch):
+    calls = []
+    real = quantum.evaluation_sum
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(quantum, "evaluation_sum", recording)
+    assert count(3, 14, 0).value == 388628480
+    assert calls == [(7, 3, ((6, 5, 4, 3, 2, 1),) * 2)]
+
+
+def test_even_count_is_n_tilde_at_e0_doubled_for_even_ell():
+    checked = 0
+    for genus in range(2, 8):
+        for n in (2, 3, 4, 5):
+            for ell in range(-2, 4):
+                report = count(genus, 2 * n, ell)
+                if not report.applicable:
+                    continue
+                doubling = 2 if ell % 2 == 0 else 1
+                assert report.value == doubling * n_tilde(NQuery(genus, n, ell, report.e0))
+                checked += 1
+    assert checked > 40
+
+
 def test_trivial_bundle_number_examples():
     assert trivial_bundle_number(3, 2, -2, 0, []) == 8
     # genus-0 degree-0 with the point class is the classical point count

@@ -306,6 +306,16 @@ def test_int_pow_equals_cyclonum_pow(case, exponent):
     assert CycloNum.from_ints(order, int_pow(a, exponent, order)) == CycloNum.from_ints(order, a) ** exponent
 
 
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 12, 20])
+def test_products_powers_and_roots_keep_fraction_coefficients(order):
+    w = root_of_unity(order, 1)
+    for x in (w, w * w, w ** 0, w ** 3, w ** -2, root_of_unity(order, -1), root_of_unity(order, 0)):
+        assert len(x.coeffs) == field_degree(order)
+        assert all(type(c) is Fraction for c in x.coeffs)
+    assert type((w ** order).as_rational()) is Fraction
+    assert w ** order == 1
+
+
 def test_int_pow_refuses_negative_exponents():
     with pytest.raises(ValueError, match="nonnegative"):
         int_pow([0, 1], -1, 4)

@@ -1,0 +1,120 @@
+"""The cyclotomic kernel against sympy, an oracle that shares none of its code.
+
+Every product, power and root of unity in `ogq.cyclotomic` goes through one
+reduction mod Phi, so comparing the kernel with itself shows nothing; here
+each result is compared with sympy's remainder of the unreduced polynomial
+by sympy's own cyclotomic polynomial.  sympy is used by these tests only.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+sympy = pytest.importorskip("sympy")
+
+from ogq.cyclotomic import (  # noqa: E402
+    CycloNum,
+    cyclotomic_polynomial,
+    field_degree,
+    fused_dot,
+    int_mul,
+    root_of_unity,
+)
+
+X = sympy.Symbol("x")
+
+
+def _poly(coeffs) -> "sympy.Poly":
+    # constant term first, as ogq stores coefficients
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator) if isinstance(c, Fraction)
+                       else c for c in reversed(coeffs)], X, domain="QQ")
+
+
+def _reduced(poly, order: int) -> list[Fraction]:
+    # sympy's remainder mod Phi_order, on the power basis, constant term first
+    rem = sympy.rem(poly, sympy.Poly(sympy.cyclotomic_poly(order, X), X, domain="QQ"))
+    coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(rem.all_coeffs())]
+    return coeffs + [Fraction(0)] * (field_degree(order) - len(coeffs))
+
+
+@pytest.mark.parametrize("order", range(1, 65))
+def test_cyclotomic_polynomial_matches_sympy(order):
+    want = sympy.Poly(sympy.cyclotomic_poly(order, X), X).all_coeffs()
+    assert cyclotomic_polynomial(order) == tuple(int(c) for c in reversed(want))
+
+
+orders = st.integers(1, 40)
+ints = st.one_of(st.just(0), st.integers(-5, 5), st.integers(-10 ** 20, 10 ** 20))
+fractions = st.one_of(st.just(Fraction(0)), st.fractions(max_denominator=40, min_value=-50,
+                                                         max_value=50))
+
+
+@st.composite
+def int_pairs(draw):
+    order = draw(orders)
+    vec = st.lists(ints, min_size=field_degree(order), max_size=field_degree(order))
+    return order, draw(vec), draw(vec)
+
+
+def elements(order: int):
+    phi = field_degree(order)
+    return st.tuples(*([fractions] * phi)).map(lambda t: CycloNum(order, t))
+
+
+@st.composite
+def element_pairs(draw):
+    order = draw(orders)
+    return order, draw(elements(order)), draw(elements(order))
+
+
+@settings(max_examples=60, deadline=None)
+@given(int_pairs())
+def test_int_mul_matches_sympy(case):
+    order, a, b = case
+    got = int_mul(a, b, order)
+    assert all(type(c) is int for c in got)
+    assert got == _reduced(_poly(a) * _poly(b), order)
+
+
+@settings(max_examples=40, deadline=None)
+@given(element_pairs())
+def test_cyclonum_mul_matches_sympy(case):
+    order, a, b = case
+    got = a * b
+    assert all(type(c) is Fraction for c in got.coeffs)
+    assert list(got.coeffs) == _reduced(_poly(a.coeffs) * _poly(b.coeffs), order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 64), st.integers(-300, 300))
+def test_root_of_unity_matches_sympy(order, power):
+    got = root_of_unity(order, power)
+    assert all(type(c) is Fraction for c in got.coeffs)
+    monomial = sympy.Poly(X ** (power % order), X, domain="QQ")
+    assert list(got.coeffs) == _reduced(monomial, order)
+
+
+@st.composite
+def dot_cases(draw):
+    order = draw(st.integers(1, 30))
+    points = draw(st.integers(1, 4))
+    vectors = draw(st.lists(st.lists(elements(order), min_size=points, max_size=points),
+                            min_size=1, max_size=3))
+    which = draw(st.lists(st.integers(0, len(vectors) - 1), min_size=3, max_size=3))
+    return order, vectors, which
+
+
+@settings(max_examples=25, deadline=None)
+@given(dot_cases())
+def test_fused_dot_of_arity_three_matches_sympy(case):
+    order, vectors, which = case
+    total = sympy.Poly(0, X, domain="QQ")
+    for j in range(len(vectors[0])):
+        term = sympy.Poly(1, X, domain="QQ")
+        for i in which:
+            term = term * _poly(vectors[i][j].coeffs)
+        total = total + term
+    got = fused_dot(vectors, 3)(*which)
+    assert got.order == order
+    assert list(got.coeffs) == _reduced(total, order)

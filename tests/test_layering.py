@@ -1,5 +1,8 @@
-"""counting, verify and cli use only the public names of the other ogq
-modules: a helper one of them needs belongs in that module's public API."""
+"""Source guards on the ogq package.
+
+counting, verify and cli use only the public names of the other ogq
+modules: a helper one of them needs belongs in that module's public API.
+No module holds an assert statement, so every invariant survives `python -O`."""
 
 import ast
 from pathlib import Path
@@ -67,3 +70,26 @@ def test_the_guard_sees_both_kinds_of_private_use(tmp_path):
     )
     assert sorted(foreign_private_uses("probe", tmp_path)) == [
         "quantum._staircase_table", "symfunc._alpha_from_elem"]
+
+
+def assert_statements(path: Path) -> list[int]:
+    # line numbers of the assert statements in one module; `python -O`
+    # strips them, so an invariant written as one is no check at all
+    tree = ast.parse(path.read_text())
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_no_assert_statement_in_the_package(path):
+    assert assert_statements(path) == []
+
+
+def test_the_assert_guard_fires(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "def f(x):\n"
+        "    if x:\n"
+        "        assert x > 0, 'positive'\n"
+        "    return 'assert x'\n"
+    )
+    assert assert_statements(probe) == [3]

@@ -17,6 +17,7 @@ from ogq.quantum import (
     QuantumElement,
     TableEntry,
     UnsupportedRankError,
+    admissible_degree,
     degree_ok,
     euler_class,
     eval_points,
@@ -78,6 +79,11 @@ def test_degree_condition_examples():
     assert degree_ok(GWQuery(2, 0, 1, ((1,), (1,), (1,))))
     assert degree_ok(GWQuery(2, 0, 0, ((1,),)))
     assert not degree_ok(GWQuery(3, 0, 0, ((1,),)))
+    assert admissible_degree(2, 0, ((1,), (1,), (1,))) == 1
+    assert admissible_degree(3, 0, ((1,),)) is None
+    assert admissible_degree(5, 0, ((2,),)) is None  # excess -8 would give d = -1
+    assert admissible_degree(3, 0, ((2, 1), (2, 1))) is None  # excess 3 is not a multiple of 4
+    assert admissible_degree(3, 1, ((2, 1), (2, 1), (1,), (1,))) == 2
 
 
 def test_projective_line_oracle():
