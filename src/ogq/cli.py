@@ -58,6 +58,28 @@ def _float_agrees(exact, approx: float) -> bool:
     return abs(approx - reference) <= FLOAT_RTOL * max(1.0, abs(reference))
 
 
+def _float_check(doc: dict, exact, approx_of, note: str) -> bool:
+    # Fills float_value and float_agrees in doc, or float_value None and a
+    # float_note when the float route leaves the double range; returns False
+    # only on a disagreement.
+    try:
+        approx = approx_of()
+    except OverflowError:
+        # the exact value stands; only the float route ran out of range
+        doc["float_value"] = None
+        doc["float_note"] = note
+        return True
+    doc["float_value"] = approx
+    doc["float_agrees"] = _float_agrees(exact, approx)
+    return doc["float_agrees"]
+
+
+def _float_line(doc: dict) -> str:
+    if doc["float_value"] is None:
+        return f"float route: {doc['float_note']}"
+    return f"float route: {doc['float_value']!r} ({'agree' if doc['float_agrees'] else 'DISAGREE'})"
+
+
 def cmd_gw(args) -> int:
     query = GWQuery(args.n, args.g, args.d, _parse_insertions(args.insertions))
     value = quantum.gw_invariant(query)
@@ -75,20 +97,19 @@ def cmd_gw(args) -> int:
         doc["trace_agrees"] = trace == value
         if not doc["trace_agrees"]:
             status = VERIFY_FAIL
-    if args.mode == "float":
-        approx = quantum.gw_invariant_float(query)
-        doc["float_value"] = approx
-        doc["float_agrees"] = _float_agrees(value, approx)
-        if not doc["float_agrees"]:
-            status = VERIFY_FAIL
+    if args.mode == "float" and not _float_check(
+        doc, value, lambda: quantum.gw_invariant_float(query),
+        f"4^{args.d} times the float sum cannot be represented as a double",
+    ):
+        status = VERIFY_FAIL
     if args.format == "json":
         print(json.dumps(doc, indent=2))
     else:
         print(doc["value"])
         if args.trace:
             print(f"trace route: {doc['trace_value']} ({'agree' if doc['trace_agrees'] else 'DISAGREE'})")
-        if args.mode == "float":
-            print(f"float route: {doc['float_value']!r} ({'agree' if doc['float_agrees'] else 'DISAGREE'})")
+        if "float_value" in doc:
+            print(_float_line(doc))
     return status
 
 
@@ -96,18 +117,11 @@ def cmd_count(args) -> int:
     report = counting.count(args.g, args.rank, args.ell)
     doc = report.to_json_dict()
     status = OK if report.applicable else NOT_APPLICABLE
-    if report.applicable and args.mode == "float":
-        try:
-            approx = counting.count_float(args.g, args.rank, args.ell)
-        except OverflowError:
-            # the exact N stands; only the float route ran out of range
-            doc["float_value"] = None
-            doc["float_note"] = f"N has {len(doc['N'])} digits and cannot be represented as a double"
-        else:
-            doc["float_value"] = approx
-            doc["float_agrees"] = _float_agrees(report.value, approx)
-            if not doc["float_agrees"]:
-                status = VERIFY_FAIL
+    if report.applicable and args.mode == "float" and not _float_check(
+        doc, report.value, lambda: counting.count_float(args.g, args.rank, args.ell),
+        f"N has {len(doc['N'])} digits and cannot be represented as a double",
+    ):
+        status = VERIFY_FAIL
     if args.format == "json":
         print(json.dumps(doc, indent=2))
     else:
@@ -116,10 +130,8 @@ def cmd_count(args) -> int:
             print(f"e0 = {report.e0}, required w2 = {report.required_w2} (mod 2)")
             for note in report.notes:
                 print(f"note: {note}")
-            if "float_note" in doc:
-                print(f"float route: {doc['float_note']}")
-            elif args.mode == "float":
-                print(f"float route: {doc['float_value']!r} ({'agree' if doc['float_agrees'] else 'DISAGREE'})")
+            if "float_value" in doc:
+                print(_float_line(doc))
         else:
             print(report.reason)
     return status
@@ -192,28 +204,17 @@ def cmd_ntilde(args) -> int:
         "value": decimal_string(value),
     }
     status = OK
-    if args.mode == "float" and q_poly.terms == parse_alpha_poly("1").terms:
-        try:
-            approx = counting.n_tilde_float(query)
-        except OverflowError:
-            # the exact value stands; only the float route ran out of range
-            doc["float_value"] = None
-            doc["float_note"] = (
-                f"the value has {len(doc['value'])} digits and cannot be represented as a double"
-            )
-        else:
-            doc["float_value"] = approx
-            doc["float_agrees"] = _float_agrees(value, approx)
-            if not doc["float_agrees"]:
-                status = VERIFY_FAIL
+    if args.mode == "float" and q_poly.terms == parse_alpha_poly("1").terms and not _float_check(
+        doc, value, lambda: counting.n_tilde_float(query),
+        f"the value has {len(doc['value'])} digits and cannot be represented as a double",
+    ):
+        status = VERIFY_FAIL
     if args.format == "json":
         print(json.dumps(doc, indent=2))
     else:
         print(doc["value"])
-        if "float_note" in doc:
-            print(f"float route: {doc['float_note']}")
-        elif "float_value" in doc:
-            print(f"float route: {doc['float_value']!r} ({'agree' if doc['float_agrees'] else 'DISAGREE'})")
+        if "float_value" in doc:
+            print(_float_line(doc))
     return status
 
 

@@ -3,8 +3,9 @@
 Elements are stored on the power basis 1, w, ..., w^(phi(N)-1) of the quotient
 Q[x]/(Phi_N(x)) with Fraction coefficients, so every operation is exact.  The
 N-th cyclotomic polynomial Phi_N is obtained by exact division of x^N - 1 by
-the product of Phi_d over proper divisors d of N, and inverses come from the
-extended Euclidean algorithm against Phi_N, which is irreducible over Q.
+the product of Phi_d over proper divisors d of N.  An inverse is taken in
+Z[w] (int_inverse): a times the product of its other Galois conjugates is
+its norm, a nonzero integer, so no polynomial division is needed.
 
 One private kernel, _reduce, reduces an unreduced coefficient list mod Phi_N
 from the top down, on int and Fraction coefficients alike: at even N by
@@ -149,44 +150,31 @@ def int_pow(a: Sequence, exponent: int, order: int) -> list:
     return result
 
 
-def _poly_inverse(a: tuple[Fraction, ...], order: int) -> tuple[Fraction, ...]:
-    # Extended Euclid for u*a + v*Phi = gcd; Phi_order is irreducible over Q,
-    # so any nonzero a is invertible and gcd is a nonzero constant.
-    def degree(p: list[Fraction]) -> int:
-        for i in range(len(p) - 1, -1, -1):
-            if p[i]:
-                return i
-        return -1
+def int_inverse(a: Sequence[int], order: int) -> tuple[list[int], int]:
+    """b and den > 0 with a * b = den, for a nonzero element a of Z[w] given
+    by its phi(order) integer power-basis coefficients.
 
-    mod = [Fraction(c) for c in cyclotomic_polynomial(order)]
-    r0, r1 = mod, list(a)
-    u0, u1 = [Fraction(0)], [Fraction(1)]
-    while degree(r1) > 0:
-        d0, d1 = degree(r0), degree(r1)
-        quot = [Fraction(0)] * (d0 - d1 + 1)
-        rem = list(r0)
-        for k in range(d0 - d1, -1, -1):
-            c = rem[k + d1] / r1[d1]
-            quot[k] = c
-            if c:
-                for i in range(d1 + 1):
-                    rem[k + i] -= c * r1[i]
-        new_u = list(u0) + [Fraction(0)] * max(0, len(quot) + len(u1) - 1 - len(u0))
-        for i, q in enumerate(quot):
-            if q:
-                for j, c in enumerate(u1):
-                    new_u[i + j] -= q * c
-        r0, r1 = r1, rem
-        u0, u1 = u1, new_u
-    lead = degree(r1)
-    if lead < 0:
+    b is the product of the Galois conjugates sigma_k(a), w -> w^k, over the
+    units k != 1 mod order, so a * b is the norm of a, a nonzero integer;
+    den is its absolute value, and its sign (negative only at orders 1 and
+    2) is folded into b.
+
+    >>> int_inverse([1, 1], 4)
+    ([1, -1], 2)
+    """
+    if not any(a):
         raise ZeroDivisionError("inverse of zero in cyclotomic field")
-    scale = r1[0]
-    phi = len(mod) - 1
-    out = [Fraction(0)] * phi
-    for i, c in enumerate(u1[:phi]):
-        out[i] = c / scale
-    return tuple(out)
+    b = [1] + [0] * (len(a) - 1)
+    for k in range(2, order):
+        if math.gcd(k, order) == 1:
+            conj = [0] * order
+            for i, c in enumerate(a):
+                conj[i * k % order] += c
+            b = int_mul(b, _reduce(conj, order), order)
+    norm = int_mul(a, b, order)[0]
+    if norm < 0:
+        b = [-c for c in b]
+    return b, abs(norm)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -290,9 +278,10 @@ class CycloNum:
 
     def invert(self) -> "CycloNum":
         """Multiplicative inverse; raises ZeroDivisionError on zero."""
-        if not self:
-            raise ZeroDivisionError("inverse of zero in cyclotomic field")
-        return CycloNum(self.order, _poly_inverse(self.coeffs, self.order))
+        den = math.lcm(*(c.denominator for c in self.coeffs))
+        ints = [c.numerator * (den // c.denominator) for c in self.coeffs]
+        inv, norm = int_inverse(ints, self.order)
+        return CycloNum.from_ints(self.order, [den * c for c in inv], norm)
 
     def __truediv__(self, other):
         o = self._coerce(self.order, other)

@@ -31,12 +31,13 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import operator
 from fractions import Fraction
 from functools import lru_cache, reduce
 
 from . import partitions
-from .cyclotomic import CycloNum, NotRationalError, fused_dot, int_pow, root_of_unity, zero
+from .cyclotomic import CycloNum, NotRationalError, fused_dot, int_inverse, int_pow, root_of_unity, zero
 from .partitions import Partition
 from .symfunc import AlphaPolynomial, _alpha_from_elem, _int_elementary, _int_ptilde, _int_staircase_schur
 
@@ -88,12 +89,14 @@ def eval_points(m: int) -> tuple[EvalPoint, ...]:
         raise UnsupportedRankError("need m >= 1")
     order = 4 * m
     base = [-m + 1 + 2 * i for i in range(m)]
+    # Only the order's 4m roots occur as coordinates: build each once.
+    roots = [root_of_unity(order, t) for t in range(order)]
     out = []
     for mask in range(1 << m):
         doubled = tuple(
             sorted(b + 2 * m if mask & (1 << i) else b for i, b in enumerate(base))
         )
-        point = tuple(root_of_unity(order, t) for t in doubled)
+        point = tuple(roots[t % order] for t in doubled)
         out.append(EvalPoint(doubled, point))
     return tuple(out)
 
@@ -189,16 +192,18 @@ def _tables(n: int) -> tuple[dict[Partition, CycloNum], ...]:
 
 @lru_cache(maxsize=None)
 def _schur_powers(n: int, exponent: int) -> tuple[CycloNum, ...]:
-    # S_rho lies in Z[w], so a nonnegative power is taken on its integer
-    # coefficients; S_rho^-1 and its powers go through CycloNum.invert.
-    points = _staircase_table(n)
-    if exponent < 0:
-        return tuple(sp.schur_rho ** exponent for sp in points)
+    # S_rho lies in Z[w], so every power is taken on integers: S_rho^k for
+    # k >= 0, and b^|k| / den^|k| for k < 0, where S_rho * b = den
+    # (int_inverse).
     order = session_order(n)
-    return tuple(
-        CycloNum.from_ints(order, int_pow(sp.schur_rho.int_coeffs(), exponent, order))
-        for sp in points
-    )
+    out = []
+    for sp in _staircase_table(n):
+        base, den = sp.schur_rho.int_coeffs(), 1
+        if exponent < 0:
+            base, den = int_inverse(base, order)
+        out.append(CycloNum.from_ints(order, int_pow(base, abs(exponent), order),
+                                      den ** abs(exponent)))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -266,11 +271,17 @@ def gw_invariant(query: GWQuery) -> int:
 
 
 def gw_invariant_float(query: GWQuery) -> float:
-    """Float fast path for the same sum, via the complex embedding."""
+    """Float fast path for the same sum, via the complex embedding; raises
+    OverflowError when the result is not a finite double."""
     if not degree_ok(query):
         return 0.0
     total = evaluation_sum(query.n, query.genus, query.insertions, exact=False)
-    return (total * 4.0 ** query.degree).real
+    # A double past the range raises OverflowError, as 4.0 ** degree itself
+    # does, instead of coming back as inf.
+    value = (total * 4.0 ** query.degree).real
+    if not math.isfinite(value):
+        raise OverflowError(f"4^{query.degree} times the float sum is not a finite double")
+    return value
 
 
 def three_point(n: int, lam, mu, nu, d: int) -> int:
@@ -439,19 +450,24 @@ def quantum_product(n: int, a: QuantumElement, b: QuantumElement) -> QuantumElem
     return QuantumElement(data)
 
 
-def euler_class(n: int) -> QuantumElement:
-    """Quantum Euler class at q = 1: sum over the basis of tau_nu times the
-    basis element dual under the classical Poincare pairing."""
+@lru_cache(maxsize=None)
+def _graded_euler(n: int) -> QuantumElement:
+    # The quantum Euler class with its q-grading: the sum over the basis of
+    # tau_nu times the basis element dual under the classical Poincare pairing.
     m = n - 1
     total = QuantumElement.zero()
     for nu in partitions.all_strict(m):
-        prod = quantum_product(
+        total = total + quantum_product(
             n, QuantumElement.basis(nu), QuantumElement.basis(partitions.dual(nu, m))
         )
-        total = total + prod
-    # specialize q = 1: collapse the degree grading
+    return total
+
+
+def euler_class(n: int) -> QuantumElement:
+    """Quantum Euler class at q = 1: sum over the basis of tau_nu times the
+    basis element dual under the classical Poincare pairing."""
     data: dict[tuple[Partition, int], Fraction] = {}
-    for (lam, _d), c in total.terms.items():
+    for (lam, _d), c in _graded_euler(n).terms.items():
         key = (lam, 0)
         data[key] = data.get(key, Fraction(0)) + c
     return QuantumElement(data)
@@ -474,39 +490,27 @@ def _mult_trace_weights(n: int) -> dict:
     return out
 
 
-def _q1_multiply(n: int, vec: dict, lam: Partition) -> dict:
-    lookup = _product_lookup(n)
-    out: dict[Partition, Fraction] = {}
-    for b, c in vec.items():
-        for e in lookup.get((b, lam), ()):
-            out[e.nu] = out.get(e.nu, Fraction(0)) + c * e.c
-    return out
-
-
 def trace_invariant(query: GWQuery) -> int:
     """The same invariant through the finite-dimensional Frobenius algebra:
     the trace of multiplication by E^(g-1) * tau_{lam_1} * ... * tau_{lam_k}
     on the q = 1 quantum cohomology, E the quantum Euler class.
 
-    Only defined for genus >= 1; zero when the weight condition fails.
+    The product is taken in the graded ring and q set to 1 in the trace: a
+    term c q^d tau_b contributes c times the trace of multiplication by
+    tau_b.  Only defined for genus >= 1; zero when the weight condition fails.
     """
     if query.genus < 1:
         raise GenusTooSmallError("trace route needs genus >= 1")
     if not degree_ok(query):
         return 0
     n = query.n
-    euler = {lam: c for (lam, _d), c in euler_class(n).terms.items()}
-    vec: dict[Partition, Fraction] = {(): Fraction(1)}
+    vec = QuantumElement.basis(())
     for _ in range(query.genus - 1):
-        nxt: dict[Partition, Fraction] = {}
-        for lam, c in euler.items():
-            for b, cb in _q1_multiply(n, vec, lam).items():
-                nxt[b] = nxt.get(b, Fraction(0)) + c * cb
-        vec = nxt
+        vec = quantum_product(n, vec, _graded_euler(n))
     for lam in query.insertions:
-        vec = _q1_multiply(n, vec, lam)
+        vec = quantum_product(n, vec, QuantumElement.basis(lam))
     weights = _mult_trace_weights(n)
-    total = sum((c * weights[lam] for lam, c in vec.items()), Fraction(0))
+    total = sum((c * weights[b] for (b, _d), c in vec.terms.items()), Fraction(0))
     if total.denominator != 1 or total < 0:
         raise NonIntegralResultError(f"trace route gave {total} for {query}")
     return int(total)

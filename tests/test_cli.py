@@ -57,6 +57,34 @@ def test_gw_float_mode(capsys):
     assert abs(doc["float_value"] - 8.0) <= 1e-6 * 8.0
 
 
+def test_gw_float_mode_reports_a_double_overflow(capsys):
+    # 4.0 ** 1000 alone is past the double range; the exact value stands
+    argv = ["gw", "--n", "2", "--g", "2001", "--d", "1000", "--mode", "float"]
+    code, out, _ = run(argv + ["--format", "json"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert int(doc["value"]) > 0
+    assert doc["float_value"] is None
+    assert "cannot be represented as a double" in doc["float_note"]
+    assert "float_agrees" not in doc
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert out.splitlines() == [doc["value"], f"float route: {doc['float_note']}"]
+
+
+def test_gw_float_mode_reports_an_overflowing_finite_sum(capsys):
+    # 4.0 ** 510 is a double, its product with the float sum is not
+    code, out, _ = run(
+        ["gw", "--n", "3", "--g", "681", "--d", "510", "--mode", "float", "--format", "json"],
+        capsys,
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert len(doc["value"]) == 411
+    assert doc["float_value"] is None
+    assert "float_agrees" not in doc
+
+
 def test_gw_bad_partition(capsys):
     code, _, err = run(
         ["gw", "--n", "2", "--g", "0", "--d", "1", "--insertions", "1,a"], capsys

@@ -3,7 +3,8 @@
 Every product, power and root of unity in `ogq.cyclotomic` goes through one
 reduction mod Phi, so comparing the kernel with itself shows nothing; here
 each result is compared with sympy's remainder of the unreduced polynomial
-by sympy's own cyclotomic polynomial.  sympy is used by these tests only.
+by sympy's own cyclotomic polynomial, and each inverse with sympy's inverse
+mod that polynomial.  sympy is used by these tests only.
 """
 
 from fractions import Fraction
@@ -18,6 +19,7 @@ from ogq.cyclotomic import (  # noqa: E402
     cyclotomic_polynomial,
     field_degree,
     fused_dot,
+    int_inverse,
     int_mul,
     root_of_unity,
 )
@@ -118,3 +120,63 @@ def test_fused_dot_of_arity_three_matches_sympy(case):
     got = fused_dot(vectors, 3)(*which)
     assert got.order == order
     assert list(got.coeffs) == _reduced(total, order)
+
+
+def _sympy_inverse(coeffs, order: int) -> list[Fraction]:
+    phi_poly = sympy.Poly(sympy.cyclotomic_poly(order, X), X, domain="QQ")
+    return _reduced(sympy.invert(_poly(coeffs), phi_poly), order)
+
+
+@st.composite
+def nonzero_ints(draw):
+    # sympy's inverse at a prime order near 40 takes seconds on 20-digit
+    # coefficients, so these stay small; the norm test below takes big ones
+    order = draw(orders)
+    phi = field_degree(order)
+    small = st.one_of(st.just(0), st.integers(-5, 5), st.integers(-100, 100))
+    coeffs = draw(st.lists(small, min_size=phi, max_size=phi).filter(any))
+    return order, coeffs
+
+
+@settings(max_examples=40, deadline=None)
+@given(nonzero_ints())
+def test_int_inverse_matches_sympy(case):
+    order, a = case
+    b, den = int_inverse(a, order)
+    assert den > 0 and all(type(c) is int for c in b)
+    assert [Fraction(c, den) for c in b] == _sympy_inverse(a, order)
+
+
+@settings(max_examples=40, deadline=None)
+@given(orders.flatmap(elements).filter(bool))
+def test_cyclonum_invert_matches_sympy(a):
+    got = a.invert()
+    assert all(type(c) is Fraction for c in got.coeffs)
+    assert list(got.coeffs) == _sympy_inverse(a.coeffs, a.order)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 64).flatmap(lambda order: st.tuples(
+    st.just(order),
+    st.lists(ints, min_size=field_degree(order),
+             max_size=field_degree(order)).filter(any))))
+def test_int_inverse_times_its_element_is_its_positive_norm(case):
+    order, a = case
+    b, den = int_inverse(a, order)
+    assert den > 0
+    assert int_mul(a, b, order) == [den] + [0] * (field_degree(order) - 1)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 12, 64])
+def test_int_inverse_of_zero_raises(order):
+    with pytest.raises(ZeroDivisionError):
+        int_inverse([0] * field_degree(order), order)
+    with pytest.raises(ZeroDivisionError):
+        CycloNum(order, (Fraction(0),) * field_degree(order)).invert()
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_int_inverse_folds_a_negative_norm_into_the_inverse(order):
+    # Q(w) is Q at orders 1 and 2, where the norm of a is a itself
+    assert int_inverse([-6], order) == ([-1], 6)
+    assert int_inverse([6], order) == ([1], 6)

@@ -283,6 +283,22 @@ def test_trace_route_og3_sample():
     assert trace_invariant(q) == gw_invariant(q)
 
 
+def test_trace_route_matches_the_direct_sum_at_n5_high_genus():
+    # verify's trace suite stops at n = 4 and genus 3
+    rng = random.Random(5)
+    basis = all_strict(4)
+    checked = 0
+    while checked < 12:
+        genus = rng.randint(4, 6)
+        ins = tuple(rng.choice(basis) for _ in range(rng.randint(0, 4)))
+        d = admissible_degree(5, genus, ins)
+        if d is None:
+            continue
+        q = GWQuery(5, genus, d, ins)
+        assert trace_invariant(q) == gw_invariant(q), q
+        checked += 1
+
+
 def test_genus_recursion_examples():
     assert genus_recursion_check(2, 3, 1, (), 0)
     assert genus_recursion_check(2, 3, 1, (), 1)
@@ -461,6 +477,13 @@ def test_schur_powers_read_the_staircase_table():
 def test_integer_schur_powers_equal_cyclonum_powers(n, exponent):
     points = quantum._staircase_table(n)
     assert quantum._schur_powers(n, exponent) == tuple(sp.schur_rho ** exponent for sp in points)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_negative_schur_powers_invert_the_positive_ones(n):
+    for k in (1, 2, 3):
+        for inv, pos in zip(quantum._schur_powers(n, -k), quantum._schur_powers(n, k)):
+            assert inv * pos == 1
 
 
 def test_every_spelling_of_the_full_structure_table_shares_one_cache_entry():
