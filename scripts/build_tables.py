@@ -2,8 +2,9 @@
 """Write quantum structure-constant tables as JSON into the cache directory.
 
 Same artifacts as `ogq table --n k` for each k, without echoing the entries.
-The default range n = 2..7 takes a few seconds from a cold start; n = 8 takes
-about 12 s more, almost all of it the structure-constant sum.
+The default range n = 2..7 takes under half a second from a cold start; n = 8
+takes about 3 s more, most of it the structure-constant sum over the orbit
+representatives of the evaluation points.
 """
 
 import argparse

@@ -3,7 +3,9 @@
 
 Prints one row per query with the extremal degree e0 and the count N, or the
 parity diagnostic when the query is not applicable or not covered.  The
-powers of two in the applicable rows are the headline pattern.
+powers of two in the applicable rows are the headline pattern.  Each count
+is an exact sum over the affine orbits of the evaluation points, so ranks
+up to 28 (--max-rank) take under a second per count.
 """
 
 import argparse

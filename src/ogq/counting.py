@@ -3,14 +3,17 @@
 For a stable orthogonal bundle V of rank r and even Stiefel-Whitney-compatible
 degree data on a smooth curve of genus g, the number of maximal isotropic
 subbundles of the extremal degree e_0 is finite, and it is computed here by
-specializing the one evaluation sum behind the Gromov-Witten invariants,
-quantum.evaluation_sum: N is a power of two times a sum over the 2^(n-1)
-evaluation tuples of staircase-Schur powers and staircase P~ powers.  One
-plan (_plan) picks the power of two and the staircase power for every
-caller, exact or float.  The intermediate quantity n_tilde covers arbitrary
-degree e and an arbitrary polynomial integrand in the halved elementary
-classes a_i, and the trivial-bundle case is literally a Gromov-Witten
-invariant, which gives an independent bridge for testing.
+specializing the evaluation sum behind the Gromov-Witten invariants: N is
+a power of two times a sum over the evaluation tuples of staircase-Schur
+powers and staircase P~ powers.  The exact values are summed over the
+affine orbits of the tuples (quantum.orbit_sum, a few traces), the float
+values over all 2^(n-1) tuples (quantum.evaluation_sum), so `--mode float`
+is an independent summation of the same formula.  One plan (_plan) picks
+the power of two and the staircase power for every caller, exact or float.
+The intermediate quantity n_tilde covers arbitrary degree e and an
+arbitrary polynomial integrand in the halved elementary classes a_i, and
+the trivial-bundle case is literally a Gromov-Witten invariant, which gives
+an independent bridge for testing.
 
 Parity limits are first-class outcomes: a query whose extremal degree does
 not exist raises NotApplicableError, and the even-rank route with n even but
@@ -154,9 +157,10 @@ def _n_tilde(query: NQuery, exact: bool) -> Fraction | float:
         return Fraction(0) if exact else 0.0
     integrand = None if qp.terms == AlphaPolynomial.one().terms else qp
     insertions = (partitions.rho(query.n - 1),) * (rho_power + query.u)
-    total = quantum.evaluation_sum(query.n, query.genus, insertions, integrand, exact)
     if exact:
-        return Fraction(2) ** exponent * total.as_rational()
+        total = quantum.orbit_sum(query.n, query.genus, insertions, integrand)
+        return Fraction(2) ** exponent * total
+    total = quantum.evaluation_sum(query.n, query.genus, insertions, exact=False)
     return _float_scaled(exponent, total)
 
 
@@ -270,20 +274,20 @@ def _check_prefactor(exponent: int, n: int, shift: int, genus: int, doubling: in
 def count_even(genus: int, n: int, ell: int) -> CountReport:
     """Count for even rank 2n >= 4, invariant ell, at the extremal degree:
     n_tilde at e_0 with constant integrand, doubled when ell is even, from
-    one exact evaluation sum.
+    one exact orbit sum.
 
     What is checked: the power-of-two prefactor against its closed form
-    (_check_prefactor), that the sum is rational and the count a nonnegative
-    integer, and the catalogued closed forms (a note on the report).  Outside
-    this call, `--mode float` re-sums the same plan in complex doubles, and
-    `verify`'s trivial-bundle bridge compares n_tilde with Gromov-Witten
-    invariants.
+    (_check_prefactor), that the count is a nonnegative integer (the orbit
+    sum is a trace, rational by construction), and the catalogued closed
+    forms (a note on the report).  Outside this call, `--mode float` re-sums
+    the same plan over all 2^(n-1) points in complex doubles, and `verify`'s
+    trivial-bundle bridge compares n_tilde with Gromov-Witten invariants.
     """
     if n < 2:
         raise UnsupportedRankError(f"even rank needs n >= 2, got n = {n}")
     e0, exponent, rho_power = _count_even_plan(genus, n, ell)
-    total = quantum.evaluation_sum(n, genus, (partitions.rho(n - 1),) * rho_power)
-    value = Fraction(2) ** exponent * total.as_rational()
+    total = quantum.orbit_sum(n, genus, (partitions.rho(n - 1),) * rho_power)
+    value = Fraction(2) ** exponent * total
     if value.denominator != 1 or value < 0:
         raise NonIntegralResultError(f"count is not a nonnegative integer: {value}")
     report = CountReport(
@@ -299,6 +303,8 @@ def count_even(genus: int, n: int, ell: int) -> CountReport:
             "prefactor_log2": exponent,
             "staircase_power": rho_power,
             "doubled": ell % 2 == 0,
+            "orbits": quantum.orbit_count(n),
+            "points": 2 ** (n - 1),
         },
     )
     _catalog_note(report)
@@ -343,6 +349,8 @@ def count_odd(genus: int, n: int, ell: int) -> CountReport:
             "route": "odd_rank_halving",
             "companion_rank": 2 * n + 2,
             "companion_e0": partner.e0,
+            "orbits": partner.decomposition["orbits"],
+            "points": partner.decomposition["points"],
         },
     )
     _catalog_note(report)

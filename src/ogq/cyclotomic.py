@@ -11,7 +11,8 @@ One private kernel, _reduce, reduces an unreduced coefficient list mod Phi_N
 from the top down, on int and Fraction coefficients alike: at even N by
 w^(N/2) = -1 first, then by Phi's nonzero lower terms.  Every product
 (int_mul, which CycloNum's * calls), power (int_pow, which ** calls), root
-of unity and fused dot goes through it.
+of unity and fused dot goes through it.  The trace to Q (trace) reads the
+Ramanujan sums off any coefficient list, reduced or not.
 
 >>> w = root_of_unity(8, 1)
 >>> ((w + w.invert()) ** 2).as_rational()
@@ -148,6 +149,45 @@ def int_pow(a: Sequence, exponent: int, order: int) -> list:
         if exponent:
             base = int_mul(base, base, order)
     return result
+
+
+@lru_cache(maxsize=None)
+def _ramanujan_sums(order: int) -> tuple[int, ...]:
+    # Tr(w^k) for k = 0..order-1, the Ramanujan sum c_order(k): w^k is a
+    # primitive q-th root of unity, q = order / gcd(k, order), whose trace
+    # is mu(q) * phi(order) / phi(q).
+    out = []
+    for k in range(order):
+        q = order // math.gcd(k, order)
+        mu, rest, p = 1, q, 2
+        while p * p <= rest:
+            if rest % p == 0:
+                rest //= p
+                if rest % p == 0:
+                    mu = 0
+                    break
+                mu = -mu
+            p += 1
+        if mu and rest > 1:
+            mu = -mu
+        out.append(mu * (field_degree(order) // field_degree(q)))
+    return tuple(out)
+
+
+def trace(coeffs: Sequence, order: int):
+    """Tr_{Q(w)/Q} of sum_k coeffs[k] * w^k, w a primitive order-th root of
+    unity: sum_k coeffs[k] * c_order(k), c the Ramanujan sum.
+
+    Any list length is accepted, so an unreduced product needs no reduction
+    mod Phi before its trace; the result has the coefficients' type.
+
+    >>> trace([1, 1], 4)
+    2
+    >>> trace([0, 0, 0, 0, 1], 8)
+    -4
+    """
+    sums = _ramanujan_sums(order)
+    return sum(c * sums[k % order] for k, c in enumerate(coeffs) if c)
 
 
 def int_inverse(a: Sequence[int], order: int) -> tuple[list[int], int]:

@@ -17,14 +17,24 @@ tables are built in that integer arithmetic (symfunc's _int_* helpers on
 cyclotomic.int_mul) and turned into CycloNums once, at the table boundary;
 the public symfunc evaluators stay the independent oracle in the tests.
 
-One engine, evaluation_sum, carries that sum for every caller, exact or
-through the complex embedding: the invariants here, and n_tilde and the
-subbundle counts in counting, which add an integrand in the halved
-elementary classes and read only the staircase values.  The same sum yields
-the genus-0 three-point numbers, hence the structure constants of the small
-quantum cohomology ring (summed there as one fused integer dot per triple),
-the quantum Euler class, and an independent trace-formula route to every
-positive-genus invariant, used to cross-check the direct sum.
+The sum is invariant under the affine maps J -> aJ + b of the doubled
+exponents mod 4m, a a unit and b even, whenever the summand's total degree
+in the coordinates is divisible by 2m (the weight condition): the unit acts
+as the Galois automorphism w -> w^a, and the shift multiplies the summand
+by zeta^(b/2 * degree) = 1.  So the sum over all 2^m points equals
+(1/phi(4m)) * sum over the orbits O of |O| * Tr(summand at a representative
+of O), a few traces where there are 2^m points (4 orbits for 64 points at
+n = 7).  orbit_sum carries that exact route, on integer Z[w] values at the
+representatives: the subbundle counts and n_tilde in counting (which add an
+integrand in the halved elementary classes) and the structure table, the
+genus-0 three-point numbers summed as one fused integer dot per triple.
+
+evaluation_sum keeps the sum over all 2^m points, exact or through the
+complex embedding.  It carries the invariants here (gw_invariant, hence
+three_point), and every float route, so each is an independent summation
+that cross-checks the orbit route.  The structure table yields the quantum
+Euler class and an independent trace-formula route to every positive-genus
+invariant, used to cross-check the direct sum.
 """
 
 from __future__ import annotations
@@ -37,9 +47,11 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 
 from . import partitions
-from .cyclotomic import CycloNum, NotRationalError, fused_dot, int_inverse, int_pow, root_of_unity, zero
+from .cyclotomic import (CycloNum, NotRationalError, field_degree, fused_dot, int_inverse, int_mul,
+                         int_pow, root_of_unity, trace, zero)
 from .partitions import Partition
-from .symfunc import AlphaPolynomial, _alpha_from_elem, _int_elementary, _int_ptilde, _int_staircase_schur
+from .symfunc import (AlphaPolynomial, _alpha_from_elem, _int_alpha, _int_elementary, _int_ptilde,
+                      _int_staircase_schur)
 
 
 class UnsupportedRankError(ValueError):
@@ -56,6 +68,13 @@ class GenusTooSmallError(ValueError):
 
 class NonIntegralResultError(ArithmeticError):
     pass
+
+
+class WeightConditionError(ArithmeticError):
+    """An orbit sum was asked for a summand off the weight condition.
+
+    The full point sum of such a summand is 0, but the orbit formula would
+    give a wrong nonzero value, so this is a failed proof, not bad input."""
 
 
 def session_order(n: int) -> int:
@@ -99,6 +118,39 @@ def eval_points(m: int) -> tuple[EvalPoint, ...]:
         point = tuple(roots[t % order] for t in doubled)
         out.append(EvalPoint(doubled, point))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _orbits(m: int) -> tuple[tuple[int, int], ...]:
+    """(index into eval_points(m), orbit size) per orbit of the affine maps
+    J -> aJ + b mod 4m, gcd(a, 4m) = 1 and b even, on the doubled exponents.
+
+    A point is its set of residues mod 4m, one of each antipodal pair
+    (t, t + 2m) of the residues of its parity; the maps keep the parity and
+    the pairs, so they permute the points.  The first point of each orbit, in
+    eval_points order, represents it.
+    """
+    order = 4 * m
+    points = eval_points(m)
+    index = {frozenset(t % order for t in ep.doubled): i for i, ep in enumerate(points)}
+    maps = [(a, b) for a in range(1, order) if math.gcd(a, order) == 1 for b in range(0, order, 2)]
+    seen: set[int] = set()
+    out = []
+    for i, ep in enumerate(points):
+        if i in seen:
+            continue
+        orbit = {index[frozenset((a * t + b) % order for t in ep.doubled)] for a, b in maps}
+        seen |= orbit
+        out.append((i, len(orbit)))
+    return tuple(out)
+
+
+def orbit_count(n: int) -> int:
+    """How many orbit representatives orbit_sum visits for OG(n)_0, against
+    2^(n-1) evaluation points."""
+    if n < 2:
+        raise UnsupportedRankError(f"n must be >= 2, got {n}")
+    return len(_orbits(n - 1))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -174,6 +226,75 @@ def _staircase_table(n: int) -> tuple[_StaircasePoint, ...]:
 
 
 @lru_cache(maxsize=None)
+def _orbit_table(n: int) -> tuple[tuple[int, list[list[int]], list[int]], ...]:
+    # Per orbit: its size, and the elementary values [e_0, ..., e_m] and
+    # S_rho at its representative, as Z[w] coefficient lists.
+    m = n - 1
+    order = session_order(n)
+    points = eval_points(m)
+    out = []
+    for index, size in _orbits(m):
+        xs = [x.int_coeffs() for x in points[index].point]
+        elem = _int_elementary(xs, order)
+        out.append((size, elem, _int_staircase_schur(xs, elem[m], order)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _orbit_ptilde_rho(n: int) -> tuple[list[int], ...]:
+    # 2^m * P~_rho at each representative, for the staircase insertions of
+    # the counts; apart from _orbit_table, so that a count with no staircase
+    # insertion never runs the Pfaffian recursion.
+    order = session_order(n)
+    staircase = partitions.rho(n - 1)
+    return tuple(_int_ptilde(staircase, elem, order, {}) for _size, elem, _s in _orbit_table(n))
+
+
+def orbit_sum(n: int, genus: int, insertions: tuple[Partition, ...] = (),
+              q_poly: AlphaPolynomial | None = None) -> Fraction:
+    """evaluation_sum's exact value, summed over the affine orbits of the
+    evaluation points: (1/phi(4m)) * sum over the orbits O of |O| times the
+    trace of S_rho^(genus-1) * prod of P~_lam * Q(a_i = e_i/2) at O's
+    representative.
+
+    Every factor is taken in Z[w] over a power-of-two (and, at genus 0, a
+    norm) denominator; the S_rho power, by far the largest factor at high
+    genus, is multiplied in last.  Raises WeightConditionError when a term's
+    total degree is not divisible by 2m, where the orbit formula does not
+    hold (the full sum is 0 there).
+    """
+    m = n - 1
+    order = session_order(n)
+    weight = (genus - 1) * m * (m + 1) // 2 + sum(partitions.weight(lam) for lam in insertions)
+    weights = {weight} if q_poly is None else {
+        weight + sum(i * k for i, k in enumerate(exps, 1)) for exps, _c in q_poly.terms}
+    off = sorted(w for w in weights if w % (2 * m))
+    if off:
+        raise WeightConditionError(
+            f"summand of total degree {off[0]} at n = {n}: not divisible by 2m = {2 * m}, "
+            "so the orbit sum does not apply")
+    staircase = partitions.rho(m)
+    rho_values = _orbit_ptilde_rho(n) if staircase in insertions else None
+    total = Fraction(0)
+    for k, (size, elem, base) in enumerate(_orbit_table(n)):
+        memo = {} if rho_values is None else {staircase: rho_values[k]}
+        value, den = elem[0], 1
+        for lam in insertions:
+            value = int_mul(value, _int_ptilde(lam, elem, order, memo), order)
+            den <<= len(lam)
+        if q_poly is not None:
+            integrand, qden = _int_alpha(q_poly, elem, order)
+            value = int_mul(value, integrand, order)
+            den *= qden
+        if genus == 0:
+            base, norm = int_inverse(base, order)
+            den *= norm
+        value = int_mul(value, int_pow(base, abs(genus - 1), order), order)
+        total += Fraction(size * trace(value, order), den)
+    return total / field_degree(order)
+
+
+@lru_cache(maxsize=None)
 def _tables(n: int) -> tuple[dict[Partition, CycloNum], ...]:
     # Per evaluation point: P~ on the whole Schubert index set, each value
     # read off one memoized integer Pfaffian recursion over the point.
@@ -244,11 +365,19 @@ def evaluation_sum(n: int, genus: int, insertions: tuple[Partition, ...] = (),
     return sum(terms, zero(session_order(n)) if exact else 0j)
 
 
-def _as_count(value: CycloNum, context: str) -> int:
-    try:
-        rat = value.as_rational()
-    except NotRationalError as exc:
-        raise NonIntegralResultError(f"{context}: sum is not rational: {value!r}") from exc
+def _as_count(value: CycloNum | Fraction, context: str) -> int:
+    """The value as a nonnegative integer, else NonIntegralResultError.
+
+    A trace (the orbit route) is rational by construction, so integrality
+    and sign are the checks left; a CycloNum from the full point sum is
+    checked to be rational first.
+    """
+    rat = value
+    if isinstance(value, CycloNum):
+        try:
+            rat = value.as_rational()
+        except NotRationalError as exc:
+            raise NonIntegralResultError(f"{context}: sum is not rational: {value!r}") from exc
     if rat.denominator != 1 or rat < 0:
         raise NonIntegralResultError(f"{context}: expected a nonnegative integer, got {rat}")
     return int(rat)
@@ -321,14 +450,24 @@ def structure_table(n: int, max_d: int | None = None) -> tuple[TableEntry, ...]:
 
 @lru_cache(maxsize=None)
 def _structure_table(n: int) -> tuple[TableEntry, ...]:
+    # The orbit route of orbit_sum at genus 0, fused: vector 0 is |O| * S_rho^-1
+    # and vector i+1 is P~ of basis[i], over the orbit representatives, so a
+    # three-point number is 4^d / phi times the trace of one dot.
     m = n - 1
+    order = session_order(n)
     basis = partitions.all_strict(m)
-    tabs = _tables(n)
-    # Vector 0 is S_rho^-1, vector i+1 is P~ of basis[i], over all points.
-    dot = fused_dot(
-        [_schur_powers(n, -1)] + [[tab[lam] for tab in tabs] for lam in basis], arity=4
-    )
+    vectors: list[list[CycloNum]] = [[] for _ in range(len(basis) + 1)]
+    for size, elem, schur_rho in _orbit_table(n):
+        inv, den = int_inverse(schur_rho, order)
+        vectors[0].append(CycloNum.from_ints(order, [size * c for c in inv], den))
+        memo: dict[Partition, list[int]] = {}
+        for vec, lam in zip(vectors[1:], basis):
+            ptilde = _int_ptilde(lam, elem, order, memo)
+            vec.append(CycloNum.from_ints(order, ptilde, 2 ** len(lam)))
+    dot = fused_dot(vectors, arity=4)
+    phi = field_degree(order)
     weights = [partitions.weight(lam) for lam in basis]
+    duals = [partitions.dual(lam, m) for lam in basis]
     # The three-point number is symmetric in its insertions: sum each
     # unordered triple once and emit it for every distinct ordering.
     entries = []
@@ -337,14 +476,13 @@ def _structure_table(n: int) -> tuple[TableEntry, ...]:
         if excess < 0 or excess % (2 * m):
             continue
         d = excess // (2 * m)
-        triple = (basis[a], basis[b], basis[c])
         count = _as_count(
-            dot(0, a + 1, b + 1, c + 1) * 4 ** d,
-            f"three-point invariant {triple} in degree {d}",
+            Fraction(trace(dot(0, a + 1, b + 1, c + 1).coeffs, order) * 4 ** d, phi),
+            f"three-point invariant {(basis[a], basis[b], basis[c])} in degree {d}",
         )
         if count:
-            for lam, mu, ins in set(itertools.permutations(triple)):
-                entries.append(TableEntry(lam, mu, partitions.dual(ins, m), d, count))
+            for i, j, k in set(itertools.permutations((a, b, c))):
+                entries.append(TableEntry(basis[i], basis[j], duals[k], d, count))
     entries.sort(key=lambda e: (e.lam, e.mu, e.d, e.nu))
     return tuple(entries)
 

@@ -10,8 +10,9 @@ two-row values.
 
 The private _int_* helpers compute the same values at points of Z[w]^m on
 integer coefficient lists, for the per-point tables in quantum: the e's,
-S_rho by the product formula e_m * prod_{i<j} (x_i + x_j), and 2^len * P~ by a
-first-row Pfaffian expansion memoized over sub-partitions.
+S_rho by the product formula e_m * prod_{i<j} (x_i + x_j), 2^len * P~ by a
+first-row Pfaffian expansion memoized over sub-partitions, and an
+AlphaPolynomial integrand over one common denominator.
 
 The small AlphaPolynomial ring tracks polynomials in a_i := e_i/2, which is
 how intersection-number integrands are fed in from the outside.
@@ -21,11 +22,12 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import re
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .cyclotomic import CycloNum, int_mul
+from .cyclotomic import CycloNum, int_mul, int_pow
 from .partitions import InvalidPartitionError, Partition, validate
 
 
@@ -291,6 +293,23 @@ def _int_ptilde(parts: Partition, evals: list[IntVec], order: int,
             val = [v + t for v, t in zip(val, term)]
     memo[parts] = val
     return val
+
+
+def _int_alpha(poly: "AlphaPolynomial", evals: list[IntVec], order: int) -> tuple[IntVec, int]:
+    # (num, den) with num / den the integrand at a_i = e_i/2, from the
+    # elementary values [e_0, ..., e_m] in Z[w]; variables beyond m are zero.
+    phi = len(evals[0])
+    den = math.lcm(1, *(c.denominator << sum(exps) for exps, c in poly.terms))
+    num = [0] * phi
+    for exps, coeff in poly.terms:
+        if any(k and i >= len(evals) for i, k in enumerate(exps, 1)):
+            continue
+        term = [int(coeff * den) >> sum(exps)] + [0] * (phi - 1)
+        for i, k in enumerate(exps, 1):
+            if k:
+                term = int_mul(term, int_pow(evals[i], k, order), order)
+        num = [a + b for a, b in zip(num, term)]
+    return num, den
 
 
 _TERM_FACTOR = re.compile(r"^a(\d+)(?:\^(\d+))?$")

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from ogq import cli, verify
+from ogq import cli, counting, verify
 
 
 def run(argv, capsys):
@@ -119,6 +119,40 @@ def test_count_json(capsys):
     assert doc["schema"] == "ogq-count/1"
     assert doc["N"] == "16"
     assert doc["applicable"] is True
+
+
+def test_count_json_names_the_orbits_and_the_points(capsys):
+    code, out, _ = run(
+        ["count", "--g", "3", "--rank", "14", "--ell", "0", "--format", "json"], capsys
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["N"] == "388628480"
+    assert doc["decomposition"] == {
+        "route": "odd_e0_odd_n", "prefactor_log2": 15, "staircase_power": 2, "doubled": True,
+        "orbits": 4, "points": 64,
+    }
+    # the text output is unchanged
+    code, out, _ = run(["count", "--g", "3", "--rank", "14", "--ell", "0"], capsys)
+    assert out.splitlines()[:2] == ["388628480", "e0 = -7, required w2 = 1 (mod 2)"]
+
+
+def test_an_off_weight_orbit_sum_exits_1_as_a_failed_proof(monkeypatch, capsys):
+    # a plan with one staircase insertion too many puts the orbit sum off the
+    # weight condition: that is a failed proof, not bad input
+    real = counting._count_even_plan
+
+    def off_by_one(genus, n, ell):
+        e0, exponent, rho_power = real(genus, n, ell)
+        return e0, exponent, rho_power + 1
+
+    monkeypatch.setattr(counting, "_count_even_plan", off_by_one)
+    code, out, err = run(["count", "--g", "3", "--rank", "4", "--ell", "0"], capsys)
+    assert code == 1
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "verification_failure"
+    assert "not divisible by 2m" in doc["reason"]
 
 
 def test_count_float_mode(capsys):

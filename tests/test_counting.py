@@ -1,6 +1,7 @@
 """Dimension formulas, extremal isotropic degrees, the arbitrary-bundle
 intersection numbers, and the subbundle counts."""
 
+import hashlib
 import random
 import sys
 
@@ -9,6 +10,7 @@ import pytest
 from fractions import Fraction
 
 from ogq import counting, quantum, verify
+from ogq.partitions import rho
 from ogq.counting import (
     CountReport,
     NQuery,
@@ -288,16 +290,16 @@ def test_float_routes_raise_past_the_double_range():
 
 
 def test_count_makes_one_exact_sum(monkeypatch):
-    calls = []
-    real = quantum.evaluation_sum
+    calls = {"orbit_sum": [], "evaluation_sum": []}
+    for name in calls:
+        def recording(*args, real=getattr(quantum, name), name=name, **kwargs):
+            calls[name].append(args)
+            return real(*args, **kwargs)
 
-    def recording(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(quantum, "evaluation_sum", recording)
+        monkeypatch.setattr(quantum, name, recording)
     assert count(3, 14, 0).value == 388628480
-    assert calls == [(7, 3, ((6, 5, 4, 3, 2, 1),) * 2)]
+    # one orbit sum, and no sum over all the points
+    assert calls == {"orbit_sum": [(7, 3, ((6, 5, 4, 3, 2, 1),) * 2)], "evaluation_sum": []}
 
 
 def test_even_count_is_n_tilde_at_e0_doubled_for_even_ell():
@@ -380,9 +382,14 @@ def test_alpha_from_elem_matches_alpha_evaluate():
 
 def test_counting_sums_never_build_the_full_tables():
     quantum._tables.cache_clear()
+    quantum._staircase_table.cache_clear()
+    # the exact routes read the orbit representatives only
     exact = count(3, 14, 0).value
+    assert n_tilde(NQuery(2, 3, 0, -4, 0, ptilde_alpha((2,), 2) * ptilde_alpha((2, 1), 2))) == 16
+    assert n_tilde(NQuery(300, 4, 0, -598)) > 0
+    assert quantum._tables.cache_info().currsize == 0
+    assert quantum._staircase_table.cache_info().currsize == 0
     assert abs(count_float(3, 14, 0) - exact) <= 1e-6 * exact
-    n_tilde(NQuery(2, 3, 0, -4, 0, ptilde_alpha((2,), 2) * ptilde_alpha((2, 1), 2)))
     # Gromov-Witten invariants whose insertions are all staircase classes
     assert trivial_bundle_number(3, 4, -14, 5, []) == trivial_bundle_number(3, 4, -6, 1, []) == 832
     staircase_only = GWQuery(7, 1, 7, ((6, 5, 4, 3, 2, 1),) * 4)
@@ -428,3 +435,42 @@ def test_decimal_string_matches_str_past_the_digit_limit():
     assert counting.decimal_string(Fraction(-7, 3)) == "-7/3"
     assert counting.decimal_string(Fraction(8)) == "8"
     assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize("rank", range(3, 17))
+def test_every_count_is_the_full_point_sum(rank):
+    # the orbit route against 2^exponent times the sum over all 2^(n-1) points
+    n = rank // 2 if rank % 2 == 0 else (rank + 1) // 2
+    checked = 0
+    for genus in range(2, 10):
+        for ell in range(4):
+            if rank % 2 and ell % 2:
+                continue
+            report = count(genus, rank, ell)
+            if not report.applicable:
+                continue
+            _e0, exponent, rho_power = counting._count_even_plan(genus, n, ell)
+            total = quantum.evaluation_sum(n, genus, (rho(n - 1),) * rho_power)
+            full = Fraction(2) ** exponent * total.as_rational()
+            assert report.value * (1 if rank % 2 == 0 else 2) == full, (genus, ell)
+            checked += 1
+    assert checked >= 6
+
+
+# N(g = 3, rank 24, ell 0), a 25-digit count, as the sum over all 2^11 points
+# gave it before the orbit route (about 70 s of CPU then).
+RANK_24_SHA256 = "446cccf50625ee75ed042a2c8341f955122281132bb9fff4b9280a7b2cafc937"
+
+
+def test_rank_24_count_is_pinned():
+    report = count(3, 24, 0)
+    assert hashlib.sha256(str(report.value).encode()).hexdigest() == RANK_24_SHA256
+    assert report.decomposition["orbits"] == 15
+    assert report.decomposition["points"] == 2048
+
+
+def test_count_decomposition_names_the_orbits_and_the_points():
+    for rank in (14, 13):
+        decomposition = count(3, rank, 0).decomposition
+        assert (decomposition["orbits"], decomposition["points"]) == (4, 64)
+    assert count(3, 4, 0).decomposition["orbits"] == 1

@@ -18,6 +18,7 @@ from ogq.cyclotomic import (
     int_pow,
     one,
     root_of_unity,
+    trace,
     zero,
 )
 
@@ -254,6 +255,16 @@ def test_fused_dot_equals_the_plain_sum_of_products(case):
     got = fused_dot(vectors, arity)(*which)
     assert got.order == order
     assert got == expected
+
+
+def test_trace_examples():
+    # Tr(1) = phi, and the primitive 12th roots of unity sum to mu(12) = 0
+    assert trace([1, 0, 0, 0], 12) == 4
+    assert trace([0, 1, 0, 0], 12) == 0
+    # w^6 = -1 and w^4 is a primitive cube root, unreduced past phi = 4
+    assert trace([0, 0, 0, 0, 1, 0, 3], 12) == -2 - 12
+    assert trace([Fraction(1, 2)], 1) == Fraction(1, 2)
+    assert trace([], 8) == 0
 
 
 def test_fused_dot_sums_to_non_rational_and_rational_values():

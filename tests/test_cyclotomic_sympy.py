@@ -4,9 +4,11 @@ Every product, power and root of unity in `ogq.cyclotomic` goes through one
 reduction mod Phi, so comparing the kernel with itself shows nothing; here
 each result is compared with sympy's remainder of the unreduced polynomial
 by sympy's own cyclotomic polynomial, and each inverse with sympy's inverse
-mod that polynomial.  sympy is used by these tests only.
+mod that polynomial; each trace with sympy's remainder of the sum of the
+Galois conjugates.  sympy is used by these tests only.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,6 +24,7 @@ from ogq.cyclotomic import (  # noqa: E402
     int_inverse,
     int_mul,
     root_of_unity,
+    trace,
 )
 
 X = sympy.Symbol("x")
@@ -180,3 +183,30 @@ def test_int_inverse_folds_a_negative_norm_into_the_inverse(order):
     # Q(w) is Q at orders 1 and 2, where the norm of a is a itself
     assert int_inverse([-6], order) == ([-1], 6)
     assert int_inverse([6], order) == ([1], 6)
+
+
+def _sympy_trace(coeffs, order: int) -> Fraction:
+    # The sum of the conjugates w -> w^a over the units a mod order, reduced
+    # by sympy: x^(a*k) is taken mod x^order - 1, which Phi_order divides.
+    conj = [0] * order
+    for a in range(1, order + 1):
+        if sympy.gcd(a, order) == 1:
+            for k, c in enumerate(coeffs):
+                conj[a * k % order] += c
+    rem = _reduced(_poly(conj), order)
+    assert not any(rem[1:])
+    return rem[0]
+
+
+@pytest.mark.parametrize("order", range(1, 65))
+def test_trace_matches_the_sum_of_the_galois_conjugates(order):
+    rng = random.Random(order)
+    phi = field_degree(order)
+    reduced = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(phi)]
+    # an unreduced list, as a product before its reduction: past phi and past order
+    unreduced = [rng.randint(-50, 50) for _ in range(2 * order + 3)]
+    fractions = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(phi + 5)]
+    for coeffs in (reduced, unreduced, fractions):
+        assert trace(coeffs, order) == _sympy_trace(coeffs, order)
+    # the trace of a list is the trace of its reduction mod Phi
+    assert trace(unreduced, order) == trace(_reduced(_poly(unreduced), order), order)
