@@ -3,7 +3,7 @@
 
 Same artifacts as `ogq table --n k` for each k, without echoing the entries.
 The default range n = 2..7 takes under half a second from a cold start; n = 8
-takes about 3 s more, most of it the structure-constant sum over the orbit
+alone takes about 2 s, most of it the structure-constant sum over the orbit
 representatives of the evaluation points.
 """
 

@@ -147,7 +147,17 @@ def _resolve_cache_dir(arg: str | None) -> Path:
 
 
 def _table_bytes(doc: dict) -> bytes:
-    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+    # json.dumps(doc, indent=2, sort_keys=True) + "\n", byte for byte, with
+    # the entries laid out here: json's C encoder serves only indent=None.
+    enc = json.encoder.encode_basestring_ascii
+    entries = ",\n".join(
+        f'    {{\n      "c": {enc(e["c"])},\n      "d": {e["d"]},\n      "lambda": '
+        f'{enc(e["lambda"])},\n      "mu": {enc(e["mu"])},\n      "nu": {enc(e["nu"])}\n    }}'
+        for e in doc["entries"])
+    listed = f"[\n{entries}\n  ]" if entries else "[]"
+    fields = (f"  {enc(key)}: {listed if key == 'entries' else json.dumps(doc[key])}"
+              for key in sorted(doc))
+    return ("{\n" + ",\n".join(fields) + "\n}\n").encode()
 
 
 def cmd_table(args) -> int:

@@ -10,9 +10,10 @@ its norm, a nonzero integer, so no polynomial division is needed.
 One private kernel, _reduce, reduces an unreduced coefficient list mod Phi_N
 from the top down, on int and Fraction coefficients alike: at even N by
 w^(N/2) = -1 first, then by Phi's nonzero lower terms.  Every product
-(int_mul, which CycloNum's * calls), power (int_pow, which ** calls), root
-of unity and fused dot goes through it.  The trace to Q (trace) reads the
-Ramanujan sums off any coefficient list, reduced or not.
+(int_mul, which CycloNum's * calls), power (int_pow, which ** calls) and
+root of unity goes through it.  The trace to Q (trace) reads the Ramanujan
+sums off any coefficient list, reduced or not, so the fused dot over packed
+integer vectors (fused_dot) returns traces with no reduction at all.
 
 >>> w = root_of_unity(8, 1)
 >>> ((w + w.invert()) ** 2).as_rational()
@@ -388,69 +389,68 @@ def root_of_unity(order: int, power: int = 1) -> CycloNum:
     return CycloNum(order, tuple(_reduce(coeffs, order)))
 
 
-def fused_dot(vectors: Sequence[Sequence[CycloNum]], arity: int) -> Callable[..., CycloNum]:
-    """Exact sums of pointwise products over equal-length vectors of Q(w).
+def _dot_slot(points: int, phi: int, arity: int, top: int) -> int:
+    # A coefficient of a sum of `arity`-fold products of phi terms up to top
+    # is at most the bound; the trace pairing multiplies it by at most phi
+    # times the number of digits; one bit more holds the sign.
+    bound = points * phi ** (arity - 1) * top ** arity
+    return ((arity * (phi - 1) + 1) * phi * bound).bit_length() + 1
 
-    Returns `dot(i, j, ...)`, which takes 1 to `arity` indices into `vectors`
-    and returns sum over J of vectors[i][J] * vectors[j][J] * ....
 
-    Each vector is turned once into integer numerators over its own common
-    denominator, and every numerator polynomial is packed into one int,
-    sum c_k * 2^(slot*k) (Kronecker substitution).  A product of packed ints
-    is then the packed unreduced product of the polynomials, so a dot is one
-    integer multiply-and-add per point, unpacked and reduced mod Phi_order
-    once, by the same reduction as every product.  The slot is sized from
-    the numerators so that no coefficient of a sum of `arity`-fold products
-    can reach it, which keeps every dot exact.
+def fused_dot(vectors: Sequence[Sequence[Sequence[int]]], dens: Sequence[int], order: int,
+              arity: int) -> Callable[..., Fraction]:
+    """Traces of sums of pointwise products over equal-length vectors of Q(w).
+
+    vectors[i][J] is an element of Z[w], its phi(order) integer power-basis
+    coefficients, and dens[i] > 0 is the denominator of all of vector i.
+    `dot(i, j, ...)` takes 1 to `arity` indices and returns, as a Fraction,
+    Tr_{Q(w)/Q} of the sum over J of vectors[i][J] * vectors[j][J] * ...
+    over dens[i] * dens[j] * ....
+
+    Each coefficient list is packed into one int, sum c_k * 2^(slot*k), so a
+    product of packed ints is the packed unreduced product and a dot is one
+    integer multiply-and-add per point.  Its trace, sum c_k * c_order(k)
+    with c the Ramanujan sums, holds on the unreduced digits, so nothing is
+    reduced mod Phi: one more multiply, by the Ramanujan sums packed in
+    reverse, gathers it into one signed digit.  The slot is sized so that no
+    digit reaches it, which keeps every dot exact.
     """
+    if arity < 1:
+        raise ValueError("arity must be >= 1")
+    if len(dens) != len(vectors) or any(den < 1 for den in dens):
+        raise ValueError("need one positive denominator per vector")
     lengths = {len(vec) for vec in vectors}
     if len(lengths) != 1:
         raise ValueError("need one or more vectors, all of the same length")
-    orders = {x.order for vec in vectors for x in vec}
-    if not orders:
-        raise ValueError("need at least one point")
-    if len(orders) > 1:
-        raise OrderMismatchError(f"cannot combine roots of unity of orders {sorted(orders)}")
-    if arity < 1:
-        raise ValueError("arity must be >= 1")
-    (order,) = orders
     (points,) = lengths
+    if not points:
+        raise ValueError("need at least one point")
     phi = field_degree(order)
-    nums, dens = [], []
-    for vec in vectors:
-        den = math.lcm(1, *(c.denominator for x in vec for c in x.coeffs))
-        dens.append(den)
-        nums.append([[c.numerator * (den // c.denominator) for c in x.coeffs] for x in vec])
-    top = max((abs(c) for vec in nums for x in vec for c in x), default=0)
-    slot = (points * phi ** (arity - 1) * top ** arity).bit_length() + 1
-    packed = []
-    for vec in nums:
-        row = []
-        for coeffs in vec:
-            acc = 0
-            for c in reversed(coeffs):
-                acc = (acc << slot) + c
-            row.append(acc)
-        packed.append(row)
+    if any(len(x) != phi for vec in vectors for x in vec):
+        raise ValueError(f"every coefficient list needs phi({order}) = {phi} entries")
+    top = max(abs(c) for vec in vectors for x in vec for c in x)
+    slot = _dot_slot(points, phi, arity, top)
+    packed = [[sum(c << slot * k for k, c in enumerate(x)) for x in vec] for vec in vectors]
+    # A k-fold product has the coefficients c_0..c_K, K = k * (phi - 1);
+    # times sum_j c_order(j) * 2^(slot*(K-j)), its digit K is the trace.
+    sums = _ramanujan_sums(order)
+    pairings = [sum(sums[j % order] << slot * (k * (phi - 1) - j) for j in range(k * (phi - 1) + 1))
+                for k in range(arity + 1)]
     mask, half = (1 << slot) - 1, 1 << (slot - 1)
 
-    def dot(*which: int) -> CycloNum:
+    def dot(*which: int) -> Fraction:
         if not 1 <= len(which) <= arity:
             raise ValueError(f"a dot takes 1 to {arity} vectors, got {len(which)}")
         total = sum(map(math.prod, zip(*(packed[i] for i in which))))
-        # Signed base-2^slot digits of the total: the unreduced coefficients.
-        conv = []
-        for _ in range(len(which) * (phi - 1) + 1):
-            digit = total & mask
-            if digit >= half:
-                digit -= 1 << slot
-            conv.append(digit)
-            total = (total - digit) >> slot
-        if total:
+        shift = slot * len(which) * (phi - 1)
+        if abs(total).bit_length() >= shift + slot:
             raise ArithmeticError("packed sum overflowed its slot")
-        conv = _reduce(conv, order)
-        den = math.prod(dens[i] for i in which)
-        return CycloNum(order, tuple(Fraction(c, den) for c in conv))
+        # Rounding at digit K drops the digits below it, which sum to less
+        # than half of one unit there.
+        tr = ((total * pairings[len(which)] + (1 << shift >> 1)) >> shift) & mask
+        if tr >= half:
+            tr -= mask + 1
+        return Fraction(tr, math.prod(dens[i] for i in which))
 
     return dot
 

@@ -26,8 +26,9 @@ by zeta^(b/2 * degree) = 1.  So the sum over all 2^m points equals
 of O), a few traces where there are 2^m points (4 orbits for 64 points at
 n = 7).  orbit_sum carries that exact route, on integer Z[w] values at the
 representatives: the subbundle counts and n_tilde in counting (which add an
-integrand in the halved elementary classes) and the structure table, the
-genus-0 three-point numbers summed as one fused integer dot per triple.
+integrand in the halved elementary classes) and the structure table, whose
+genus-0 three-point numbers are each the trace of one fused dot over
+integer vectors, with no CycloNum built.
 
 evaluation_sum keeps the sum over all 2^m points, exact or through the
 complex embedding.  It carries the invariants here (gw_invariant, hence
@@ -193,35 +194,42 @@ def degree_ok(query: GWQuery) -> bool:
 
 @dataclasses.dataclass(frozen=True)
 class _StaircasePoint:
-    """What the counting sums read at one evaluation point: the elementary
-    values, the staircase values S_rho and P~_rho, and their complex images."""
+    """What every full point sum reads at one evaluation point: the
+    elementary values, the staircase Schur value S_rho and its complex image."""
 
     ep: EvalPoint
     elem: tuple[CycloNum, ...]
     schur_rho: CycloNum
-    ptilde_rho: CycloNum
     schur_rho_c: complex
-    ptilde_rho_c: complex
 
 
 @lru_cache(maxsize=None)
 def _staircase_table(n: int) -> tuple[_StaircasePoint, ...]:
     # The per-point base table, built in Z[w] and turned into CycloNums once.
-    # Only the sub-partitions that P~_rho's recursion needs are built, and
-    # they are dropped after each point, so the counting sums never hold all
-    # 4^m P~ values.
     m = n - 1
     order = session_order(n)
-    staircase = partitions.rho(m)
     out = []
     for ep in eval_points(m):
         xs = [x.int_coeffs() for x in ep.point]
         elem = _int_elementary(xs, order)
         schur = CycloNum.from_ints(order, _int_staircase_schur(xs, elem[m], order))
-        ptilde = CycloNum.from_ints(order, _int_ptilde(staircase, elem, order, {}), 2 ** m)
         evals = tuple(CycloNum.from_ints(order, e) for e in elem)
-        out.append(_StaircasePoint(ep, evals, schur, ptilde,
-                                   schur.embed_complex(), ptilde.embed_complex()))
+        out.append(_StaircasePoint(ep, evals, schur, schur.embed_complex()))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _staircase_ptilde(n: int) -> tuple[tuple[CycloNum, complex], ...]:
+    # P~_rho and its complex image per point, apart from _staircase_table so
+    # that a sum with no staircase insertion never runs the Pfaffian.
+    m = n - 1
+    order = session_order(n)
+    staircase = partitions.rho(m)
+    out = []
+    for sp in _staircase_table(n):
+        elem = [e.int_coeffs() for e in sp.elem]
+        value = CycloNum.from_ints(order, _int_ptilde(staircase, elem, order, {}), 2 ** m)
+        out.append((value, value.embed_complex()))
     return tuple(out)
 
 
@@ -311,11 +319,12 @@ def _tables(n: int) -> tuple[dict[Partition, CycloNum], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _schur_powers(n: int, exponent: int) -> tuple[CycloNum, ...]:
     # S_rho lies in Z[w], so every power is taken on integers: S_rho^k for
     # k >= 0, and b^|k| / den^|k| for k < 0, where S_rho * b = den
-    # (int_inverse).
+    # (int_inverse).  High powers are large, so a long-lived process keeps
+    # only the 64 most recently used (n, exponent) keys.
     order = session_order(n)
     out = []
     for sp in _staircase_table(n):
@@ -352,7 +361,7 @@ def evaluation_sum(n: int, genus: int, insertions: tuple[Partition, ...] = (),
     columns = []
     for lam in insertions:
         if lam == staircase:
-            columns.append([sp.ptilde_rho if exact else sp.ptilde_rho_c for sp in points])
+            columns.append([pair[0 if exact else 1] for pair in _staircase_ptilde(n)])
         else:
             columns.append([tab[lam] for tab in (_tables(n) if exact else _float_tables(n))])
     if q_poly is not None:
@@ -444,47 +453,54 @@ def structure_table(n: int, max_d: int | None = None) -> tuple[TableEntry, ...]:
     """
     if n < 2:
         raise UnsupportedRankError(f"n must be >= 2, got {n}")
+    if max_d is not None and max_d < 0:
+        raise NegativeDegreeError(f"max_d must be >= 0, got {max_d}")
     full = _structure_table(n)
     return full if max_d is None else tuple(e for e in full if e.d <= max_d)
 
 
 @lru_cache(maxsize=None)
 def _structure_table(n: int) -> tuple[TableEntry, ...]:
-    # The orbit route of orbit_sum at genus 0, fused: vector 0 is |O| * S_rho^-1
-    # and vector i+1 is P~ of basis[i], over the orbit representatives, so a
-    # three-point number is 4^d / phi times the trace of one dot.
+    # orbit_sum at genus 0, fused on Z[w] ints at the representatives:
+    # vector 0 is |O| * S_rho^-1 = |O| * b / den (int_inverse), vector i+1 is
+    # 2^len * P~ of basis[i] over 2^len; a three-point number is 4^d / phi
+    # times the trace that one dot returns.
     m = n - 1
     order = session_order(n)
     basis = partitions.all_strict(m)
-    vectors: list[list[CycloNum]] = [[] for _ in range(len(basis) + 1)]
+    vectors: list[list[list[int]]] = [[] for _ in range(len(basis) + 1)]
+    inverses = []
     for size, elem, schur_rho in _orbit_table(n):
         inv, den = int_inverse(schur_rho, order)
-        vectors[0].append(CycloNum.from_ints(order, [size * c for c in inv], den))
+        # lowest terms keep the common denominator, hence the slot, small
+        g = math.gcd(den, *(size * c for c in inv))
+        inverses.append(([size * c // g for c in inv], den // g))
         memo: dict[Partition, list[int]] = {}
         for vec, lam in zip(vectors[1:], basis):
-            ptilde = _int_ptilde(lam, elem, order, memo)
-            vec.append(CycloNum.from_ints(order, ptilde, 2 ** len(lam)))
-    dot = fused_dot(vectors, arity=4)
+            vec.append(_int_ptilde(lam, elem, order, memo))
+    common = math.lcm(*(den for _inv, den in inverses))
+    vectors[0] = [[c * (common // den) for c in inv] for inv, den in inverses]
+    dot = fused_dot(vectors, [common] + [2 ** len(lam) for lam in basis], order, arity=4)
     phi = field_degree(order)
     weights = [partitions.weight(lam) for lam in basis]
-    duals = [partitions.dual(lam, m) for lam in basis]
+    duals = [basis.index(partitions.dual(lam, m)) for lam in basis]
     # The three-point number is symmetric in its insertions: sum each
-    # unordered triple once and emit it for every distinct ordering.
-    entries = []
+    # unordered triple once and emit it for every distinct ordering; basis is
+    # sorted, so rows of indices sort as the entries do.
+    rows = []
     for a, b, c in itertools.combinations_with_replacement(range(len(basis)), 3):
         excess = weights[a] + weights[b] + weights[c] - m * (m + 1) // 2
         if excess < 0 or excess % (2 * m):
             continue
         d = excess // (2 * m)
-        count = _as_count(
-            Fraction(trace(dot(0, a + 1, b + 1, c + 1).coeffs, order) * 4 ** d, phi),
-            f"three-point invariant {(basis[a], basis[b], basis[c])} in degree {d}",
-        )
+        value = dot(0, a + 1, b + 1, c + 1)
+        count, rest = divmod(value.numerator << 2 * d, value.denominator * phi)
+        if rest or count < 0:
+            _as_count(value * 4 ** d / phi, f"three-point {basis[a], basis[b], basis[c]}")
         if count:
-            for i, j, k in set(itertools.permutations((a, b, c))):
-                entries.append(TableEntry(basis[i], basis[j], duals[k], d, count))
-    entries.sort(key=lambda e: (e.lam, e.mu, e.d, e.nu))
-    return tuple(entries)
+            rows += {(i, j, d, duals[k], count) for i, j, k in itertools.permutations((a, b, c))}
+    rows.sort()
+    return tuple(TableEntry(basis[i], basis[j], basis[k], d, count) for i, j, d, k, count in rows)
 
 
 # The one cache behind every spelling of a structure_table call, keyed by n.
@@ -495,18 +511,13 @@ structure_table.cache_clear = _structure_table.cache_clear
 def table_json_dict(n: int, max_d: int | None = None) -> dict:
     """JSON-ready structure table; coefficients as decimal strings."""
     entries = structure_table(n, max_d)
+    label = {lam: partitions.format_partition(lam) for lam in partitions.all_strict(n - 1)}
     return {
         "schema": "ogq-table/1",
         "n": n,
         "max_d": max_d,
         "entries": [
-            {
-                "lambda": partitions.format_partition(e.lam),
-                "mu": partitions.format_partition(e.mu),
-                "nu": partitions.format_partition(e.nu),
-                "d": e.d,
-                "c": str(e.c),
-            }
+            {"lambda": label[e.lam], "mu": label[e.mu], "nu": label[e.nu], "d": e.d, "c": str(e.c)}
             for e in entries
         ],
     }

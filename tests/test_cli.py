@@ -273,6 +273,15 @@ def test_table_max_d_gets_its_own_file(tmp_path, capsys):
     assert all(e["d"] <= 1 for e in doc["entries"])
 
 
+def test_table_refuses_a_negative_max_d_and_writes_nothing(tmp_path, capsys):
+    code, _, err = run(
+        ["table", "--n", "3", "--max-d", "-1", "--cache-dir", str(tmp_path)], capsys
+    )
+    assert code == 2
+    assert json.loads(err)["error"] == "invalid_input"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_table_honors_env_cache_dir(tmp_path, monkeypatch, capsys):
     env_dir = tmp_path / "from_env"
     monkeypatch.setenv("OGQ_CACHE_DIR", str(env_dir))

@@ -9,7 +9,7 @@ import pytest
 
 from fractions import Fraction
 
-from ogq import counting, quantum, verify
+from ogq import counting, quantum, symfunc, verify
 from ogq.partitions import rho
 from ogq.counting import (
     CountReport,
@@ -378,6 +378,21 @@ def test_alpha_from_elem_matches_alpha_evaluate():
                 term = term * ((evals[i] * Fraction(1, 2) if i <= m else evals[0] * 0) ** k)
             expected = expected + term
         assert _alpha_from_elem(poly, evals) == alpha_evaluate(poly, point) == expected
+
+
+def test_float_count_with_no_staircase_insertion_runs_no_pfaffian(monkeypatch):
+    # rank 16, ell 0: the plan has staircase power 0, so the float route
+    # reads S_rho at every point and never P~_rho
+    assert counting._count_even_plan(3, 8, 0)[2] == 0
+    quantum._staircase_ptilde.cache_clear()
+
+    def refuse(*args):
+        raise AssertionError("the Pfaffian recursion ran")
+
+    for module in (symfunc, quantum):
+        monkeypatch.setattr(module, "_int_ptilde", refuse)
+    assert count_float(3, 16, 0) == pytest.approx(count(3, 16, 0).value, rel=1e-9)
+    assert quantum._staircase_ptilde.cache_info().currsize == 0
 
 
 def test_counting_sums_never_build_the_full_tables():

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from ogq import cyclotomic
 from ogq.cyclotomic import (
     CycloNum,
     NotRationalError,
@@ -218,13 +219,10 @@ def test_rational_round_trip(value, order):
     assert num.as_rational() == value
 
 
-# Denominators mix 1, 2, 16 (as in P~) and 4, 9, 12, 36 (as in S_rho^-1);
-# zero coefficients and zero entries are drawn often.
-dot_fractions = st.builds(
-    Fraction,
-    st.one_of(st.just(0), st.integers(-300, 300)),
-    st.sampled_from([1, 2, 16, 4, 9, 12, 36]),
-)
+# Integer coefficients, zero often, and one denominator per vector: 1, 2, 16
+# (as in P~) and 4, 9, 12, 36 (as in S_rho^-1).
+dot_ints = st.one_of(st.just(0), st.integers(-300, 300))
+dot_dens = st.sampled_from([1, 2, 16, 4, 9, 12, 36])
 
 
 @st.composite
@@ -233,28 +231,26 @@ def dot_cases(draw):
     points = draw(st.integers(1, 6))
     arity = draw(st.integers(1, 4))
     phi = field_degree(order)
-    element = st.one_of(
-        st.just(zero(order)),
-        st.tuples(*([dot_fractions] * phi)).map(lambda t: CycloNum(order, t)),
-    )
+    element = st.one_of(st.just([0] * phi), st.lists(dot_ints, min_size=phi, max_size=phi))
     vectors = draw(st.lists(st.lists(element, min_size=points, max_size=points),
                             min_size=1, max_size=4))
+    dens = draw(st.lists(dot_dens, min_size=len(vectors), max_size=len(vectors)))
     which = draw(st.lists(st.integers(0, len(vectors) - 1), min_size=1, max_size=arity))
-    return order, vectors, arity, which
+    return order, vectors, dens, arity, which
 
 
 @given(dot_cases())
 def test_fused_dot_equals_the_plain_sum_of_products(case):
-    order, vectors, arity, which = case
+    order, vectors, dens, arity, which = case
     expected = zero(order)
     for j in range(len(vectors[0])):
         term = one(order)
         for i in which:
-            term = term * vectors[i][j]
+            term = term * CycloNum.from_ints(order, vectors[i][j], dens[i])
         expected = expected + term
-    got = fused_dot(vectors, arity)(*which)
-    assert got.order == order
-    assert got == expected
+    got = fused_dot(vectors, dens, order, arity)(*which)
+    assert type(got) is Fraction
+    assert got == trace(expected.coeffs, order)
 
 
 def test_trace_examples():
@@ -268,26 +264,44 @@ def test_trace_examples():
 
 
 def test_fused_dot_sums_to_non_rational_and_rational_values():
-    w = root_of_unity(12, 1)
-    dot = fused_dot([[w, w.invert()], [w, w], [Fraction(1, 36) * w.invert(), w]], 3)
-    assert dot(0, 1) == w * w + 1
-    assert not dot(0, 1).is_rational()
-    assert dot(0, 2).as_rational() == Fraction(37, 36)
+    # w at order 12 and its inverse w - w^3 (w^4 = w^2 - 1)
+    w, w_inv = [0, 1, 0, 0], [0, 1, 0, -1]
+    dot = fused_dot([[w, w_inv], [w, w], [w_inv, [0, 36, 0, 0]]], [1, 1, 36], 12, 3)
+    # w^2 + 1 is not rational; its trace is Tr(w^2) + phi = 2 + 4
+    assert dot(0, 1) == 6
+    # 1/36 + 1, whose trace is phi times itself
+    assert dot(0, 2) == 4 * Fraction(37, 36)
+    # 2 * w^2, w^2 a primitive sixth root of unity: 2 * mu(6) * phi(12) / phi(6)
+    assert dot(1, 1) == 4
 
 
-def test_fused_dot_refuses_bad_input():
-    w4, w8 = root_of_unity(4, 1), root_of_unity(8, 1)
-    with pytest.raises(OrderMismatchError):
-        fused_dot([[w4], [w8]], 2)
+def test_fused_dot_refuses_bad_input(monkeypatch):
+    w4, w8 = [0, 1], [0, 1, 0, 0]
+    # a coefficient list that is not phi(order) long, as an element of
+    # another field
+    with pytest.raises(ValueError, match="phi"):
+        fused_dot([[w4], [w8]], [1, 1], 4, 2)
     with pytest.raises(ValueError, match="same length"):
-        fused_dot([[w4], [w4, w4]], 2)
+        fused_dot([[w4], [w4, w4]], [1, 1], 4, 2)
     with pytest.raises(ValueError, match="at least one point"):
-        fused_dot([[], []], 2)
-    dot = fused_dot([[w4], [w4]], 2)
+        fused_dot([[], []], [1, 1], 4, 2)
+    with pytest.raises(ValueError, match="denominator"):
+        fused_dot([[w4], [w4]], [1], 4, 2)
+    with pytest.raises(ValueError, match="denominator"):
+        fused_dot([[w4], [w4]], [1, 0], 4, 2)
+    with pytest.raises(ValueError, match="arity"):
+        fused_dot([[w4], [w4]], [1, 1], 4, 0)
+    dot = fused_dot([[w4], [w4]], [1, 1], 4, 2)
     with pytest.raises(ValueError, match="1 to 2"):
         dot(0, 1, 1)
     with pytest.raises(ValueError, match="1 to 2"):
         dot()
+    # the slot guard: packed too narrowly, a sum of products spills over
+    # its top digit and is refused, not read as a wrong trace
+    monkeypatch.setattr(cyclotomic, "_dot_slot", lambda *args: 4)
+    dot = fused_dot([[[100, 0]], [[100, 0]]], [1, 1], 4, 2)
+    with pytest.raises(ArithmeticError, match="overflowed its slot"):
+        dot(0, 1)
 
 
 # Integer coefficients of Z[w]: zeros often, small values, and values far

@@ -103,26 +103,29 @@ def test_root_of_unity_matches_sympy(order, power):
 @st.composite
 def dot_cases(draw):
     order = draw(st.integers(1, 30))
+    phi = field_degree(order)
     points = draw(st.integers(1, 4))
-    vectors = draw(st.lists(st.lists(elements(order), min_size=points, max_size=points),
+    element = st.lists(ints, min_size=phi, max_size=phi)
+    vectors = draw(st.lists(st.lists(element, min_size=points, max_size=points),
                             min_size=1, max_size=3))
+    dens = draw(st.lists(st.integers(1, 40), min_size=len(vectors), max_size=len(vectors)))
     which = draw(st.lists(st.integers(0, len(vectors) - 1), min_size=3, max_size=3))
-    return order, vectors, which
+    return order, vectors, dens, which
 
 
 @settings(max_examples=25, deadline=None)
 @given(dot_cases())
 def test_fused_dot_of_arity_three_matches_sympy(case):
-    order, vectors, which = case
+    order, vectors, dens, which = case
     total = sympy.Poly(0, X, domain="QQ")
     for j in range(len(vectors[0])):
         term = sympy.Poly(1, X, domain="QQ")
         for i in which:
-            term = term * _poly(vectors[i][j].coeffs)
+            term = term * _poly([Fraction(c, dens[i]) for c in vectors[i][j]])
         total = total + term
-    got = fused_dot(vectors, 3)(*which)
-    assert got.order == order
-    assert list(got.coeffs) == _reduced(total, order)
+    got = fused_dot(vectors, dens, order, 3)(*which)
+    assert type(got) is Fraction
+    assert got == _sympy_trace(_reduced(total, order), order)
 
 
 def _sympy_inverse(coeffs, order: int) -> list[Fraction]:

@@ -3,12 +3,13 @@ its structure table, and the Frobenius-algebra trace route."""
 
 import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from ogq.cyclotomic import root_of_unity
+from ogq.cyclotomic import CycloNum, root_of_unity
 from ogq.partitions import InvalidPartitionError, all_strict, dual, rho, weight
 from ogq.quantum import (
     GWQuery,
@@ -381,6 +382,41 @@ def test_table_json_bytes_are_unchanged(n):
     assert hashlib.sha256(payload).hexdigest() == TABLE_SHA256[n]
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("max_d", [None, 0, 1])
+def test_table_bytes_equal_the_json_encoder(n, max_d):
+    doc = table_json_dict(n, max_d)
+    assert cli._table_bytes(doc) == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+
+
+def test_table_bytes_of_a_document_with_no_entries():
+    doc = {"schema": "ogq-table/1", "n": 9, "max_d": 0, "entries": []}
+    assert cli._table_bytes(doc) == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_structure_table_builds_no_cyclonum_once_the_points_are_warm(n, monkeypatch):
+    eval_points(n - 1)
+    built = []
+    original = CycloNum.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        original(self, *args, **kwargs)
+
+    structure_table.cache_clear()
+    monkeypatch.setattr(CycloNum, "__init__", counting_init)
+    assert structure_table(n)
+    assert built == []
+
+
+def test_negative_max_d_is_refused():
+    with pytest.raises(NegativeDegreeError, match="max_d"):
+        structure_table(3, -1)
+    with pytest.raises(NegativeDegreeError, match="max_d"):
+        table_json_dict(3, -1)
+
+
 def test_quantum_element_rendering():
     assert str(QuantumElement.zero()) == "0"
     assert str(QuantumElement.basis((), 1)) == "q*t[]"
@@ -410,17 +446,19 @@ def test_gw_float_path_tracks_exact_values():
 def test_staircase_table_matches_full_tables(n):
     staircase = rho(n - 1)
     points = quantum._staircase_table(n)
+    ptildes = quantum._staircase_ptilde(n)
     tabs = quantum._tables(n)
     floats = quantum._float_tables(n)
-    assert len(points) == len(tabs) == len(floats) == 2 ** (n - 1)
-    for ep, sp, tab, fvals in zip(eval_points(n - 1), points, tabs, floats):
+    assert len(points) == len(ptildes) == len(tabs) == len(floats) == 2 ** (n - 1)
+    for ep, sp, (ptilde, ptilde_c), tab, fvals in zip(eval_points(n - 1), points, ptildes,
+                                                      tabs, floats):
         assert sp.ep == ep
         assert list(sp.elem) == elementary_values(ep.point)
         # recomputed from the point itself, not from the cached values
         assert sp.schur_rho == schur_value(staircase, ep.point)
-        assert sp.ptilde_rho == ptilde_value(staircase, ep.point) == tab[staircase]
+        assert ptilde == ptilde_value(staircase, ep.point) == tab[staircase]
         assert sp.schur_rho_c == sp.schur_rho.embed_complex()
-        assert sp.ptilde_rho_c == fvals[staircase] == tab[staircase].embed_complex()
+        assert ptilde_c == fvals[staircase] == tab[staircase].embed_complex()
         assert fvals.keys() == tab.keys()
         for lam in all_strict(n - 1):
             assert tab[lam] == ptilde_value(lam, ep.point)
@@ -462,10 +500,11 @@ def test_evaluation_sum_float_path_refuses_an_integrand():
 
 def test_staircase_table_n7_matches_the_direct_evaluation():
     staircase = rho(6)
-    for ep, sp in zip(eval_points(6), quantum._staircase_table(7)):
+    for ep, sp, (ptilde, _c) in zip(eval_points(6), quantum._staircase_table(7),
+                                    quantum._staircase_ptilde(7)):
         assert sp.ep == ep
         assert sp.schur_rho == schur_value(staircase, ep.point)
-        assert sp.ptilde_rho == ptilde_value(staircase, ep.point)
+        assert ptilde == ptilde_value(staircase, ep.point)
 
 
 def test_schur_powers_read_the_staircase_table():
@@ -477,6 +516,25 @@ def test_schur_powers_read_the_staircase_table():
 def test_integer_schur_powers_equal_cyclonum_powers(n, exponent):
     points = quantum._staircase_table(n)
     assert quantum._schur_powers(n, exponent) == tuple(sp.schur_rho ** exponent for sp in points)
+
+
+def test_schur_powers_cache_evicts_past_its_bound():
+    bound = quantum._schur_powers.cache_info().maxsize
+    # the queries workload's 45 keys (n 2..6, exponents -1..7) all fit
+    assert bound >= 64
+    quantum._schur_powers.cache_clear()
+    try:
+        for exponent in range(bound + 1):
+            quantum._schur_powers(2, exponent)
+        info = quantum._schur_powers.cache_info()
+        assert (info.currsize, info.misses) == (bound, bound + 1)
+        quantum._schur_powers(2, bound)
+        assert quantum._schur_powers.cache_info().hits == 1
+        # the oldest key was evicted, so it is built again
+        quantum._schur_powers(2, 0)
+        assert quantum._schur_powers.cache_info().misses == bound + 2
+    finally:
+        quantum._schur_powers.cache_clear()
 
 
 @pytest.mark.parametrize("n", range(2, 8))
