@@ -1,17 +1,20 @@
 #!/usr/bin/env python3
 """Write quantum structure-constant tables as JSON into the cache directory.
 
-Same artifacts as `ogq table --n k` for each k, without echoing the entries.
-The default range n = 2..7 takes under half a second from a cold start; n = 8
-alone takes about 2 s, most of it the structure-constant sum over the orbit
+Runs `ogq table --n k` for each k and prints one summary line per table
+instead of the entries, so the files are the CLI's own.  The default range
+n = 2..7 takes under half a second from a cold start; n = 8 alone takes
+about 2 s, most of it the structure-constant sum over the orbit
 representatives of the evaluation points.
 """
 
 import argparse
+import contextlib
+import io
+import sys
 import time
 
-from ogq import quantum
-from ogq.cli import _resolve_cache_dir, _table_bytes
+from ogq import cli
 
 
 def main() -> None:
@@ -21,17 +24,17 @@ def main() -> None:
     parser.add_argument("--cache-dir", default=None)
     args = parser.parse_args()
 
-    cache_dir = _resolve_cache_dir(args.cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
+    where = ["--cache-dir", args.cache_dir] if args.cache_dir else []
     for n in range(args.min_n, args.max_n + 1):
         start = time.perf_counter()
-        doc = quantum.table_json_dict(n)
-        path = cache_dir / f"table-n{n}.json"
-        path.write_bytes(_table_bytes(doc))
-        print(
-            f"n={n}: {len(doc['entries'])} entries -> {path} "
-            f"({time.perf_counter() - start:.2f}s)"
-        )
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            status = cli.main(["table", "--n", str(n), *where])
+        if status:
+            sys.exit(status)
+        # the first line of the text output: "<count> entries -> <path>"
+        summary = out.getvalue().split("\n", 1)[0]
+        print(f"n={n}: {summary} ({time.perf_counter() - start:.2f}s)")
 
 
 if __name__ == "__main__":

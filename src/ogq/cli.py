@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 from . import counting, partitions, quantum, verify
@@ -253,7 +254,9 @@ def cmd_verify(args) -> int:
     return OK if not failures else VERIFY_FAIL
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args keeps no state in the parser.
     parser = _Parser(prog="ogq", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")

@@ -12,10 +12,14 @@ lives in the cyclotomic field of order 4m (the exponents j are half-integers
 when m is even, so doubled exponents are used throughout).
 
 The evaluation points are tuples of roots of unity, so the elementary values,
-S_rho and 2^len(lambda) * P~_lambda there all lie in Z[w].  The per-point
-tables are built in that integer arithmetic (symfunc's _int_* helpers on
-cyclotomic.int_mul) and turned into CycloNums once, at the table boundary;
-the public symfunc evaluators stay the independent oracle in the tests.
+S_rho and 2^len(lambda) * P~_lambda there all lie in Z[w].  One integer table
+(_point_table) holds them, built by symfunc's _int_* helpers on
+cyclotomic.int_mul: per row a weight, the e_i and S_rho, either at every point
+or at the orbit representatives below, with 2^m * P~_rho in a column of its
+own (_ptilde_rho).  The orbit route reads the ints; the full sum reads
+CycloNum views of them (the P~ tables, the S_rho powers, the P~_rho column)
+and, on the float path, their complex images.  The public symfunc evaluators
+stay the independent oracle in the tests.
 
 The sum is invariant under the affine maps J -> aJ + b of the doubled
 exponents mod 4m, a a unit and b even, whenever the summand's total degree
@@ -51,8 +55,7 @@ from . import partitions
 from .cyclotomic import (CycloNum, NotRationalError, field_degree, fused_dot, int_inverse, int_mul,
                          int_pow, root_of_unity, trace, zero)
 from .partitions import Partition
-from .symfunc import (AlphaPolynomial, _alpha_from_elem, _int_alpha, _int_elementary, _int_ptilde,
-                      _int_staircase_schur)
+from .symfunc import AlphaPolynomial, _int_alpha, _int_elementary, _int_ptilde, _int_staircase_schur
 
 
 class UnsupportedRankError(ValueError):
@@ -192,56 +195,17 @@ def degree_ok(query: GWQuery) -> bool:
     return admissible_degree(query.n, query.genus, query.insertions) == query.degree
 
 
-@dataclasses.dataclass(frozen=True)
-class _StaircasePoint:
-    """What every full point sum reads at one evaluation point: the
-    elementary values, the staircase Schur value S_rho and its complex image."""
-
-    ep: EvalPoint
-    elem: tuple[CycloNum, ...]
-    schur_rho: CycloNum
-    schur_rho_c: complex
-
-
 @lru_cache(maxsize=None)
-def _staircase_table(n: int) -> tuple[_StaircasePoint, ...]:
-    # The per-point base table, built in Z[w] and turned into CycloNums once.
-    m = n - 1
-    order = session_order(n)
-    out = []
-    for ep in eval_points(m):
-        xs = [x.int_coeffs() for x in ep.point]
-        elem = _int_elementary(xs, order)
-        schur = CycloNum.from_ints(order, _int_staircase_schur(xs, elem[m], order))
-        evals = tuple(CycloNum.from_ints(order, e) for e in elem)
-        out.append(_StaircasePoint(ep, evals, schur, schur.embed_complex()))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _staircase_ptilde(n: int) -> tuple[tuple[CycloNum, complex], ...]:
-    # P~_rho and its complex image per point, apart from _staircase_table so
-    # that a sum with no staircase insertion never runs the Pfaffian.
-    m = n - 1
-    order = session_order(n)
-    staircase = partitions.rho(m)
-    out = []
-    for sp in _staircase_table(n):
-        elem = [e.int_coeffs() for e in sp.elem]
-        value = CycloNum.from_ints(order, _int_ptilde(staircase, elem, order, {}), 2 ** m)
-        out.append((value, value.embed_complex()))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _orbit_table(n: int) -> tuple[tuple[int, list[list[int]], list[int]], ...]:
-    # Per orbit: its size, and the elementary values [e_0, ..., e_m] and
-    # S_rho at its representative, as Z[w] coefficient lists.
+def _point_table(n: int, orbits: bool) -> tuple[tuple[int, list[list[int]], list[int]], ...]:
+    # Per row, as Z[w] coefficient lists: its weight, the elementary values
+    # [e_0, ..., e_m] and S_rho, at every point (weight 1) or, with orbits, at
+    # the orbit representatives (weight |O|).  The one source of e and S_rho.
     m = n - 1
     order = session_order(n)
     points = eval_points(m)
+    rows = _orbits(m) if orbits else ((index, 1) for index in range(len(points)))
     out = []
-    for index, size in _orbits(m):
+    for index, size in rows:
         xs = [x.int_coeffs() for x in points[index].point]
         elem = _int_elementary(xs, order)
         out.append((size, elem, _int_staircase_schur(xs, elem[m], order)))
@@ -249,21 +213,20 @@ def _orbit_table(n: int) -> tuple[tuple[int, list[list[int]], list[int]], ...]:
 
 
 @lru_cache(maxsize=None)
-def _orbit_ptilde_rho(n: int) -> tuple[list[int], ...]:
-    # 2^m * P~_rho at each representative, for the staircase insertions of
-    # the counts; apart from _orbit_table, so that a count with no staircase
-    # insertion never runs the Pfaffian recursion.
+def _ptilde_rho(n: int, orbits: bool) -> tuple[list[int], ...]:
+    # 2^m * P~_rho per row of _point_table(n, orbits), apart from it so that a
+    # sum with no staircase insertion never runs the Pfaffian recursion.
     order = session_order(n)
     staircase = partitions.rho(n - 1)
-    return tuple(_int_ptilde(staircase, elem, order, {}) for _size, elem, _s in _orbit_table(n))
+    return tuple(_int_ptilde(staircase, elem, order, {}) for _w, elem, _s in _point_table(n, orbits))
 
 
 def orbit_sum(n: int, genus: int, insertions: tuple[Partition, ...] = (),
               q_poly: AlphaPolynomial | None = None) -> Fraction:
-    """evaluation_sum's exact value, summed over the affine orbits of the
-    evaluation points: (1/phi(4m)) * sum over the orbits O of |O| times the
-    trace of S_rho^(genus-1) * prod of P~_lam * Q(a_i = e_i/2) at O's
-    representative.
+    """The closed formula's exact sum over all evaluation points (with no
+    integrand, evaluation_sum's value), summed over their affine orbits:
+    (1/phi(4m)) * sum over the orbits O of |O| times the trace of
+    S_rho^(genus-1) * prod of P~_lam * Q(a_i = e_i/2) at O's representative.
 
     Every factor is taken in Z[w] over a power-of-two (and, at genus 0, a
     norm) denominator; the S_rho power, by far the largest factor at high
@@ -282,9 +245,9 @@ def orbit_sum(n: int, genus: int, insertions: tuple[Partition, ...] = (),
             f"summand of total degree {off[0]} at n = {n}: not divisible by 2m = {2 * m}, "
             "so the orbit sum does not apply")
     staircase = partitions.rho(m)
-    rho_values = _orbit_ptilde_rho(n) if staircase in insertions else None
+    rho_values = _ptilde_rho(n, True) if staircase in insertions else None
     total = Fraction(0)
-    for k, (size, elem, base) in enumerate(_orbit_table(n)):
+    for k, (size, elem, base) in enumerate(_point_table(n, True)):
         memo = {} if rho_values is None else {staircase: rho_values[k]}
         value, den = elem[0], 1
         for lam in insertions:
@@ -309,8 +272,7 @@ def _tables(n: int) -> tuple[dict[Partition, CycloNum], ...]:
     order = session_order(n)
     basis = partitions.all_strict(n - 1)
     out = []
-    for sp in _staircase_table(n):
-        elem = [e.int_coeffs() for e in sp.elem]
+    for _w, elem, _s in _point_table(n, False):
         memo: dict[Partition, list[int]] = {}
         out.append({
             lam: CycloNum.from_ints(order, _int_ptilde(lam, elem, order, memo), 2 ** len(lam))
@@ -327,8 +289,8 @@ def _schur_powers(n: int, exponent: int) -> tuple[CycloNum, ...]:
     # only the 64 most recently used (n, exponent) keys.
     order = session_order(n)
     out = []
-    for sp in _staircase_table(n):
-        base, den = sp.schur_rho.int_coeffs(), 1
+    for _w, _e, base in _point_table(n, False):
+        den = 1
         if exponent < 0:
             base, den = int_inverse(base, order)
         out.append(CycloNum.from_ints(order, int_pow(base, abs(exponent), order),
@@ -338,38 +300,46 @@ def _schur_powers(n: int, exponent: int) -> tuple[CycloNum, ...]:
 
 @lru_cache(maxsize=None)
 def _float_tables(n: int) -> tuple[dict[Partition, complex], ...]:
-    # Complex-double image of the cached P~ tables, for the float path; the
-    # image of S_rho is in the staircase table.
+    # Complex-double image of the cached P~ tables, for the float path.
     return tuple({lam: v.embed_complex() for lam, v in tab.items()} for tab in _tables(n))
 
 
-def evaluation_sum(n: int, genus: int, insertions: tuple[Partition, ...] = (),
-                   q_poly: AlphaPolynomial | None = None, exact: bool = True) -> CycloNum | complex:
-    """The closed formula's sum over the evaluation points of OG(n)_0:
-    S_rho^(genus-1) * prod of P~_lam over the insertions * Q(a_i = e_i/2).
+@lru_cache(maxsize=None)
+def _float_schur(n: int) -> tuple[complex, ...]:
+    # Complex-double image of S_rho at every point, for the float path.
+    order = session_order(n)
+    return tuple(CycloNum.from_ints(order, s).embed_complex() for _w, _e, s in _point_table(n, False))
 
-    A CycloNum when exact, otherwise its complex-double image, which takes
-    no integrand.  Staircase insertions are read from the staircase table,
-    so a sum with no other insertion never builds the full P~ tables.  Each
-    point multiplies its P~ and integrand factors first and the S_rho power,
-    by far the largest factor at high genus, last.
+
+@lru_cache(maxsize=None)
+def _staircase_column(n: int) -> tuple[tuple[CycloNum, ...], tuple[complex, ...]]:
+    # P~_rho at every point and its complex image: the staircase insertion's
+    # column in evaluation_sum, which never builds the full P~ tables.
+    order = session_order(n)
+    exact = tuple(CycloNum.from_ints(order, v, 2 ** (n - 1)) for v in _ptilde_rho(n, False))
+    return exact, tuple(v.embed_complex() for v in exact)
+
+
+def evaluation_sum(n: int, genus: int, insertions: tuple[Partition, ...] = (), *,
+                   exact: bool = True) -> CycloNum | complex:
+    """The closed formula's sum over the evaluation points of OG(n)_0:
+    S_rho^(genus-1) * prod of P~_lam over the insertions.
+
+    A CycloNum when exact, otherwise its complex-double image.  Each point
+    multiplies its P~ factors first and the S_rho power, by far the largest
+    factor at high genus, last.
     """
-    if q_poly is not None and not exact:
-        raise ValueError("the float path only evaluates the constant integrand")
-    points = _staircase_table(n)
     staircase = partitions.rho(n - 1)
     columns = []
     for lam in insertions:
         if lam == staircase:
-            columns.append([pair[0 if exact else 1] for pair in _staircase_ptilde(n)])
+            columns.append(_staircase_column(n)[0 if exact else 1])
         else:
             columns.append([tab[lam] for tab in (_tables(n) if exact else _float_tables(n))])
-    if q_poly is not None:
-        columns.append([_alpha_from_elem(q_poly, sp.elem) for sp in points])
     if exact:
         spows = _schur_powers(n, genus - 1)
     else:
-        spows = [sp.schur_rho_c ** (genus - 1) for sp in points]
+        spows = [s ** (genus - 1) for s in _float_schur(n)]
     terms = (reduce(operator.mul, row) for row in zip(*columns, spows))
     return sum(terms, zero(session_order(n)) if exact else 0j)
 
@@ -470,7 +440,7 @@ def _structure_table(n: int) -> tuple[TableEntry, ...]:
     basis = partitions.all_strict(m)
     vectors: list[list[list[int]]] = [[] for _ in range(len(basis) + 1)]
     inverses = []
-    for size, elem, schur_rho in _orbit_table(n):
+    for size, elem, schur_rho in _point_table(n, True):
         inv, den = int_inverse(schur_rho, order)
         # lowest terms keep the common denominator, hence the slot, small
         g = math.gcd(den, *(size * c for c in inv))

@@ -1,10 +1,16 @@
 """The command line, run in process through cli.main."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from ogq import cli, counting, verify
+from ogq import cli, counting, quantum, verify
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(argv, capsys):
@@ -293,6 +299,51 @@ def test_table_honors_env_cache_dir(tmp_path, monkeypatch, capsys):
     code, _, _ = run(["table", "--n", "2", "--cache-dir", str(flag_dir)], capsys)
     assert code == 0
     assert (flag_dir / "table-n2.json").exists()
+
+
+def test_one_parser_serves_every_call_as_a_fresh_one_would(tmp_path, capsys):
+    # good calls with bad-argument calls (exit 2) between them, and a flag
+    # that must not carry over to the next call
+    calls = [
+        ["gw", "--n", "2", "--g", "0", "--d", "1", "--insertions", "1;1;1"],
+        ["count", "--g", "3", "--rank", "4", "--ell", "0", "--mode", "float", "--format", "json"],
+        ["gw", "--n", "2"],
+        ["count", "--g", "3", "--rank", "4", "--ell", "0", "--format", "json"],
+        ["bogus"],
+        ["qmul", "--n", "3", "--a", "2", "--b", "2"],
+        ["table", "--n", "3", "--cache-dir", str(tmp_path)],
+        ["count", "--g", "3", "--rank", "4", "--ell", "0"],
+    ]
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run(argv, capsys))
+    assert [code for code, _out, _err in fresh] == [0, 0, 2, 0, 2, 0, 0, 0]
+    cli.build_parser.cache_clear()
+    assert [run(argv, capsys) for argv in calls] == fresh
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(calls) - 1)
+
+
+def test_build_tables_script_writes_the_cli_artifacts(tmp_path, capsys):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                                  os.environ.get("PYTHONPATH")])))
+    script = tmp_path / "script"
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "build_tables.py"), "--max-n", "4",
+         "--cache-dir", str(script)],
+        capture_output=True, text=True, env=env, timeout=120, check=True)
+    lines = done.stdout.splitlines()
+    assert len(lines) == 3
+    for n, line in zip(range(2, 5), lines):
+        path = script / f"table-n{n}.json"
+        entries = len(quantum.table_json_dict(n)["entries"])
+        assert line.startswith(f"n={n}: {entries} entries -> {path} (")
+        # the bytes `ogq table` writes, and the layout they always had
+        direct = tmp_path / "direct"
+        assert run(["table", "--n", str(n), "--cache-dir", str(direct)], capsys)[0] == 0
+        expected = json.dumps(quantum.table_json_dict(n), indent=2, sort_keys=True) + "\n"
+        assert path.read_bytes() == (direct / path.name).read_bytes() == expected.encode()
 
 
 def test_table_io_failure_exits_4(tmp_path, capsys):

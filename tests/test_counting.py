@@ -384,7 +384,8 @@ def test_float_count_with_no_staircase_insertion_runs_no_pfaffian(monkeypatch):
     # rank 16, ell 0: the plan has staircase power 0, so the float route
     # reads S_rho at every point and never P~_rho
     assert counting._count_even_plan(3, 8, 0)[2] == 0
-    quantum._staircase_ptilde.cache_clear()
+    quantum._ptilde_rho.cache_clear()
+    quantum._staircase_column.cache_clear()
 
     def refuse(*args):
         raise AssertionError("the Pfaffian recursion ran")
@@ -392,18 +393,26 @@ def test_float_count_with_no_staircase_insertion_runs_no_pfaffian(monkeypatch):
     for module in (symfunc, quantum):
         monkeypatch.setattr(module, "_int_ptilde", refuse)
     assert count_float(3, 16, 0) == pytest.approx(count(3, 16, 0).value, rel=1e-9)
-    assert quantum._staircase_ptilde.cache_info().currsize == 0
+    assert quantum._ptilde_rho.cache_info().currsize == 0
+    assert quantum._staircase_column.cache_info().currsize == 0
 
 
-def test_counting_sums_never_build_the_full_tables():
+def test_counting_sums_never_build_the_full_tables(monkeypatch):
     quantum._tables.cache_clear()
-    quantum._staircase_table.cache_clear()
-    # the exact routes read the orbit representatives only
+    keys = {"_point_table": set(), "_ptilde_rho": set()}
+    for name in keys:
+        def recording(*args, real=getattr(quantum, name), name=name):
+            keys[name].add(args)
+            return real(*args)
+
+        monkeypatch.setattr(quantum, name, recording)
+    # the exact routes read the orbit representatives only: neither the full
+    # point rows nor the full P~_rho column is asked for
     exact = count(3, 14, 0).value
     assert n_tilde(NQuery(2, 3, 0, -4, 0, ptilde_alpha((2,), 2) * ptilde_alpha((2, 1), 2))) == 16
     assert n_tilde(NQuery(300, 4, 0, -598)) > 0
     assert quantum._tables.cache_info().currsize == 0
-    assert quantum._staircase_table.cache_info().currsize == 0
+    assert keys == {"_point_table": {(7, True), (3, True), (4, True)}, "_ptilde_rho": {(7, True)}}
     assert abs(count_float(3, 14, 0) - exact) <= 1e-6 * exact
     # Gromov-Witten invariants whose insertions are all staircase classes
     assert trivial_bundle_number(3, 4, -14, 5, []) == trivial_bundle_number(3, 4, -6, 1, []) == 832

@@ -1,7 +1,8 @@
 """Source guards on the ogq package.
 
-counting, verify and cli use only the public names of the other ogq
-modules: a helper one of them needs belongs in that module's public API.
+counting, verify, cli and the scripts use only the public names of the
+other ogq modules: a helper one of them needs belongs in that module's
+public API.
 No module holds an assert statement, so every invariant survives `python -O`."""
 
 import ast
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ogq"
+SCRIPTS = SRC.parent.parent / "scripts"
 PACKAGE = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
 
 
@@ -60,16 +62,22 @@ def test_uses_no_private_name_of_another_ogq_module(name):
     assert foreign_private_uses(name) == []
 
 
+@pytest.mark.parametrize("path", sorted(SCRIPTS.glob("*.py")), ids=lambda path: path.name)
+def test_scripts_use_no_private_ogq_name(path):
+    assert foreign_private_uses(path.stem, path.parent) == []
+
+
 def test_the_guard_sees_both_kinds_of_private_use(tmp_path):
     (tmp_path / "probe.py").write_text(
         "from . import quantum\n"
         "from .symfunc import _alpha_from_elem, alpha_evaluate\n"
         "from .probe import _own\n"
+        "from ogq.cli import _table_bytes, main\n"
         "def f(n):\n"
-        "    return quantum._staircase_table(n), quantum.eval_points, quantum.__name__\n"
+        "    return quantum._point_table(n, True), quantum.eval_points, quantum.__name__\n"
     )
     assert sorted(foreign_private_uses("probe", tmp_path)) == [
-        "quantum._staircase_table", "symfunc._alpha_from_elem"]
+        "cli._table_bytes", "quantum._point_table", "symfunc._alpha_from_elem"]
 
 
 def assert_statements(path: Path) -> list[int]:

@@ -1,5 +1,7 @@
-"""The affine orbits of the evaluation points and the exact orbit sum, against
-the sum over all 2^m points (quantum.evaluation_sum)."""
+"""The affine orbits of the evaluation points, the one integer point table at
+every point and at the orbit representatives, and the exact orbit sum, against
+the sum over all 2^m points (quantum.evaluation_sum, and the symfunc oracle
+for integrands)."""
 
 import math
 import random
@@ -73,7 +75,7 @@ def test_orbit_sum_equals_the_point_sum(n):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_orbit_sum_with_a_ptilde_integrand_equals_the_point_sum(n):
+def test_orbit_sum_with_a_ptilde_integrand_equals_the_point_sum(n, full_point_sum):
     rng = random.Random(10 + n)
     m = n - 1
     basis = all_strict(m)
@@ -87,7 +89,7 @@ def test_orbit_sum_with_a_ptilde_integrand_equals_the_point_sum(n):
             q_poly = q_poly * ptilde_alpha(lam, m) * Fraction(rng.randint(1, 5), rng.randint(1, 3))
         if not q_poly or not _admissible(n, genus, insertions + tuple(factors)):
             continue
-        full = quantum.evaluation_sum(n, genus, insertions, q_poly).as_rational()
+        full = full_point_sum(n, genus, insertions, q_poly).as_rational()
         assert orbit_sum(n, genus, insertions, q_poly) == full, (genus, insertions, factors)
         checked += 1
 
@@ -107,3 +109,20 @@ def test_orbit_sum_refuses_an_off_weight_summand():
 
 def test_orbit_sum_of_the_zero_integrand_is_zero():
     assert orbit_sum(3, 1, (), AlphaPolynomial(())) == 0
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_orbit_rows_are_the_full_rows_at_the_representatives(n):
+    m = n - 1
+    orbits = quantum._orbits(m)
+    full = quantum._point_table(n, False)
+    rows = quantum._point_table(n, True)
+    assert len(full) == 2 ** m and all(weight == 1 for weight, _e, _s in full)
+    assert len(rows) == len(orbits)
+    assert sum(weight for weight, _e, _s in rows) == 2 ** m
+    for (index, size), (weight, elem, schur) in zip(orbits, rows):
+        assert weight == size
+        assert (elem, schur) == full[index][1:]
+    full_rho = quantum._ptilde_rho(n, False)
+    assert len(full_rho) == 2 ** m
+    assert list(quantum._ptilde_rho(n, True)) == [full_rho[index] for index, _size in orbits]

@@ -33,7 +33,7 @@ from ogq.quantum import (
     trace_invariant,
 )
 from ogq import cli, quantum, verify
-from ogq.symfunc import AlphaPolynomial, elementary_values, ptilde_alpha, ptilde_value, schur_value
+from ogq.symfunc import elementary_values, ptilde_alpha, ptilde_value, schur_value
 
 
 def test_session_order():
@@ -445,19 +445,23 @@ def test_gw_float_path_tracks_exact_values():
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_staircase_table_matches_full_tables(n):
     staircase = rho(n - 1)
-    points = quantum._staircase_table(n)
-    ptildes = quantum._staircase_ptilde(n)
+    order = session_order(n)
+    rows = quantum._point_table(n, False)
+    ptildes, ptildes_c = quantum._staircase_column(n)
+    schurs_c = quantum._float_schur(n)
     tabs = quantum._tables(n)
     floats = quantum._float_tables(n)
-    assert len(points) == len(ptildes) == len(tabs) == len(floats) == 2 ** (n - 1)
-    for ep, sp, (ptilde, ptilde_c), tab, fvals in zip(eval_points(n - 1), points, ptildes,
-                                                      tabs, floats):
-        assert sp.ep == ep
-        assert list(sp.elem) == elementary_values(ep.point)
+    assert len(rows) == len(ptildes) == len(ptildes_c) == len(schurs_c) == 2 ** (n - 1)
+    assert len(tabs) == len(floats) == 2 ** (n - 1)
+    for ep, (weight, elem, schur), ptilde, ptilde_c, schur_c, tab, fvals in zip(
+            eval_points(n - 1), rows, ptildes, ptildes_c, schurs_c, tabs, floats):
+        assert weight == 1
+        assert [CycloNum.from_ints(order, e) for e in elem] == elementary_values(ep.point)
         # recomputed from the point itself, not from the cached values
-        assert sp.schur_rho == schur_value(staircase, ep.point)
+        schur_rho = CycloNum.from_ints(order, schur)
+        assert schur_rho == schur_value(staircase, ep.point)
         assert ptilde == ptilde_value(staircase, ep.point) == tab[staircase]
-        assert sp.schur_rho_c == sp.schur_rho.embed_complex()
+        assert schur_c == schur_rho.embed_complex()
         assert ptilde_c == fvals[staircase] == tab[staircase].embed_complex()
         assert fvals.keys() == tab.keys()
         for lam in all_strict(n - 1):
@@ -481,41 +485,38 @@ def test_evaluation_sum_float_is_the_image_of_the_exact_sum(n):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_evaluation_sum_integrand_equals_the_insertion(n):
+def test_evaluation_sum_integrand_equals_the_insertion(n, full_point_sum):
     # P~_lam written in the a_i and evaluated per point is P~_lam itself
     m = n - 1
     for lam in all_strict(m):
         for genus in (0, 2):
-            assert quantum.evaluation_sum(n, genus, (lam, rho(m))) == quantum.evaluation_sum(
+            assert quantum.evaluation_sum(n, genus, (lam, rho(m))) == full_point_sum(
                 n, genus, (rho(m),), ptilde_alpha(lam, m)
             )
 
 
-def test_evaluation_sum_float_path_refuses_an_integrand():
-    with pytest.raises(ValueError, match="constant integrand"):
-        quantum.evaluation_sum(3, 1, (), AlphaPolynomial.one(), exact=False)
-    with pytest.raises(ValueError, match="constant integrand"):
-        quantum.evaluation_sum(2, 0, ((1,),), ptilde_alpha((1,), 1), exact=False)
-
-
 def test_staircase_table_n7_matches_the_direct_evaluation():
     staircase = rho(6)
-    for ep, sp, (ptilde, _c) in zip(eval_points(6), quantum._staircase_table(7),
-                                    quantum._staircase_ptilde(7)):
-        assert sp.ep == ep
-        assert sp.schur_rho == schur_value(staircase, ep.point)
+    rows = quantum._point_table(7, False)
+    ptildes, _c = quantum._staircase_column(7)
+    assert len(rows) == len(ptildes) == len(eval_points(6))
+    for ep, (_w, _e, schur), ptilde in zip(eval_points(6), rows, ptildes):
+        assert CycloNum.from_ints(session_order(7), schur) == schur_value(staircase, ep.point)
         assert ptilde == ptilde_value(staircase, ep.point)
 
 
+def _schur_values(n):
+    order = session_order(n)
+    return [CycloNum.from_ints(order, s) for _w, _e, s in quantum._point_table(n, False)]
+
+
 def test_schur_powers_read_the_staircase_table():
-    points = quantum._staircase_table(4)
-    assert quantum._schur_powers(4, 3) == tuple(sp.schur_rho ** 3 for sp in points)
+    assert quantum._schur_powers(4, 3) == tuple(s ** 3 for s in _schur_values(4))
 
 
 @pytest.mark.parametrize("n,exponent", [(2, 0), (3, -1), (4, -2), (5, 1), (5, 17), (6, 40)])
 def test_integer_schur_powers_equal_cyclonum_powers(n, exponent):
-    points = quantum._staircase_table(n)
-    assert quantum._schur_powers(n, exponent) == tuple(sp.schur_rho ** exponent for sp in points)
+    assert quantum._schur_powers(n, exponent) == tuple(s ** exponent for s in _schur_values(n))
 
 
 def test_schur_powers_cache_evicts_past_its_bound():
