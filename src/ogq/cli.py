@@ -6,7 +6,7 @@ back), qmul (product of two Schubert classes), ntilde (arbitrary-bundle
 intersection number), verify (self-check suites).
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input, 3 the query
-is not applicable or not covered, 4 I/O failure.
+is not applicable or not covered (a table past n = 9), 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -147,23 +147,28 @@ def _resolve_cache_dir(arg: str | None) -> Path:
     return Path.home() / ".cache" / "ogq"
 
 
-def _table_bytes(doc: dict) -> bytes:
-    # json.dumps(doc, indent=2, sort_keys=True) + "\n", byte for byte, with
-    # the entries laid out here: json's C encoder serves only indent=None.
-    enc = json.encoder.encode_basestring_ascii
-    entries = ",\n".join(
-        f'    {{\n      "c": {enc(e["c"])},\n      "d": {e["d"]},\n      "lambda": '
-        f'{enc(e["lambda"])},\n      "mu": {enc(e["mu"])},\n      "nu": {enc(e["nu"])}\n    }}'
-        for e in doc["entries"])
+def _table_bytes(n: int, max_d: int | None, rows) -> bytes:
+    # json.dumps(quantum.table_json_dict(n, max_d), indent=2, sort_keys=True) + "\n"
+    # byte for byte, from the rows: json's C encoder serves only indent=None.
+    label = [f'"{partitions.format_partition(lam)}"' for lam in partitions.all_strict(n - 1)]
+    entries = ",\n".join([
+        f'    {{\n      "c": "{c}",\n      "d": {d},\n      "lambda": {label[i]},\n      '
+        f'"mu": {label[j]},\n      "nu": {label[k]}\n    }}'
+        for i, j, d, k, c in rows])
     listed = f"[\n{entries}\n  ]" if entries else "[]"
-    fields = (f"  {enc(key)}: {listed if key == 'entries' else json.dumps(doc[key])}"
-              for key in sorted(doc))
-    return ("{\n" + ",\n".join(fields) + "\n}\n").encode()
+    return (f'{{\n  "entries": {listed},\n  "max_d": {json.dumps(max_d)},\n  "n": {n},\n'
+            f'  "schema": "ogq-table/1"\n}}\n').encode()
+
+
+TABLE_MAX_N = 9  # the basis budget, 2^(n-1) <= 256 classes: the table grows as their cube
 
 
 def cmd_table(args) -> int:
-    doc = quantum.table_json_dict(args.n, args.max_d)
-    payload = _table_bytes(doc)
+    if args.n > TABLE_MAX_N:  # refused before a point is built
+        _emit_error("not_applicable", f"n = {args.n} is past the table budget of 2^(n-1) <= 256 classes")
+        return NOT_APPLICABLE
+    rows = quantum.table_rows(args.n, args.max_d)
+    payload = _table_bytes(args.n, args.max_d, rows)
     cache_dir = _resolve_cache_dir(args.cache_dir)
     suffix = f"-maxd{args.max_d}" if args.max_d is not None else ""
     path = cache_dir / f"table-n{args.n}{suffix}.json"
@@ -176,11 +181,11 @@ def cmd_table(args) -> int:
     if args.format == "json":
         sys.stdout.write(payload.decode())
     else:
-        print(f"{len(doc['entries'])} entries -> {path}")
-        for e in doc["entries"]:
-            q = "" if e["d"] == 0 else ("q*" if e["d"] == 1 else f"q^{e['d']}*")
-            c = "" if e["c"] == "1" else f"{e['c']}*"
-            print(f"t[{e['lambda']}] * t[{e['mu']}] += {c}{q}t[{e['nu']}]")
+        label = [partitions.format_partition(lam) for lam in partitions.all_strict(args.n - 1)]
+        print(f"{len(rows)} entries -> {path}")
+        for i, j, d, k, c in rows:
+            q = "" if d == 0 else ("q*" if d == 1 else f"q^{d}*")
+            print(f"t[{label[i]}] * t[{label[j]}] += {'' if c == 1 else f'{c}*'}{q}t[{label[k]}]")
     return OK
 
 

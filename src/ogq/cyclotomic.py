@@ -389,12 +389,12 @@ def root_of_unity(order: int, power: int = 1) -> CycloNum:
     return CycloNum(order, tuple(_reduce(coeffs, order)))
 
 
-def _dot_slot(points: int, phi: int, arity: int, top: int) -> int:
-    # A coefficient of a sum of `arity`-fold products of phi terms up to top
-    # is at most the bound; the trace pairing multiplies it by at most phi
-    # times the number of digits; one bit more holds the sign.
-    bound = points * phi ** (arity - 1) * top ** arity
-    return ((arity * (phi - 1) + 1) * phi * bound).bit_length() + 1
+def _dot_slot(points: int, phi: int, fold: int, arity: int, top: int) -> int:
+    # A digit of a folded product of arity - 1 lists of entries up to top is
+    # at most lead, of a trace dual phi^2 * top, and a digit of a dot sums
+    # points * fold products of the two; two bits hold sign and rounding.
+    lead = arity * phi ** (arity - 1) * top ** (arity - 1)
+    return (points * fold * lead * phi * phi * top).bit_length() + 2
 
 
 def fused_dot(vectors: Sequence[Sequence[Sequence[int]]], dens: Sequence[int], order: int,
@@ -408,12 +408,14 @@ def fused_dot(vectors: Sequence[Sequence[Sequence[int]]], dens: Sequence[int], o
     over dens[i] * dens[j] * ....
 
     Each coefficient list is packed into one int, sum c_k * 2^(slot*k), so a
-    product of packed ints is the packed unreduced product and a dot is one
-    integer multiply-and-add per point.  Its trace, sum c_k * c_order(k)
-    with c the Ramanujan sums, holds on the unreduced digits, so nothing is
-    reduced mod Phi: one more multiply, by the Ramanujan sums packed in
-    reverse, gathers it into one signed digit.  The slot is sized so that no
-    digit reaches it, which keeps every dot exact.
+    product of packed ints is the packed unreduced product.  The product f of
+    all but the last index, folded below w^fold = -+1 (fold = order/2 at even
+    order, else order) by one remainder, is kept while the calls repeat those
+    indices.  Tr(f * x) = sum_k f_k * t_k, where t_k = sum_l x_l * c(k + l)
+    is the trace dual of the last index's x (c the Ramanujan sums), packed in
+    reverse.  So a dot is one multiply per point and its trace one signed
+    digit, with nothing reduced mod Phi.  The slot is sized so that no digit
+    reaches it.
     """
     if arity < 1:
         raise ValueError("arity must be >= 1")
@@ -429,28 +431,37 @@ def fused_dot(vectors: Sequence[Sequence[Sequence[int]]], dens: Sequence[int], o
     if any(len(x) != phi for vec in vectors for x in vec):
         raise ValueError(f"every coefficient list needs phi({order}) = {phi} entries")
     top = max(abs(c) for vec in vectors for x in vec for c in x)
-    slot = _dot_slot(points, phi, arity, top)
+    fold = order // 2 if order % 2 == 0 else order
+    slot = _dot_slot(points, phi, fold, arity, top)
     packed = [[sum(c << slot * k for k, c in enumerate(x)) for x in vec] for vec in vectors]
-    # A k-fold product has the coefficients c_0..c_K, K = k * (phi - 1);
-    # times sum_j c_order(j) * 2^(slot*(K-j)), its digit K is the trace.
-    sums = _ramanujan_sums(order)
-    pairings = [sum(sums[j % order] << slot * (k * (phi - 1) - j) for j in range(k * (phi - 1) + 1))
-                for k in range(arity + 1)]
-    mask, half = (1 << slot) - 1, 1 << (slot - 1)
+    # x times the Ramanujan sums packed in reverse holds t_k at digit span - k;
+    # residues within half of 0 mod block (the dual) or modulus (a fold) are exact.
+    sums, span, low = _ramanujan_sums(order), fold + phi - 2, slot * (phi - 1)
+    pairing = sum(sums[j % order] << slot * (span - j) for j in range(span + 1))
+    block, half = 1 << slot * fold, 1 << slot * fold - 1
+    duals = [[((x * pairing + (1 << low >> 1) >> low) + half) % block - half for x in vec] for vec in packed]
+    modulus = block + (1 if order % 2 == 0 else -1)
+    shift, mask, limit = slot * (fold - 1), (1 << slot) - 1, slot * (2 * fold - 1)
+    lead, folded, lead_den = (), [1] * points, 1  # the last call's leading indices, their fold, den
 
     def dot(*which: int) -> Fraction:
+        nonlocal lead, folded, lead_den
         if not 1 <= len(which) <= arity:
             raise ValueError(f"a dot takes 1 to {arity} vectors, got {len(which)}")
-        total = sum(map(math.prod, zip(*(packed[i] for i in which))))
-        shift = slot * len(which) * (phi - 1)
-        if abs(total).bit_length() >= shift + slot:
+        if which[:-1] != lead:
+            lead = which[:-1]
+            folded = [(math.prod(xs) + half) % modulus - half
+                      for xs in zip(*map(packed.__getitem__, lead))] or [1] * points
+            lead_den = math.prod(map(dens.__getitem__, lead))
+        total = sum(map(int.__mul__, folded, duals[which[-1]]))
+        if abs(total).bit_length() >= limit:
             raise ArithmeticError("packed sum overflowed its slot")
-        # Rounding at digit K drops the digits below it, which sum to less
-        # than half of one unit there.
-        tr = ((total * pairings[len(which)] + (1 << shift >> 1)) >> shift) & mask
-        if tr >= half:
+        # Rounding at digit fold - 1 drops the digits below it, which sum to
+        # less than half of one unit there.
+        tr = (total + (1 << shift >> 1) >> shift) & mask
+        if tr > mask >> 1:
             tr -= mask + 1
-        return Fraction(tr, math.prod(dens[i] for i in which))
+        return Fraction(tr, lead_den * dens[which[-1]])
 
     return dot
 

@@ -31,8 +31,10 @@ of O), a few traces where there are 2^m points (4 orbits for 64 points at
 n = 7).  orbit_sum carries that exact route, on integer Z[w] values at the
 representatives: the subbundle counts and n_tilde in counting (which add an
 integrand in the halved elementary classes) and the structure table, whose
-genus-0 three-point numbers are each the trace of one fused dot over
-integer vectors, with no CycloNum built.
+genus-0 three-point numbers are each the trace of one fused dot over integer
+vectors, one per unordered index triple of admissible weight, in an order
+that lets the dot keep the product of the first two insertions.  It is kept
+as index rows (table_rows); structure_table builds TableEntry objects.
 
 evaluation_sum keeps the sum over all 2^m points, exact or through the
 complex embedding.  It carries the invariants here (gw_invariant, hence
@@ -44,6 +46,7 @@ invariant, used to cross-check the direct sum.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import itertools
 import math
@@ -421,20 +424,36 @@ def structure_table(n: int, max_d: int | None = None) -> tuple[TableEntry, ...]:
     genus-0 three-point number against the dual of nu and the admissible d
     satisfy |nu| = |lam| + |mu| - 2(n-1)d.
     """
-    if n < 2:
-        raise UnsupportedRankError(f"n must be >= 2, got {n}")
     if max_d is not None and max_d < 0:
         raise NegativeDegreeError(f"max_d must be >= 0, got {max_d}")
-    full = _structure_table(n)
+    full = _table_entries(n)
     return full if max_d is None else tuple(e for e in full if e.d <= max_d)
 
 
+def table_rows(n: int, max_d: int | None = None) -> tuple[tuple[int, int, int, int, int], ...]:
+    """structure_table(n, max_d) as rows (i, j, d, k, c) of indices into
+    partitions.all_strict(n - 1), so c^{basis[k],d}_{basis[i],basis[j]} = c."""
+    if max_d is not None and max_d < 0:
+        raise NegativeDegreeError(f"max_d must be >= 0, got {max_d}")
+    full = _structure_table(n)
+    return full if max_d is None else tuple(row for row in full if row[2] <= max_d)
+
+
 @lru_cache(maxsize=None)
-def _structure_table(n: int) -> tuple[TableEntry, ...]:
+def _table_entries(n: int) -> tuple[TableEntry, ...]:
+    rows = _structure_table(n)  # first: it refuses n < 2
+    basis = partitions.all_strict(n - 1)
+    return tuple(TableEntry(basis[i], basis[j], basis[k], d, c) for i, j, d, k, c in rows)
+
+
+@lru_cache(maxsize=None)
+def _structure_table(n: int) -> tuple[tuple[int, int, int, int, int], ...]:
     # orbit_sum at genus 0, fused on Z[w] ints at the representatives:
     # vector 0 is |O| * S_rho^-1 = |O| * b / den (int_inverse), vector i+1 is
     # 2^len * P~ of basis[i] over 2^len; a three-point number is 4^d / phi
     # times the trace that one dot returns.
+    if n < 2:
+        raise UnsupportedRankError(f"n must be >= 2, got {n}")
     m = n - 1
     order = session_order(n)
     basis = partitions.all_strict(m)
@@ -453,51 +472,51 @@ def _structure_table(n: int) -> tuple[TableEntry, ...]:
     dot = fused_dot(vectors, [common] + [2 ** len(lam) for lam in basis], order, arity=4)
     phi = field_degree(order)
     weights = [partitions.weight(lam) for lam in basis]
+    by_weight = {w: [c for c, x in enumerate(weights) if x == w] for w in set(weights)}
     duals = [basis.index(partitions.dual(lam, m)) for lam in basis]
+    top = m * (m + 1) // 2
     # The three-point number is symmetric in its insertions: sum each
-    # unordered triple once and emit it for every distinct ordering; basis is
-    # sorted, so rows of indices sort as the entries do.
+    # unordered triple a <= b <= c of weight top + 2md once, in (a, b) order so
+    # that dot keeps the product of vectors 0, a and b, and emit it for every
+    # distinct ordering; basis is sorted, so rows of indices sort as entries.
     rows = []
-    for a, b, c in itertools.combinations_with_replacement(range(len(basis)), 3):
-        excess = weights[a] + weights[b] + weights[c] - m * (m + 1) // 2
-        if excess < 0 or excess % (2 * m):
-            continue
-        d = excess // (2 * m)
-        value = dot(0, a + 1, b + 1, c + 1)
-        count, rest = divmod(value.numerator << 2 * d, value.denominator * phi)
-        if rest or count < 0:
-            _as_count(value * 4 ** d / phi, f"three-point {basis[a], basis[b], basis[c]}")
-        if count:
-            rows += {(i, j, d, duals[k], count) for i, j, k in itertools.permutations((a, b, c))}
+    for a, b in itertools.combinations_with_replacement(range(len(basis)), 2):
+        pair = weights[a] + weights[b]
+        for d in range(pair // (2 * m) + 1):
+            ends = by_weight.get(top + 2 * m * d - pair, ())
+            for c in ends[bisect.bisect_left(ends, b):]:
+                value = dot(0, a + 1, b + 1, c + 1)
+                count, rest = divmod(value.numerator << 2 * d, value.denominator * phi)
+                if rest or count < 0:
+                    _as_count(value * 4 ** d / phi, f"three-point {basis[a], basis[b], basis[c]}")
+                if count:
+                    rows += {(i, j, d, duals[k], count) for i, j, k in itertools.permutations((a, b, c))}
     rows.sort()
-    return tuple(TableEntry(basis[i], basis[j], basis[k], d, count) for i, j, d, k, count in rows)
+    return tuple(rows)
 
 
-# The one cache behind every spelling of a structure_table call, keyed by n.
-structure_table.cache_info = _structure_table.cache_info
-structure_table.cache_clear = _structure_table.cache_clear
+# The one cache behind every spelling of a structure_table call, keyed by n;
+# clearing it also clears the rows it is built from.
+structure_table.cache_info = _table_entries.cache_info
+structure_table.cache_clear = lambda: _table_entries.cache_clear() or _structure_table.cache_clear()
 
 
 def table_json_dict(n: int, max_d: int | None = None) -> dict:
     """JSON-ready structure table; coefficients as decimal strings."""
-    entries = structure_table(n, max_d)
-    label = {lam: partitions.format_partition(lam) for lam in partitions.all_strict(n - 1)}
-    return {
-        "schema": "ogq-table/1",
-        "n": n,
-        "max_d": max_d,
-        "entries": [
-            {"lambda": label[e.lam], "mu": label[e.mu], "nu": label[e.nu], "d": e.d, "c": str(e.c)}
-            for e in entries
-        ],
-    }
+    rows = table_rows(n, max_d)
+    label = [partitions.format_partition(lam) for lam in partitions.all_strict(n - 1)]
+    entries = [{"lambda": label[i], "mu": label[j], "nu": label[k], "d": d, "c": str(c)}
+               for i, j, d, k, c in rows]
+    return {"schema": "ogq-table/1", "n": n, "max_d": max_d, "entries": entries}
 
 
 @lru_cache(maxsize=None)
 def _product_lookup(n: int) -> dict:
-    lookup: dict[tuple[Partition, Partition], list[TableEntry]] = {}
-    for e in structure_table(n):
-        lookup.setdefault((e.lam, e.mu), []).append(e)
+    # (lam, mu) -> [(nu, d, c), ...]
+    basis = partitions.all_strict(n - 1)
+    lookup: dict[tuple[Partition, Partition], list[tuple[Partition, int, int]]] = {}
+    for i, j, d, k, c in table_rows(n):
+        lookup.setdefault((basis[i], basis[j]), []).append((basis[k], d, c))
     return lookup
 
 
@@ -563,9 +582,9 @@ def quantum_product(n: int, a: QuantumElement, b: QuantumElement) -> QuantumElem
     data: dict[tuple[Partition, int], Fraction] = {}
     for (lam, da), ca in a.terms.items():
         for (mu, db), cb in b.terms.items():
-            for e in lookup.get((lam, mu), ()):
-                key = (e.nu, e.d + da + db)
-                data[key] = data.get(key, Fraction(0)) + ca * cb * e.c
+            for nu, d, c in lookup.get((lam, mu), ()):
+                key = (nu, d + da + db)
+                data[key] = data.get(key, Fraction(0)) + ca * cb * c
     return QuantumElement(data)
 
 
@@ -594,18 +613,13 @@ def euler_class(n: int) -> QuantumElement:
 
 @lru_cache(maxsize=None)
 def _mult_trace_weights(n: int) -> dict:
-    # trace of multiplication by tau_lam on the q = 1 algebra, per lam
-    m = n - 1
-    basis = partitions.all_strict(m)
-    lookup = _product_lookup(n)
-    out = {}
-    for lam in basis:
-        acc = Fraction(0)
-        for b in basis:
-            for e in lookup.get((lam, b), ()):
-                if e.nu == b:
-                    acc += e.c
-        out[lam] = acc
+    # trace of multiplication by tau_lam on the q = 1 algebra, per lam: the
+    # sum of its structure constants c^{b,d}_{lam,b}
+    basis = partitions.all_strict(n - 1)
+    out = dict.fromkeys(basis, Fraction(0))
+    for i, j, _d, k, c in table_rows(n):
+        if j == k:
+            out[basis[i]] += c
     return out
 
 

@@ -288,6 +288,33 @@ def test_table_refuses_a_negative_max_d_and_writes_nothing(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("n", ["10", "30", str(10 ** 30)])
+def test_table_past_the_basis_budget_exits_3_before_building_a_point(n, tmp_path, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("a point was built")
+
+    monkeypatch.setattr(quantum, "eval_points", refuse)
+    monkeypatch.setattr(quantum, "_point_table", refuse)
+    code, out, err = run(["table", "--n", n, "--format", "json", "--cache-dir", str(tmp_path)], capsys)
+    assert code == 3
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "not_applicable"
+    assert "table budget of 2^(n-1) <= 256" in doc["reason"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_table_text_lists_the_entries(tmp_path, capsys):
+    code, out, _ = run(["table", "--n", "3", "--cache-dir", str(tmp_path)], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    entries = quantum.table_json_dict(3)["entries"]
+    assert lines[0] == f"{len(entries)} entries -> {tmp_path / 'table-n3.json'}"
+    assert "t[1] * t[1] += t[2]" in lines
+    assert "t[2] * t[2] += q*t[]" in lines
+    assert len(lines) == len(entries) + 1
+
+
 def test_table_honors_env_cache_dir(tmp_path, monkeypatch, capsys):
     env_dir = tmp_path / "from_env"
     monkeypatch.setenv("OGQ_CACHE_DIR", str(env_dir))

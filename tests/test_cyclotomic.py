@@ -253,6 +253,23 @@ def test_fused_dot_equals_the_plain_sum_of_products(case):
     assert got == trace(expected.coeffs, order)
 
 
+@given(dot_cases(), st.randoms(use_true_random=False))
+def test_fused_dot_with_a_kept_prefix_equals_a_fresh_dot(case, rng):
+    # every call of a shuffled sequence, most of them sharing leading
+    # indices with the call before, against a fresh dot for that call alone
+    order, vectors, dens, arity, which = case
+    calls = [tuple(which)]
+    for _ in range(12):
+        size = rng.randint(1, arity)
+        lead = calls[-1][:size - 1] if rng.random() < 0.7 else ()
+        calls.append(lead + tuple(rng.randrange(len(vectors)) for _ in range(size - len(lead))))
+    rng.shuffle(calls)
+    calls += calls[::-1]
+    dot = fused_dot(vectors, dens, order, arity)
+    for call in calls:
+        assert dot(*call) == fused_dot(vectors, dens, order, arity)(*call)
+
+
 def test_trace_examples():
     # Tr(1) = phi, and the primitive 12th roots of unity sum to mu(12) = 0
     assert trace([1, 0, 0, 0], 12) == 4
@@ -302,6 +319,11 @@ def test_fused_dot_refuses_bad_input(monkeypatch):
     dot = fused_dot([[[100, 0]], [[100, 0]]], [1, 1], 4, 2)
     with pytest.raises(ArithmeticError, match="overflowed its slot"):
         dot(0, 1)
+    # and on a call that reuses the kept product of the call before
+    dot = fused_dot([[[100, 0]], [[0, 1]], [[100, 0]]], [1, 1, 1], 4, 2)
+    dot(0, 1)
+    with pytest.raises(ArithmeticError, match="overflowed its slot"):
+        dot(0, 2)
 
 
 # Integer coefficients of Z[w]: zeros often, small values, and values far

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from ogq.cyclotomic import CycloNum, root_of_unity
+from ogq.cyclotomic import CycloNum, field_degree, int_mul, root_of_unity
 from ogq.partitions import InvalidPartitionError, all_strict, dual, rho, weight
 from ogq.quantum import (
     GWQuery,
@@ -33,7 +33,7 @@ from ogq.quantum import (
     trace_invariant,
 )
 from ogq import cli, quantum, verify
-from ogq.symfunc import elementary_values, ptilde_alpha, ptilde_value, schur_value
+from ogq.symfunc import _int_ptilde, elementary_values, ptilde_alpha, ptilde_value, schur_value
 
 
 def test_session_order():
@@ -365,7 +365,8 @@ def test_structure_table_matches_three_point_entrywise(n):
 
 # SHA-256 of `ogq table --n k --format json`: k = 2..6 as recorded in
 # perfbench/reference.json, k = 7 as computed by the Fraction-based Pfaffian
-# build that the integer build replaced.
+# build that the integer build replaced, k = 8 as written by the walk over all
+# index triples that the admissible walk replaced.
 TABLE_SHA256 = {
     2: "b0336b9fa3c04263a55f204045aadd31008b13613dbaa1544081a3070014570b",
     3: "05c08367c10af692121357d90e48e8ade2cb70c5bda6ba99e489ab648ea66808",
@@ -373,12 +374,13 @@ TABLE_SHA256 = {
     5: "525f3a116d28c2500cca4244f75c3d4419d09c4a33c5d0c7ca3bd694f2e6ed40",
     6: "c2ed502c7c3bcea725258502fd330266de5cbf5abe73823367993196f8ad04ee",
     7: "c2f8d4685c15f61b56761edfdc73061bf3bd2948f4f834601edb3942436adbe9",
+    8: "9e90d4568b3f4a942cdfafd6d70212d4b8e75d9998efbdf03628ffcab91fe307",
 }
 
 
 @pytest.mark.parametrize("n", sorted(TABLE_SHA256))
 def test_table_json_bytes_are_unchanged(n):
-    payload = cli._table_bytes(table_json_dict(n))
+    payload = cli._table_bytes(n, None, quantum.table_rows(n))
     assert hashlib.sha256(payload).hexdigest() == TABLE_SHA256[n]
 
 
@@ -386,12 +388,72 @@ def test_table_json_bytes_are_unchanged(n):
 @pytest.mark.parametrize("max_d", [None, 0, 1])
 def test_table_bytes_equal_the_json_encoder(n, max_d):
     doc = table_json_dict(n, max_d)
-    assert cli._table_bytes(doc) == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+    payload = cli._table_bytes(n, max_d, quantum.table_rows(n, max_d))
+    assert payload == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
 
 
 def test_table_bytes_of_a_document_with_no_entries():
     doc = {"schema": "ogq-table/1", "n": 9, "max_d": 0, "entries": []}
-    assert cli._table_bytes(doc) == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+    assert cli._table_bytes(9, 0, ()) == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_table_rows_index_the_basis_as_the_entries_do(n):
+    basis = all_strict(n - 1)
+    rows = quantum.table_rows(n)
+    assert all(type(x) is int for row in rows for x in row)
+    assert tuple(TableEntry(basis[i], basis[j], basis[k], d, c) for i, j, d, k, c in rows) == structure_table(n)
+    assert quantum.table_rows(n, 0) == tuple(row for row in rows if row[2] == 0)
+
+
+@pytest.mark.parametrize("skew", [lambda v: v + Fraction(1, 3), lambda v: -v])
+def test_every_three_point_number_is_checked_to_be_a_count(skew, monkeypatch):
+    fused = quantum.fused_dot
+
+    def skewed(*args, **kwargs):
+        dot = fused(*args, **kwargs)
+        return lambda *which: skew(dot(*which))
+
+    monkeypatch.setattr(quantum, "fused_dot", skewed)
+    quantum._structure_table.cache_clear()
+    with pytest.raises(quantum.NonIntegralResultError, match="three-point"):
+        quantum._structure_table(3)
+
+
+# Dots the structure table takes per n: one per unordered index triple of
+# admissible weight.
+TABLE_DOTS = {2: 2, 3: 5, 4: 21, 5: 100, 6: 590, 7: 3765}
+
+
+@pytest.mark.parametrize("n", sorted(TABLE_DOTS))
+def test_the_table_dots_exactly_the_admissible_triples(n, monkeypatch):
+    calls = []
+    fused = quantum.fused_dot
+
+    def recording(*args, **kwargs):
+        dot = fused(*args, **kwargs)
+
+        def record(*which):
+            calls.append(which)
+            return dot(*which)
+        return record
+
+    monkeypatch.setattr(quantum, "fused_dot", recording)
+    quantum._structure_table.cache_clear()
+    quantum._structure_table(n)
+    m = n - 1
+    weights = [weight(lam) for lam in all_strict(m)]
+    kept = []
+    for triple in itertools.combinations_with_replacement(range(len(weights)), 3):
+        excess = sum(weights[i] for i in triple) - m * (m + 1) // 2
+        if excess >= 0 and excess % (2 * m) == 0:
+            kept.append(triple)
+    assert len(calls) == len(kept) == TABLE_DOTS[n]
+    assert all(which[0] == 0 for which in calls)
+    assert sorted(tuple(i - 1 for i in which[1:]) for which in calls) == kept
+    # in (a, b) order, so each leading (0, a, b) is one run of calls
+    leads = [which[:-1] for which in calls]
+    assert leads == sorted(leads)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -408,6 +470,13 @@ def test_structure_table_builds_no_cyclonum_once_the_points_are_warm(n, monkeypa
     monkeypatch.setattr(CycloNum, "__init__", counting_init)
     assert structure_table(n)
     assert built == []
+
+
+@pytest.mark.parametrize("n", [1, 0, -5])
+def test_every_table_spelling_refuses_a_rank_below_2(n):
+    for build in (structure_table, quantum.table_rows, table_json_dict):
+        with pytest.raises(UnsupportedRankError, match="n must be >= 2"):
+            build(n)
 
 
 def test_negative_max_d_is_refused():
@@ -505,6 +574,20 @@ def test_staircase_table_n7_matches_the_direct_evaluation():
         assert ptilde == ptilde_value(staircase, ep.point)
 
 
+@pytest.mark.parametrize("n,orbits", [(n, False) for n in range(2, 9)] + [(9, True), (10, True)])
+def test_the_staircase_square_is_a_power_of_two(n, orbits):
+    # (2^m * P~_rho)^2 = 2^(m-1) at every point for even n, and 2^(m-1) times
+    # e_m = x_1 * ... * x_m = +-1 for odd n; at the orbit representatives
+    # only for n = 9, 10
+    m, order = n - 1, session_order(n)
+    one = [1] + [0] * (field_degree(order) - 1)
+    for _w, elem, _s in quantum._point_table(n, orbits):
+        assert elem[m] in (one, [-c for c in one])
+        value = _int_ptilde(rho(m), elem, order, {})
+        square = int_mul(value, value, order)
+        assert square == [2 ** (m - 1) * c for c in (elem[m] if n % 2 else one)]
+
+
 def _schur_values(n):
     order = session_order(n)
     return [CycloNum.from_ints(order, s) for _w, _e, s in quantum._point_table(n, False)]
@@ -554,3 +637,10 @@ def test_every_spelling_of_the_full_structure_table_shares_one_cache_entry():
     assert structure_table(3, 0) == tuple(e for e in full if e.d == 0)
     info = structure_table.cache_info()
     assert (info.hits, info.misses) == (4, 1)
+
+
+def test_clearing_the_structure_table_also_clears_its_rows():
+    structure_table(3)
+    structure_table.cache_clear()
+    assert structure_table.cache_info().currsize == 0
+    assert quantum._structure_table.cache_info().currsize == 0
