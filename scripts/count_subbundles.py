@@ -4,8 +4,12 @@
 Prints one row per query with the extremal degree e0 and the count N, or the
 parity diagnostic when the query is not applicable or not covered.  The
 powers of two in the applicable rows are the headline pattern.  Each count
-is an exact sum over the affine orbits of the evaluation points, so ranks
-up to 28 (--max-rank) take under a second per count.
+is an exact sum over the affine orbits of the evaluation points, and the
+per-rank tables are kept for the rest of the scan.  With --max-rank 28
+(genus 2..9, ell 0..2) the whole scan takes about 4 s of CPU on a 2-CPU
+x86-64 VM with Python 3.11: the first count at rank 27 (n = 14, whose 8192
+points are sorted into orbits) about 3 s, every other count under 0.5 s,
+and a count whose rank was already seen a few milliseconds.
 """
 
 import argparse

@@ -5,8 +5,11 @@ constants, written as JSON to the cache directory, an export nothing reads
 back), qmul (product of two Schubert classes), ntilde (arbitrary-bundle
 intersection number), verify (self-check suites).
 
-Exit codes: 0 success, 1 verification failure, 2 invalid input, 3 the query
-is not applicable or not covered (a table past n = 9), 4 I/O failure.
+Exit codes: 0 success, 1 verification failure (a result that is not a
+nonnegative integer, a sum off the weight condition, a value that is not
+rational, a fused dot past its slot), 2 invalid input, 3 the query is not
+applicable or not covered (a table past n = 9), 4 I/O failure, 5 internal
+error (any other exception: a fault of the program, not of the mathematics).
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import dataclasses
 import json
 import os
 import sys
+import traceback
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -29,16 +33,22 @@ from .counting import (
     OddEllUnsupportedError,
     decimal_string,
 )
-from .quantum import GWQuery, QuantumElement
+from .cyclotomic import NotRationalError, SlotOverflowError
+from .quantum import GWQuery, NonIntegralResultError, QuantumElement, WeightConditionError
 from .symfunc import parse_alpha_poly
 
-OK, VERIFY_FAIL, BAD_INPUT, NOT_APPLICABLE, IO_ERROR = 0, 1, 2, 3, 4
+OK, VERIFY_FAIL, BAD_INPUT, NOT_APPLICABLE, IO_ERROR, INTERNAL_ERROR = 0, 1, 2, 3, 4, 5
+# The failed proofs; any other ArithmeticError is a fault of the program.
+PROOF_FAILURES = (NonIntegralResultError, WeightConditionError, NotRationalError, SlotOverflowError)
 
 FLOAT_RTOL = 1e-6
 
 
-def _emit_error(kind: str, message: str) -> None:
-    print(json.dumps({"error": kind, "reason": message}), file=sys.stderr)
+def _emit_error(kind: str, message: str, trace: str | None = None) -> None:
+    doc = {"error": kind, "reason": message}
+    if trace is not None:
+        doc["traceback"] = trace
+    print(json.dumps(doc), file=sys.stderr)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -327,12 +337,15 @@ def main(argv=None) -> int:
     except (ValueError,) as exc:
         _emit_error("invalid_input", str(exc))
         return BAD_INPUT
-    except ArithmeticError as exc:
+    except PROOF_FAILURES as exc:
         _emit_error("verification_failure", str(exc))
         return VERIFY_FAIL
     except OSError as exc:
         _emit_error("io_error", str(exc))
         return IO_ERROR
+    except Exception as exc:  # a fault of the program: report it with where it arose
+        _emit_error("internal_error", f"{type(exc).__name__}: {exc}", traceback.format_exc())
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

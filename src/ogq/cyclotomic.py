@@ -12,8 +12,10 @@ from the top down, on int and Fraction coefficients alike: at even N by
 w^(N/2) = -1 first, then by Phi's nonzero lower terms.  Every product
 (int_mul, which CycloNum's * calls), power (int_pow, which ** calls) and
 root of unity goes through it.  The trace to Q (trace) reads the Ramanujan
-sums off any coefficient list, reduced or not, so the fused dot over packed
-integer vectors (fused_dot) returns traces with no reduction at all.
+sums off any coefficient list, reduced or not, and the trace dual of a fixed
+factor (trace_dual) pairs with any other factor's coefficients to give their
+product's trace; so the fused dot over packed integer vectors (fused_dot)
+returns traces with no reduction at all.
 
 >>> w = root_of_unity(8, 1)
 >>> ((w + w.invert()) ** 2).as_rational()
@@ -36,6 +38,10 @@ class OrderMismatchError(ValueError):
 
 class NotRationalError(ArithmeticError):
     """Raised when a rational value is demanded of a non-rational element."""
+
+
+class SlotOverflowError(ArithmeticError):
+    """A fused dot's packed sum outgrew its slot, so its trace cannot be read."""
 
 
 def _exact_int_div(num: list[int], den: tuple[int, ...]) -> list[int]:
@@ -189,6 +195,19 @@ def trace(coeffs: Sequence, order: int):
     """
     sums = _ramanujan_sums(order)
     return sum(c * sums[k % order] for k, c in enumerate(coeffs) if c)
+
+
+def trace_dual(coeffs: Sequence, order: int) -> list:
+    """The trace dual t of x = sum_l coeffs[l] * w^l: Tr(y * x) = sum_k y_k * t_k
+    for every y on the power basis, where t_k = sum_l coeffs[l] * c_order(k + l).
+    So a trace against a fixed x needs no product and no reduction.
+
+    >>> trace_dual([0, 1], 4)
+    [0, -2]
+    """
+    sums = _ramanujan_sums(order)
+    return [sum(c * sums[(k + l) % order] for l, c in enumerate(coeffs) if c)
+            for k in range(field_degree(order))]
 
 
 def int_inverse(a: Sequence[int], order: int) -> tuple[list[int], int]:
@@ -397,15 +416,14 @@ def _dot_slot(points: int, phi: int, fold: int, arity: int, top: int) -> int:
     return (points * fold * lead * phi * phi * top).bit_length() + 2
 
 
-def fused_dot(vectors: Sequence[Sequence[Sequence[int]]], dens: Sequence[int], order: int,
-              arity: int) -> Callable[..., Fraction]:
-    """Traces of sums of pointwise products over equal-length vectors of Q(w).
+def fused_dot(vectors: Sequence[Sequence[Sequence[int]]], order: int,
+              arity: int) -> Callable[..., int]:
+    """Traces of sums of pointwise products over equal-length vectors of Z[w].
 
     vectors[i][J] is an element of Z[w], its phi(order) integer power-basis
-    coefficients, and dens[i] > 0 is the denominator of all of vector i.
-    `dot(i, j, ...)` takes 1 to `arity` indices and returns, as a Fraction,
-    Tr_{Q(w)/Q} of the sum over J of vectors[i][J] * vectors[j][J] * ...
-    over dens[i] * dens[j] * ....
+    coefficients.  `dot(i, j, ...)` takes 1 to `arity` indices and returns
+    the integer Tr_{Q(w)/Q} of the sum over J of vectors[i][J] * vectors[j][J]
+    * ...; a caller with denominators divides by their product itself.
 
     Each coefficient list is packed into one int, sum c_k * 2^(slot*k), so a
     product of packed ints is the packed unreduced product.  The product f of
@@ -415,12 +433,10 @@ def fused_dot(vectors: Sequence[Sequence[Sequence[int]]], dens: Sequence[int], o
     is the trace dual of the last index's x (c the Ramanujan sums), packed in
     reverse.  So a dot is one multiply per point and its trace one signed
     digit, with nothing reduced mod Phi.  The slot is sized so that no digit
-    reaches it.
+    reaches it; a sum past it raises SlotOverflowError.
     """
     if arity < 1:
         raise ValueError("arity must be >= 1")
-    if len(dens) != len(vectors) or any(den < 1 for den in dens):
-        raise ValueError("need one positive denominator per vector")
     lengths = {len(vec) for vec in vectors}
     if len(lengths) != 1:
         raise ValueError("need one or more vectors, all of the same length")
@@ -442,26 +458,23 @@ def fused_dot(vectors: Sequence[Sequence[Sequence[int]]], dens: Sequence[int], o
     duals = [[((x * pairing + (1 << low >> 1) >> low) + half) % block - half for x in vec] for vec in packed]
     modulus = block + (1 if order % 2 == 0 else -1)
     shift, mask, limit = slot * (fold - 1), (1 << slot) - 1, slot * (2 * fold - 1)
-    lead, folded, lead_den = (), [1] * points, 1  # the last call's leading indices, their fold, den
+    lead, folded = (), [1] * points  # the last call's leading indices and their fold
 
-    def dot(*which: int) -> Fraction:
-        nonlocal lead, folded, lead_den
+    def dot(*which: int) -> int:
+        nonlocal lead, folded
         if not 1 <= len(which) <= arity:
             raise ValueError(f"a dot takes 1 to {arity} vectors, got {len(which)}")
         if which[:-1] != lead:
             lead = which[:-1]
             folded = [(math.prod(xs) + half) % modulus - half
                       for xs in zip(*map(packed.__getitem__, lead))] or [1] * points
-            lead_den = math.prod(map(dens.__getitem__, lead))
         total = sum(map(int.__mul__, folded, duals[which[-1]]))
         if abs(total).bit_length() >= limit:
-            raise ArithmeticError("packed sum overflowed its slot")
+            raise SlotOverflowError("packed sum overflowed its slot")
         # Rounding at digit fold - 1 drops the digits below it, which sum to
         # less than half of one unit there.
         tr = (total + (1 << shift >> 1) >> shift) & mask
-        if tr > mask >> 1:
-            tr -= mask + 1
-        return Fraction(tr, lead_den * dens[which[-1]])
+        return tr - mask - 1 if tr > mask >> 1 else tr
 
     return dot
 

@@ -11,15 +11,11 @@ polynomials P~_lambda(zeta^J) of the insertions.  Everything is exact: zeta^j
 lives in the cyclotomic field of order 4m (the exponents j are half-integers
 when m is even, so doubled exponents are used throughout).
 
-The evaluation points are tuples of roots of unity, so the elementary values,
-S_rho and 2^len(lambda) * P~_lambda there all lie in Z[w].  One integer table
-(_point_table) holds them, built by symfunc's _int_* helpers on
-cyclotomic.int_mul: per row a weight, the e_i and S_rho, either at every point
-or at the orbit representatives below, with 2^m * P~_rho in a column of its
-own (_ptilde_rho).  The orbit route reads the ints; the full sum reads
-CycloNum views of them (the P~ tables, the S_rho powers, the P~_rho column)
-and, on the float path, their complex images.  The public symfunc evaluators
-stay the independent oracle in the tests.
+At a point, the elementary values, S_rho and 2^len(lambda) * P~_lambda lie in
+Z[w].  One integer table (_point_table), built by symfunc's _int_* helpers,
+holds e and S_rho at every point or at the orbit representatives below, and
+2^m * P~_rho has a column of its own (_ptilde_rho).  The public symfunc
+evaluators stay the independent oracle in the tests.
 
 The sum is invariant under the affine maps J -> aJ + b of the doubled
 exponents mod 4m, a a unit and b even, whenever the summand's total degree
@@ -28,20 +24,21 @@ as the Galois automorphism w -> w^a, and the shift multiplies the summand
 by zeta^(b/2 * degree) = 1.  So the sum over all 2^m points equals
 (1/phi(4m)) * sum over the orbits O of |O| * Tr(summand at a representative
 of O), a few traces where there are 2^m points (4 orbits for 64 points at
-n = 7).  orbit_sum carries that exact route, on integer Z[w] values at the
-representatives: the subbundle counts and n_tilde in counting (which add an
-integrand in the halved elementary classes) and the structure table, whose
-genus-0 three-point numbers are each the trace of one fused dot over integer
-vectors, one per unordered index triple of admissible weight, in an order
-that lets the dot keep the product of the first two insertions.  It is kept
-as index rows (table_rows); structure_table builds TableEntry objects.
+n = 7).  orbit_sum carries that exact route for the counts and n_tilde in
+counting.  It caches, per insertions and integrand, the trace dual of the
+genus-free factors at each representative (_orbit_duals), and per n the
+squares S_rho^(2^k) (_schur_ladder), so a call takes a multiply per extra
+bit of genus - 1 and one inner product per representative.  The structure
+table's genus-0 three-point numbers are each the integer trace of one fused
+dot, one per unordered index triple of admissible weight; it is kept as
+index rows (table_rows), and structure_table builds TableEntry objects.
 
-evaluation_sum keeps the sum over all 2^m points, exact or through the
-complex embedding.  It carries the invariants here (gw_invariant, hence
-three_point), and every float route, so each is an independent summation
-that cross-checks the orbit route.  The structure table yields the quantum
-Euler class and an independent trace-formula route to every positive-genus
-invariant, used to cross-check the direct sum.
+evaluation_sum keeps the sum over all 2^m points, exact (on CycloNum views
+of the table) or through the complex embedding.  It carries the invariants
+here (gw_invariant, hence three_point) and every float route, so each is an
+independent summation that cross-checks the orbit route.  The structure
+table yields the quantum Euler class and an independent trace-formula route
+to every positive-genus invariant, used to cross-check the direct sum.
 """
 
 from __future__ import annotations
@@ -56,7 +53,7 @@ from functools import lru_cache, reduce
 
 from . import partitions
 from .cyclotomic import (CycloNum, NotRationalError, field_degree, fused_dot, int_inverse, int_mul,
-                         int_pow, root_of_unity, trace, zero)
+                         int_pow, root_of_unity, trace_dual, zero)
 from .partitions import Partition
 from .symfunc import AlphaPolynomial, _int_alpha, _int_elementary, _int_ptilde, _int_staircase_schur
 
@@ -224,6 +221,40 @@ def _ptilde_rho(n: int, orbits: bool) -> tuple[list[int], ...]:
     return tuple(_int_ptilde(staircase, elem, order, {}) for _w, elem, _s in _point_table(n, orbits))
 
 
+@lru_cache(maxsize=256)
+def _orbit_duals(n: int, insertions: tuple[Partition, ...],
+                 q_poly: AlphaPolynomial | None) -> tuple[tuple[list[int], ...], int]:
+    # orbit_sum's genus-free part, per sorted insertions: at each representative
+    # the trace dual of |O| * prod of 2^len * P~_lam * Q's numerator, and their
+    # one denominator.  Each key holds a dual per representative, hence the bound.
+    order = session_order(n)
+    staircase = partitions.rho(n - 1)
+    rho_values = _ptilde_rho(n, True) if staircase in insertions else None
+    den, duals = 1 << sum(map(len, insertions)), []
+    for k, (size, elem, _s) in enumerate(_point_table(n, True)):
+        memo = {} if rho_values is None else {staircase: rho_values[k]}
+        value = elem[0]
+        for lam in insertions:
+            value = int_mul(value, _int_ptilde(lam, elem, order, memo), order)
+        if q_poly is not None:
+            integrand, qden = _int_alpha(q_poly, elem, order)
+            value = int_mul(value, integrand, order)
+        duals.append([size * t for t in trace_dual(value, order)])
+    return tuple(duals), den if q_poly is None else den * qden
+
+
+@lru_cache(maxsize=None)
+def _schur_ladder(n: int) -> tuple[list[list[int]], ...]:
+    # S_rho^(2^k), k = 0, 1, ..., per representative; orbit_sum adds the rungs.
+    return tuple([s] for _w, _e, s in _point_table(n, True))
+
+
+@lru_cache(maxsize=None)
+def _schur_inverses(n: int) -> tuple[tuple[list[int], int], ...]:
+    # (b, den) with S_rho * b = den per representative: S_rho^-1 at genus 0.
+    return tuple(int_inverse(s, session_order(n)) for _w, _e, s in _point_table(n, True))
+
+
 def orbit_sum(n: int, genus: int, insertions: tuple[Partition, ...] = (),
               q_poly: AlphaPolynomial | None = None) -> Fraction:
     """The closed formula's exact sum over all evaluation points (with no
@@ -231,12 +262,14 @@ def orbit_sum(n: int, genus: int, insertions: tuple[Partition, ...] = (),
     (1/phi(4m)) * sum over the orbits O of |O| times the trace of
     S_rho^(genus-1) * prod of P~_lam * Q(a_i = e_i/2) at O's representative.
 
-    Every factor is taken in Z[w] over a power-of-two (and, at genus 0, a
-    norm) denominator; the S_rho power, by far the largest factor at high
-    genus, is multiplied in last.  Raises WeightConditionError when a term's
-    total degree is not divisible by 2m, where the orbit formula does not
-    hold (the full sum is 0 there).
+    A term is the inner product of S_rho^(genus-1), the product of the cached
+    squares at genus - 1's bits (b / den at genus 0), with the cached trace
+    dual of the rest; the terms share one denominator.  Raises
+    WeightConditionError when a term's total degree is not divisible by 2m,
+    where the orbit formula does not hold (the full sum is 0 there).
     """
+    if genus < 0:
+        raise ValueError(f"genus must be >= 0, got {genus}")
     m = n - 1
     order = session_order(n)
     weight = (genus - 1) * m * (m + 1) // 2 + sum(partitions.weight(lam) for lam in insertions)
@@ -247,25 +280,23 @@ def orbit_sum(n: int, genus: int, insertions: tuple[Partition, ...] = (),
         raise WeightConditionError(
             f"summand of total degree {off[0]} at n = {n}: not divisible by 2m = {2 * m}, "
             "so the orbit sum does not apply")
-    staircase = partitions.rho(m)
-    rho_values = _ptilde_rho(n, True) if staircase in insertions else None
-    total = Fraction(0)
-    for k, (size, elem, base) in enumerate(_point_table(n, True)):
-        memo = {} if rho_values is None else {staircase: rho_values[k]}
-        value, den = elem[0], 1
-        for lam in insertions:
-            value = int_mul(value, _int_ptilde(lam, elem, order, memo), order)
-            den <<= len(lam)
-        if q_poly is not None:
-            integrand, qden = _int_alpha(q_poly, elem, order)
-            value = int_mul(value, integrand, order)
-            den *= qden
-        if genus == 0:
-            base, norm = int_inverse(base, order)
-            den *= norm
-        value = int_mul(value, int_pow(base, abs(genus - 1), order), order)
-        total += Fraction(size * trace(value, order), den)
-    return total / field_degree(order)
+    duals, den = _orbit_duals(n, tuple(sorted(insertions)), q_poly)
+    if genus == 0:
+        factors = _schur_inverses(n)
+    else:
+        factors, bits = [], genus - 1
+        for rungs in _schur_ladder(n):
+            while len(rungs) < bits.bit_length():  # grow it to the top bit asked for
+                rungs.append(int_mul(rungs[-1], rungs[-1], order))
+            # [1] is S_rho^0: the inner product reads its one nonzero coefficient
+            chosen = [rung for k, rung in enumerate(rungs) if bits >> k & 1] or [[1]]
+            factors.append((reduce(lambda a, b: int_mul(a, b, order), chosen), 1))
+    common = math.lcm(*(d for _v, d in factors))
+    total = sum(common // d * sum(map(operator.mul, v, dual)) for (v, d), dual in zip(factors, duals))
+    return Fraction(total, common * den * field_degree(order))
+
+
+orbit_sum.cache_clear = lambda: [f.cache_clear() for f in (_orbit_duals, _schur_ladder, _schur_inverses)]
 
 
 @lru_cache(maxsize=None)
@@ -451,7 +482,7 @@ def _structure_table(n: int) -> tuple[tuple[int, int, int, int, int], ...]:
     # orbit_sum at genus 0, fused on Z[w] ints at the representatives:
     # vector 0 is |O| * S_rho^-1 = |O| * b / den (int_inverse), vector i+1 is
     # 2^len * P~ of basis[i] over 2^len; a three-point number is 4^d / phi
-    # times the trace that one dot returns.
+    # times the integer trace that one dot returns, over those denominators.
     if n < 2:
         raise UnsupportedRankError(f"n must be >= 2, got {n}")
     m = n - 1
@@ -459,8 +490,7 @@ def _structure_table(n: int) -> tuple[tuple[int, int, int, int, int], ...]:
     basis = partitions.all_strict(m)
     vectors: list[list[list[int]]] = [[] for _ in range(len(basis) + 1)]
     inverses = []
-    for size, elem, schur_rho in _point_table(n, True):
-        inv, den = int_inverse(schur_rho, order)
+    for (size, elem, _s), (inv, den) in zip(_point_table(n, True), _schur_inverses(n)):
         # lowest terms keep the common denominator, hence the slot, small
         g = math.gcd(den, *(size * c for c in inv))
         inverses.append(([size * c // g for c in inv], den // g))
@@ -469,28 +499,31 @@ def _structure_table(n: int) -> tuple[tuple[int, int, int, int, int], ...]:
             vec.append(_int_ptilde(lam, elem, order, memo))
     common = math.lcm(*(den for _inv, den in inverses))
     vectors[0] = [[c * (common // den) for c in inv] for inv, den in inverses]
-    dot = fused_dot(vectors, [common] + [2 ** len(lam) for lam in basis], order, arity=4)
-    phi = field_degree(order)
+    dot = fused_dot(vectors, order, arity=4)
+    scale = common * field_degree(order)
     weights = [partitions.weight(lam) for lam in basis]
     by_weight = {w: [c for c, x in enumerate(weights) if x == w] for w in set(weights)}
     duals = [basis.index(partitions.dual(lam, m)) for lam in basis]
     top = m * (m + 1) // 2
     # The three-point number is symmetric in its insertions: sum each
     # unordered triple a <= b <= c of weight top + 2md once, in (a, b) order so
-    # that dot keeps the product of vectors 0, a and b, and emit it for every
-    # distinct ordering; basis is sorted, so rows of indices sort as entries.
+    # that dot keeps the product of vectors 0, a and b, and emit it for each of
+    # its 1, 3 or 6 distinct orderings; basis is sorted, so rows of indices
+    # sort as entries.
     rows = []
     for a, b in itertools.combinations_with_replacement(range(len(basis)), 2):
-        pair = weights[a] + weights[b]
+        pair, pair_den = weights[a] + weights[b], scale << len(basis[a]) + len(basis[b])
         for d in range(pair // (2 * m) + 1):
             ends = by_weight.get(top + 2 * m * d - pair, ())
             for c in ends[bisect.bisect_left(ends, b):]:
-                value = dot(0, a + 1, b + 1, c + 1)
-                count, rest = divmod(value.numerator << 2 * d, value.denominator * phi)
+                value, den = dot(0, a + 1, b + 1, c + 1) * 4 ** d, pair_den << len(basis[c])
+                count, rest = divmod(value, den)
                 if rest or count < 0:
-                    _as_count(value * 4 ** d / phi, f"three-point {basis[a], basis[b], basis[c]}")
+                    _as_count(Fraction(value, den), f"three-point {basis[a], basis[b], basis[c]}")
                 if count:
-                    rows += {(i, j, d, duals[k], count) for i, j, k in itertools.permutations((a, b, c))}
+                    turns = [(a, b, c), (b, c, a), (c, a, b)][:1 if a == c else 3]
+                    turns += [(i, k, j) for i, j, k in turns] if a != b != c else []
+                    rows += [(i, j, d, duals[k], count) for i, j, k in turns]
     rows.sort()
     return tuple(rows)
 

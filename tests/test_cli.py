@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ogq import cli, counting, quantum, verify
+from ogq import cli, counting, cyclotomic, quantum, verify
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -465,6 +465,35 @@ def test_verify_json(capsys):
     assert doc["failures"] == 0
     assert all(c["ok"] for c in doc["checks"])
     assert all(list(c) == ["suite", "name", "ok", "detail"] for c in doc["checks"])
+
+
+@pytest.mark.parametrize("error, code, kind", [
+    (quantum.NonIntegralResultError("not a count"), 1, "verification_failure"),
+    (quantum.WeightConditionError("off the weight condition"), 1, "verification_failure"),
+    (cyclotomic.NotRationalError("not rational"), 1, "verification_failure"),
+    (cyclotomic.SlotOverflowError("packed sum overflowed its slot"), 1, "verification_failure"),
+    (ZeroDivisionError("division by zero"), 5, "internal_error"),
+    (ArithmeticError("division was not exact"), 5, "internal_error"),
+    (OverflowError("int too large"), 5, "internal_error"),
+    (IndexError("list index out of range"), 5, "internal_error"),
+    (KeyError((3,)), 5, "internal_error"),
+])
+@pytest.mark.parametrize("argv", [["count", "--g", "3", "--rank", "4", "--ell", "0"],
+                                  ["ntilde", "--g", "3", "--n", "2", "--ell", "0", "--e", "-2"]])
+def test_only_a_failed_proof_exits_1(error, code, kind, argv, monkeypatch, capsys):
+    # a stray ZeroDivisionError or IndexError is a fault of the program, not a
+    # failed proof (1) or bad input (2)
+    def raising(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(quantum, "orbit_sum", raising)
+    got, out, err = run(argv, capsys)
+    assert (got, out) == (code, "")
+    doc = json.loads(err)
+    assert doc["error"] == kind
+    assert str(error) in doc["reason"]
+    # an internal error names where it arose; a failed proof needs no traceback
+    assert ("raising" in doc.get("traceback", "")) == (code == 5)
 
 
 def test_verify_failure_exits_1(monkeypatch, capsys):

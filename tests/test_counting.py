@@ -399,6 +399,7 @@ def test_float_count_with_no_staircase_insertion_runs_no_pfaffian(monkeypatch):
 
 def test_counting_sums_never_build_the_full_tables(monkeypatch):
     quantum._tables.cache_clear()
+    quantum.orbit_sum.cache_clear()
     keys = {"_point_table": set(), "_ptilde_rho": set()}
     for name in keys:
         def recording(*args, real=getattr(quantum, name), name=name):

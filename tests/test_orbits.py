@@ -1,7 +1,8 @@
 """The affine orbits of the evaluation points, the one integer point table at
 every point and at the orbit representatives, and the exact orbit sum, against
 the sum over all 2^m points (quantum.evaluation_sum, and the symfunc oracle
-for integrands)."""
+for integrands) and against the orbit formula taken one representative at a
+time."""
 
 import math
 import random
@@ -10,9 +11,10 @@ from fractions import Fraction
 import pytest
 
 from ogq import quantum
+from ogq.cyclotomic import field_degree, int_inverse, int_mul, int_pow, trace
 from ogq.partitions import all_strict, rho, weight
 from ogq.quantum import WeightConditionError, eval_points, orbit_count, orbit_sum
-from ogq.symfunc import AlphaPolynomial, ptilde_alpha
+from ogq.symfunc import AlphaPolynomial, _int_alpha, _int_ptilde, ptilde_alpha
 
 ORBIT_COUNTS = {1: 1, 2: 1, 3: 2, 4: 1, 5: 3, 6: 4, 7: 5, 8: 3, 9: 11, 10: 13, 11: 15, 12: 31}
 
@@ -126,3 +128,108 @@ def test_orbit_rows_are_the_full_rows_at_the_representatives(n):
     full_rho = quantum._ptilde_rho(n, False)
     assert len(full_rho) == 2 ** m
     assert list(quantum._ptilde_rho(n, True)) == [full_rho[index] for index, _size in orbits]
+
+
+GENERA = tuple(range(13)) + (64, 200, 401)
+
+
+def _per_representative(n, genus, insertions=(), q_poly=None):
+    # The orbit formula one representative at a time: the product of the
+    # insertions and the integrand, times S_rho^(genus-1) by square and
+    # multiply (S_rho^-1 = b / den at genus 0), one trace and one Fraction each.
+    order = quantum.session_order(n)
+    total = Fraction(0)
+    for size, elem, base in quantum._point_table(n, True):
+        memo = {}
+        value, den = elem[0], 1
+        for lam in insertions:
+            value = int_mul(value, _int_ptilde(lam, elem, order, memo), order)
+            den <<= len(lam)
+        if q_poly is not None:
+            integrand, qden = _int_alpha(q_poly, elem, order)
+            value = int_mul(value, integrand, order)
+            den *= qden
+        if genus == 0:
+            base, norm = int_inverse(base, order)
+            den *= norm
+        value = int_mul(value, int_pow(base, abs(genus - 1), order), order)
+        total += Fraction(size * trace(value, order), den)
+    return total / field_degree(order)
+
+
+def _engine_cases(n):
+    # (genus, insertions, q_poly) on the weight condition: 0..4 staircase
+    # insertions at every genus, then other insertions and, for n <= 5,
+    # a P~ integrand at every third genus
+    rng = random.Random(100 + n)
+    m = n - 1
+    basis = all_strict(m)
+    cases = [(g, (rho(m),) * p, None) for g in GENERA for p in range(5) if _admissible(n, g, (rho(m),) * p)]
+    for g in GENERA[::3]:
+        for _ in range(50 if n > 2 else 0):  # n = 2 has no class but 1 and rho
+            insertions = tuple(rng.choice(basis[1:-1]) for _ in range(rng.randint(1, 3)))
+            if _admissible(n, g, insertions):
+                cases.append((g, insertions, None))
+                break
+        for _ in range(50 if n <= 5 else 0):
+            factor, insertions = rng.choice(basis[1:]), (rho(m),) * rng.randint(0, 2)
+            if _admissible(n, g, insertions + (factor,)):
+                cases.append((g, insertions, ptilde_alpha(factor, m) * Fraction(rng.randint(1, 5), 3)))
+                break
+    return cases
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_the_engine_equals_the_point_sum_and_the_per_representative_formula(n, full_point_sum):
+    staircase = rho(n - 1)
+    cases = _engine_cases(n)
+    assert {len(ins) for _g, ins, q in cases if set(ins) <= {staircase} and q is None} == set(range(5))
+    expected = {}
+    for genus, insertions, q_poly in cases:
+        expected[genus, insertions, q_poly] = value = _per_representative(n, genus, insertions, q_poly)
+        # the sum over all 2^m points: symfunc's public evaluators to n = 7;
+        # at n = 8, where they take seconds per point set, quantum's exact
+        # full sum, for the staircase cases
+        if n <= 7:
+            assert value == full_point_sum(n, genus, insertions, q_poly).as_rational()
+        elif set(insertions) <= {staircase}:
+            assert value == quantum.evaluation_sum(n, genus, insertions).as_rational()
+
+    def ask(calls):
+        for case in calls:
+            assert orbit_sum(n, *case) == expected[case], case
+
+    # descending first grows the ladder to the top bit at once and ascending
+    # reads it; after a clear, ascending grows it one bit at a time
+    descending = sorted(cases, key=lambda case: -case[0])
+    quantum.orbit_sum.cache_clear()
+    ask(descending)
+    ask(descending[::-1])
+    quantum.orbit_sum.cache_clear()
+    ask(descending[::-1])
+    order = quantum.session_order(n)
+    for rungs in quantum._schur_ladder(n):
+        assert len(rungs) == (401 - 1).bit_length()
+        assert all(b == int_mul(a, a, order) for a, b in zip(rungs, rungs[1:]))
+
+
+def test_a_warm_orbit_sum_multiplies_once_per_extra_bit(monkeypatch):
+    # with the duals and the ladder warm, S_rho^(g-1) costs popcount(g-1) - 1
+    # multiplies per representative, and nothing else multiplies
+    n = 5
+    reps = orbit_count(n)
+    cases = [(genus, ()) for genus in (401, 257, 65, 13, 5, 1)] + [(0, (rho(4),))]
+    for genus, insertions in cases:
+        orbit_sum(n, genus, insertions)
+    calls = []
+    real = quantum.int_mul
+    monkeypatch.setattr(quantum, "int_mul", lambda *args: calls.append(args) or real(*args))
+    for genus, insertions in cases:
+        calls.clear()
+        assert orbit_sum(n, genus, insertions) == _per_representative(n, genus, insertions)
+        assert len(calls) == reps * max(bin(genus - 1).count("1") - 1, 0), genus
+
+
+def test_orbit_sum_refuses_a_negative_genus():
+    with pytest.raises(ValueError, match="genus"):
+        orbit_sum(3, -3)

@@ -588,6 +588,19 @@ def test_the_staircase_square_is_a_power_of_two(n, orbits):
         assert square == [2 ** (m - 1) * c for c in (elem[m] if n % 2 else one)]
 
 
+@pytest.mark.parametrize("n", range(2, 8))
+def test_the_staircase_square_in_the_structure_table(n):
+    # the quantum product the pointwise identity above evaluates:
+    # tau_rho * tau_rho = q^(n/2) for even n and q^((n-1)/2) * tau_(n-1) for odd n
+    staircase = QuantumElement.basis(rho(n - 1))
+    square = QuantumElement.basis((n - 1,) if n % 2 else (), n // 2)
+    assert quantum_product(n, staircase, staircase) == square
+    basis = all_strict(n - 1)
+    i = basis.index(rho(n - 1))
+    assert [row for row in quantum.table_rows(n) if row[:2] == (i, i)] == [
+        (i, i, n // 2, basis.index((n - 1,) if n % 2 else ()), 1)]
+
+
 def _schur_values(n):
     order = session_order(n)
     return [CycloNum.from_ints(order, s) for _w, _e, s in quantum._point_table(n, False)]
