@@ -6,10 +6,13 @@ parity diagnostic when the query is not applicable or not covered.  The
 powers of two in the applicable rows are the headline pattern.  Each count
 is an exact sum over the affine orbits of the evaluation points, and the
 per-rank tables are kept for the rest of the scan.  With --max-rank 28
-(genus 2..9, ell 0..2) the whole scan takes about 4 s of CPU on a 2-CPU
-x86-64 VM with Python 3.11: the first count at rank 27 (n = 14, whose 8192
-points are sorted into orbits) about 3 s, every other count under 0.5 s,
-and a count whose rank was already seen a few milliseconds.
+(genus 2..9, ell 0..2) the whole scan takes about 3 s of CPU on a 2-CPU
+x86-64 VM with Python 3.11: the first count of rank 28 at ell 1 (odd
+staircase power, so the P~_rho Pfaffian at the 37 orbit representatives of
+n = 14) about 1.8 s, every other count under 0.5 s, and a count whose rank
+was already seen a few milliseconds.  Counts run to rank 40; past it, and
+past rank 30 with an odd staircase power, a count is refused before any work
+and its row says so.
 """
 
 import argparse
@@ -33,6 +36,9 @@ def main() -> None:
                 try:
                     report = counting.count(g, rank, ell)
                 except counting.OddEllUnsupportedError:
+                    continue
+                except counting.SizeBudgetError:
+                    print(f"{g:>3} {rank:>5} {ell:>4} {'-':>5}  (past the size budget)")
                     continue
                 if report.applicable:
                     print(f"{g:>3} {rank:>5} {ell:>4} {report.e0:>5}  {report.value}")

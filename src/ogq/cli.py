@@ -7,9 +7,9 @@ intersection number), verify (self-check suites).
 
 Exit codes: 0 success, 1 verification failure (a result that is not a
 nonnegative integer, a sum off the weight condition, a value that is not
-rational, a fused dot past its slot), 2 invalid input, 3 the query is not
-applicable or not covered (a table past n = 9), 4 I/O failure, 5 internal
-error (any other exception: a fault of the program, not of the mathematics).
+rational, a fused dot past its slot), 2 invalid input, 3 not applicable, not
+covered or past a size budget (a table past n = 9, a count past n = 20), 4
+I/O failure, 5 internal error (any other exception: a fault of the program).
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .counting import (
     NQuery,
     OddDegreeUnsupportedError,
     OddEllUnsupportedError,
+    SizeBudgetError,
     decimal_string,
 )
 from .cyclotomic import NotRationalError, SlotOverflowError
@@ -75,10 +76,10 @@ def _float_check(doc: dict, exact, approx_of, note: str) -> bool:
     # only on a disagreement.
     try:
         approx = approx_of()
-    except OverflowError:
+    except (OverflowError, SizeBudgetError) as exc:
         # the exact value stands; only the float route ran out of range
         doc["float_value"] = None
-        doc["float_note"] = note
+        doc["float_note"] = str(exc) if isinstance(exc, SizeBudgetError) else note
         return True
     doc["float_value"] = approx
     doc["float_agrees"] = _float_agrees(exact, approx)
@@ -331,7 +332,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else BAD_INPUT
     try:
         return args.func(args)
-    except (NotApplicableError, NotCoveredError) as exc:
+    except (NotApplicableError, NotCoveredError, SizeBudgetError) as exc:
         _emit_error("not_applicable", str(exc))
         return NOT_APPLICABLE
     except (ValueError,) as exc:

@@ -6,10 +6,10 @@ subbundles of the extremal degree e_0 is finite, and it is computed here by
 specializing the evaluation sum behind the Gromov-Witten invariants: N is
 a power of two times a sum over the evaluation tuples of staircase-Schur
 powers and staircase P~ powers.  The exact values are summed over the
-affine orbits of the tuples (quantum.orbit_sum, a few traces), the float
-values over all 2^(n-1) tuples (quantum.evaluation_sum), so `--mode float`
-is an independent summation of the same formula.  One plan (_plan) picks
-the power of two and the staircase power for every caller, exact or float.
+affine orbits of the tuples (quantum.orbit_trace, a few traces over one
+denominator), the float values over all 2^(n-1) tuples (evaluation_sum), so
+`--mode float` is an independent summation of the same formula.  One plan
+(_plan) picks the power of two and the staircase power for every caller.
 The intermediate quantity n_tilde covers arbitrary degree e and an
 arbitrary polynomial integrand in the halved elementary classes a_i, and
 the trivial-bundle case is literally a Gromov-Witten invariant, which gives
@@ -55,6 +55,24 @@ class OddEllUnsupportedError(ValueError):
 
 class OddDegreeUnsupportedError(ValueError):
     pass
+
+
+class SizeBudgetError(ValueError):
+    """n is past the route's size budget; refused before anything is enumerated."""
+
+
+# Largest n per route, checked before anything is enumerated.  The exact
+# route walks the 2^(n-1) residue sets once (n = 20, rank 40: about 1.4 s),
+# the float route sums all 2^(n-1) points; an odd staircase power adds the
+# P~_rho Pfaffian over 2^(n-2) sub-partitions per representative or point.
+EXACT_MAX_N, FLOAT_MAX_N, PFAFFIAN_MAX_N = 20, 12, {True: 15, False: 11}
+
+
+def _check_budget(n: int, exact: bool, rho_power: int) -> None:
+    limit = PFAFFIAN_MAX_N[exact] if rho_power % 2 else EXACT_MAX_N if exact else FLOAT_MAX_N
+    if n > limit:
+        route = ("exact" if exact else "float") + (" route with a P~_rho factor" if rho_power % 2 else " route")
+        raise SizeBudgetError(f"n = {n} is past the size budget of the {route}, n <= {limit}")
 
 
 _NOT_COVERED_KNOWN = (
@@ -146,6 +164,7 @@ def _plan(n: int, ell: int, e: int) -> tuple[int, int]:
 def _n_tilde(query: NQuery, exact: bool) -> Fraction | float:
     # n_tilde and n_tilde_float: one plan, one weight target, one sum.
     exponent, rho_power = _plan(query.n, query.ell, query.e)
+    _check_budget(query.n, exact, rho_power + query.u)
     target = expected_dim_t(query.n, query.ell, query.e, query.genus, query.u)
     qp = query.q_poly
     if not qp or not qp.is_homogeneous() or qp.weighted_degree() != target:
@@ -274,7 +293,7 @@ def _check_prefactor(exponent: int, n: int, shift: int, genus: int, doubling: in
 def count_even(genus: int, n: int, ell: int) -> CountReport:
     """Count for even rank 2n >= 4, invariant ell, at the extremal degree:
     n_tilde at e_0 with constant integrand, doubled when ell is even, from
-    one exact orbit sum.
+    one exact orbit trace, divided once.
 
     What is checked: the power-of-two prefactor against its closed form
     (_check_prefactor), that the count is a nonnegative integer (the orbit
@@ -286,17 +305,18 @@ def count_even(genus: int, n: int, ell: int) -> CountReport:
     if n < 2:
         raise UnsupportedRankError(f"even rank needs n >= 2, got n = {n}")
     e0, exponent, rho_power = _count_even_plan(genus, n, ell)
-    total = quantum.orbit_sum(n, genus, (partitions.rho(n - 1),) * rho_power)
-    value = Fraction(2) ** exponent * total
-    if value.denominator != 1 or value < 0:
-        raise NonIntegralResultError(f"count is not a nonnegative integer: {value}")
+    _check_budget(n, True, rho_power)
+    num, den = quantum.orbit_trace(n, genus, (partitions.rho(n - 1),) * rho_power)
+    value, rest = divmod(num << exponent, den)
+    if rest or value < 0:
+        raise NonIntegralResultError(f"count is not a nonnegative integer: {Fraction(num << exponent, den)}")
     report = CountReport(
         genus=genus,
         rank=2 * n,
         ell=ell,
         e0=e0,
         applicable=True,
-        value=int(value),
+        value=value,
         required_w2=e0 % 2,
         decomposition={
             "route": "even_e0" if e0 % 2 == 0 else "odd_e0_odd_n",
@@ -334,16 +354,16 @@ def count_odd(genus: int, n: int, ell: int) -> CountReport:
             f"rank {2 * n + 1}: companion extremal degree {partner.e0} "
             f"is not e0 + ell/2 = {e0 + ell // 2}"
         )
-    half = Fraction(partner.value, 2)
-    if half.denominator != 1:
-        raise NonIntegralResultError(f"odd-rank halving gave non-integer {half}")
+    half, rest = divmod(partner.value, 2)
+    if rest:
+        raise NonIntegralResultError(f"odd-rank halving gave non-integer {partner.value}/2")
     report = CountReport(
         genus=genus,
         rank=2 * n + 1,
         ell=ell,
         e0=e0,
         applicable=True,
-        value=int(half),
+        value=half,
         required_w2=e0 % 2,
         decomposition={
             "route": "odd_rank_halving",
@@ -387,6 +407,7 @@ def count_float(genus: int, rank: int, ell: int) -> float:
     if rank % 2 == 0:
         n = rank // 2
         _e0, exponent, rho_power = _count_even_plan(genus, n, ell)
+        _check_budget(n, False, rho_power)
         staircase = (partitions.rho(n - 1),) * rho_power
         total = quantum.evaluation_sum(n, genus, staircase, exact=False)
         return _float_scaled(exponent, total)

@@ -432,8 +432,9 @@ def fused_dot(vectors: Sequence[Sequence[Sequence[int]]], order: int,
     indices.  Tr(f * x) = sum_k f_k * t_k, where t_k = sum_l x_l * c(k + l)
     is the trace dual of the last index's x (c the Ramanujan sums), packed in
     reverse.  So a dot is one multiply per point and its trace one signed
-    digit, with nothing reduced mod Phi.  The slot is sized so that no digit
-    reaches it; a sum past it raises SlotOverflowError.
+    digit, with nothing reduced mod Phi.  The slot bound (_dot_slot) guards
+    each digit; the runtime check bounds only the summed magnitude, so a sum
+    past the top digit raises SlotOverflowError but a spilled digit would not.
     """
     if arity < 1:
         raise ValueError("arity must be >= 1")

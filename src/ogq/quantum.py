@@ -12,10 +12,11 @@ lives in the cyclotomic field of order 4m (the exponents j are half-integers
 when m is even, so doubled exponents are used throughout).
 
 At a point, the elementary values, S_rho and 2^len(lambda) * P~_lambda lie in
-Z[w].  One integer table (_point_table), built by symfunc's _int_* helpers,
-holds e and S_rho at every point or at the orbit representatives below, and
-2^m * P~_rho has a column of its own (_ptilde_rho).  The public symfunc
-evaluators stay the independent oracle in the tests.
+Z[w].  One integer table (_point_table) holds e and S_rho at every point or
+at the orbit representatives, built from the exponents by signed rotations;
+2^m * P~_rho has a column of its own (_ptilde_rho), and a staircase pair
+needs none: (2^m * P~_rho)^2 = 2^(m-1), times e_m = +-1 for odd n.  The
+public symfunc evaluators stay the independent oracle in the tests.
 
 The sum is invariant under the affine maps J -> aJ + b of the doubled
 exponents mod 4m, a a unit and b even, whenever the summand's total degree
@@ -24,14 +25,15 @@ as the Galois automorphism w -> w^a, and the shift multiplies the summand
 by zeta^(b/2 * degree) = 1.  So the sum over all 2^m points equals
 (1/phi(4m)) * sum over the orbits O of |O| * Tr(summand at a representative
 of O), a few traces where there are 2^m points (4 orbits for 64 points at
-n = 7).  orbit_sum carries that exact route for the counts and n_tilde in
-counting.  It caches, per insertions and integrand, the trace dual of the
-genus-free factors at each representative (_orbit_duals), and per n the
-squares S_rho^(2^k) (_schur_ladder), so a call takes a multiply per extra
-bit of genus - 1 and one inner product per representative.  The structure
-table's genus-0 three-point numbers are each the integer trace of one fused
-dot, one per unordered index triple of admissible weight; it is kept as
-index rows (table_rows), and structure_table builds TableEntry objects.
+n = 7; _orbits walks the residue sets as bit masks).  orbit_trace carries
+that exact route for the counts and n_tilde, over one denominator.  It
+caches, per insertions and integrand, the trace dual of the genus-free
+factors at each representative (_orbit_duals), and per n the squares
+S_rho^(2^k) (_schur_ladder), so a call takes a multiply per extra bit of
+genus - 1 and one inner product per representative.  The structure table's
+genus-0 three-point numbers are each the integer trace of one fused dot,
+one per unordered index triple of admissible weight; it is kept as index
+rows (table_rows), and structure_table builds TableEntry objects.
 
 evaluation_sum keeps the sum over all 2^m points, exact (on CycloNum views
 of the table) or through the complex embedding.  It carries the invariants
@@ -52,10 +54,10 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 
 from . import partitions
-from .cyclotomic import (CycloNum, NotRationalError, field_degree, fused_dot, int_inverse, int_mul,
-                         int_pow, root_of_unity, trace_dual, zero)
+from .cyclotomic import (CycloNum, NotRationalError, _reduce, field_degree, fused_dot, int_inverse,
+                         int_mul, int_pow, root_of_unity, trace_dual, zero)
 from .partitions import Partition
-from .symfunc import AlphaPolynomial, _int_alpha, _int_elementary, _int_ptilde, _int_staircase_schur
+from .symfunc import AlphaPolynomial, _int_alpha, _int_ptilde
 
 
 class UnsupportedRankError(ValueError):
@@ -124,28 +126,35 @@ def eval_points(m: int) -> tuple[EvalPoint, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _orbits(m: int) -> tuple[tuple[int, int], ...]:
-    """(index into eval_points(m), orbit size) per orbit of the affine maps
-    J -> aJ + b mod 4m, gcd(a, 4m) = 1 and b even, on the doubled exponents.
+def _residues(m: int, mask: int) -> tuple[int, ...]:
+    # eval_points(m)[mask]'s doubled exponents mod 4m
+    return tuple((2 * i - m + 1 + (2 * m if mask >> i & 1 else 0)) % (4 * m) for i in range(m))
 
-    A point is its set of residues mod 4m, one of each antipodal pair
-    (t, t + 2m) of the residues of its parity; the maps keep the parity and
-    the pairs, so they permute the points.  The first point of each orbit, in
-    eval_points order, represents it.
+
+@lru_cache(maxsize=None)
+def _orbits(m: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(residues mod 4m, orbit size) per orbit of the affine maps J -> aJ + b
+    mod 4m, gcd(a, 4m) = 1 and b even, on the doubled exponents.
+
+    A point holds one of each antipodal pair (t, t + 2m) of the residues of
+    its parity: a 2m-bit word, bit k for m + 1 + 2k, whose low m bits are
+    eval_points' mask.  A shift by 2s rotates the word by s, a unit permutes
+    its bits.  The first unseen mask in eval_points order represents its
+    orbit, and every image in the orbit is marked seen.
     """
-    order = 4 * m
-    points = eval_points(m)
-    index = {frozenset(t % order for t in ep.doubled): i for i, ep in enumerate(points)}
-    maps = [(a, b) for a in range(1, order) if math.gcd(a, order) == 1 for b in range(0, order, 2)]
-    seen: set[int] = set()
-    out = []
-    for i, ep in enumerate(points):
-        if i in seen:
-            continue
-        orbit = {index[frozenset((a * t + b) % order for t in ep.doubled)] for a, b in maps}
-        seen |= orbit
-        out.append((i, len(orbit)))
+    width, low, full, order = 2 * m, (1 << m) - 1, (1 << 2 * m) - 1, 4 * m
+    perms = [[(a * (m + 1 + 2 * k) - m - 1) % order // 2 for k in range(width)]
+             for a in range(1, order) if math.gcd(a, order) == 1]
+    seen, out, mask = bytearray(1 << m), [], 0
+    while (mask := seen.find(0, mask)) >= 0:
+        bits = [i if mask >> i & 1 else i + m for i in range(m)]
+        orbit = set()
+        for perm in perms:
+            image = sum(1 << perm[k] for k in bits)
+            orbit.update((image << s | image >> width - s) & full for s in range(width))
+        for image in orbit:
+            seen[image & low] = 1
+        out.append((_residues(m, mask), len(orbit)))
     return tuple(out)
 
 
@@ -195,21 +204,36 @@ def degree_ok(query: GWQuery) -> bool:
     return admissible_degree(query.n, query.genus, query.insertions) == query.degree
 
 
+def _turn(v: list[int], t: int) -> list[int]:
+    # v * w^t in Z[x]/(x^h + 1), h = len(v), where w^h = -1: a signed rotation.
+    h, k = len(v), t % len(v)
+    out = [-c for c in v[h - k:]] + v[:h - k]
+    return [-c for c in out] if t // h % 2 else out
+
+
+def _row(residues: tuple[int, ...], order: int) -> tuple[list[list[int]], list[int]]:
+    # [e_0, ..., e_m] and S_rho = e_m * prod_{i<j} (x_i + x_j) at the point
+    # x_i = w^t_i, built by signed rotations mod x^(order/2) + 1 (at even
+    # order, w^(order/2) = -1) and reduced mod Phi once per value.
+    elem = [[1] + [0] * (order // 2 - 1)]
+    for t in residues:
+        turned = [_turn(e, t) for e in elem]
+        elem = elem[:1] + [list(map(operator.add, e, x)) for e, x in zip(elem[1:], turned)] + turned[-1:]
+    schur = elem[-1][:]
+    for s, t in itertools.combinations(residues, 2):
+        schur = list(map(operator.add, _turn(schur, s), _turn(schur, t)))
+    return [_reduce(e, order) for e in elem], _reduce(schur, order)
+
+
 @lru_cache(maxsize=None)
 def _point_table(n: int, orbits: bool) -> tuple[tuple[int, list[list[int]], list[int]], ...]:
     # Per row, as Z[w] coefficient lists: its weight, the elementary values
-    # [e_0, ..., e_m] and S_rho, at every point (weight 1) or, with orbits, at
-    # the orbit representatives (weight |O|).  The one source of e and S_rho.
+    # [e_0, ..., e_m] and S_rho, at every point in eval_points order (weight 1)
+    # or, with orbits, at the orbit representatives (weight |O|), all from the
+    # residues (_row).  The one source of e and S_rho.
     m = n - 1
-    order = session_order(n)
-    points = eval_points(m)
-    rows = _orbits(m) if orbits else ((index, 1) for index in range(len(points)))
-    out = []
-    for index, size in rows:
-        xs = [x.int_coeffs() for x in points[index].point]
-        elem = _int_elementary(xs, order)
-        out.append((size, elem, _int_staircase_schur(xs, elem[m], order)))
-    return tuple(out)
+    rows = _orbits(m) if orbits else ((_residues(m, mask), 1) for mask in range(1 << m))
+    return tuple((size, *_row(residues, session_order(n))) for residues, size in rows)
 
 
 @lru_cache(maxsize=None)
@@ -227,19 +251,23 @@ def _orbit_duals(n: int, insertions: tuple[Partition, ...],
     # orbit_sum's genus-free part, per sorted insertions: at each representative
     # the trace dual of |O| * prod of 2^len * P~_lam * Q's numerator, and their
     # one denominator.  Each key holds a dual per representative, hence the bound.
-    order = session_order(n)
-    staircase = partitions.rho(n - 1)
-    rho_values = _ptilde_rho(n, True) if staircase in insertions else None
+    # Staircase pairs are the closed-form square (2^m * P~_rho)^2 = 2^(m-1),
+    # times e_m = +-1 for odd n; only an odd one out runs the Pfaffian.
+    m, order = n - 1, session_order(n)
+    staircase = partitions.rho(m)
+    pairs, odd = divmod(insertions.count(staircase), 2)
+    rho_values = _ptilde_rho(n, True) if odd else None
     den, duals = 1 << sum(map(len, insertions)), []
     for k, (size, elem, _s) in enumerate(_point_table(n, True)):
-        memo = {} if rho_values is None else {staircase: rho_values[k]}
-        value = elem[0]
+        value, memo = elem[0] if rho_values is None else rho_values[k], {}
         for lam in insertions:
-            value = int_mul(value, _int_ptilde(lam, elem, order, memo), order)
+            if lam != staircase:
+                value = int_mul(value, _int_ptilde(lam, elem, order, memo), order)
         if q_poly is not None:
             integrand, qden = _int_alpha(q_poly, elem, order)
             value = int_mul(value, integrand, order)
-        duals.append([size * t for t in trace_dual(value, order)])
+        scale = size * (elem[m][0] if n % 2 else 1) ** pairs << (m - 1) * pairs
+        duals.append([scale * t for t in trace_dual(value, order)])
     return tuple(duals), den if q_poly is None else den * qden
 
 
@@ -255,18 +283,20 @@ def _schur_inverses(n: int) -> tuple[tuple[list[int], int], ...]:
     return tuple(int_inverse(s, session_order(n)) for _w, _e, s in _point_table(n, True))
 
 
-def orbit_sum(n: int, genus: int, insertions: tuple[Partition, ...] = (),
-              q_poly: AlphaPolynomial | None = None) -> Fraction:
-    """The closed formula's exact sum over all evaluation points (with no
-    integrand, evaluation_sum's value), summed over their affine orbits:
+def orbit_trace(n: int, genus: int, insertions: tuple[Partition, ...] = (),
+                q_poly: AlphaPolynomial | None = None) -> tuple[int, int]:
+    """(numerator, denominator), not in lowest terms, of the closed formula's
+    exact sum over all evaluation points (with no integrand, evaluation_sum's
+    value), summed over their affine orbits:
     (1/phi(4m)) * sum over the orbits O of |O| times the trace of
     S_rho^(genus-1) * prod of P~_lam * Q(a_i = e_i/2) at O's representative.
 
     A term is the inner product of S_rho^(genus-1), the product of the cached
     squares at genus - 1's bits (b / den at genus 0), with the cached trace
-    dual of the rest; the terms share one denominator.  Raises
-    WeightConditionError when a term's total degree is not divisible by 2m,
-    where the orbit formula does not hold (the full sum is 0 there).
+    dual of the rest; the terms share one denominator, so a caller divides
+    once.  Raises WeightConditionError when a term's total degree is not
+    divisible by 2m, where the orbit formula does not hold (the full sum is
+    0 there).
     """
     if genus < 0:
         raise ValueError(f"genus must be >= 0, got {genus}")
@@ -293,7 +323,13 @@ def orbit_sum(n: int, genus: int, insertions: tuple[Partition, ...] = (),
             factors.append((reduce(lambda a, b: int_mul(a, b, order), chosen), 1))
     common = math.lcm(*(d for _v, d in factors))
     total = sum(common // d * sum(map(operator.mul, v, dual)) for (v, d), dual in zip(factors, duals))
-    return Fraction(total, common * den * field_degree(order))
+    return total, common * den * field_degree(order)
+
+
+def orbit_sum(n: int, genus: int, insertions: tuple[Partition, ...] = (),
+              q_poly: AlphaPolynomial | None = None) -> Fraction:
+    """orbit_trace's value as a Fraction in lowest terms."""
+    return Fraction(*orbit_trace(n, genus, insertions, q_poly))
 
 
 orbit_sum.cache_clear = lambda: [f.cache_clear() for f in (_orbit_duals, _schur_ladder, _schur_inverses)]
@@ -366,13 +402,19 @@ def evaluation_sum(n: int, genus: int, insertions: tuple[Partition, ...] = (), *
     staircase = partitions.rho(n - 1)
     columns = []
     for lam in insertions:
-        if lam == staircase:
-            columns.append(_staircase_column(n)[0 if exact else 1])
-        else:
+        if lam != staircase:
             columns.append([tab[lam] for tab in (_tables(n) if exact else _float_tables(n))])
+        elif exact:
+            columns.append(_staircase_column(n)[0])
     if exact:
         spows = _schur_powers(n, genus - 1)
-    else:
+    else:  # staircase pairs by the closed-form square P~_rho^2 = 2^-n, times e_m for odd n
+        pairs, odd = divmod(insertions.count(staircase), 2)
+        if pairs:
+            squares = ((e[n - 1][0] if n % 2 else 1) / 2.0 ** n for _w, e, _s in _point_table(n, False))
+            columns.append([x ** pairs for x in squares])
+        if odd:
+            columns.append(_staircase_column(n)[1])
         spows = [s ** (genus - 1) for s in _float_schur(n)]
     terms = (reduce(operator.mul, row) for row in zip(*columns, spows))
     return sum(terms, zero(session_order(n)) if exact else 0j)

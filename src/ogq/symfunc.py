@@ -8,10 +8,9 @@ the maximal orthogonal Grassmannian.  P~ on one or two rows is an explicit
 quadratic expression in the e's; longer indices reduce to a Pfaffian of the
 two-row values.
 
-The private _int_* helpers compute the same values at points of Z[w]^m on
-integer coefficient lists, for the per-point tables in quantum: the e's,
-S_rho by the product formula e_m * prod_{i<j} (x_i + x_j), 2^len * P~ by a
-first-row Pfaffian expansion memoized over sub-partitions, and an
+The private _int_* helpers compute values from elementary values in Z[w]
+on integer coefficient lists, for the per-point tables in quantum: 2^len * P~
+by a first-row Pfaffian expansion memoized over sub-partitions, and an
 AlphaPolynomial integrand over one common denominator.
 
 The small AlphaPolynomial ring tracks polynomials in a_i := e_i/2, which is
@@ -21,10 +20,8 @@ how intersection-number integrands are fed in from the outside.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 import re
-from collections.abc import Sequence
 from fractions import Fraction
 
 from .cyclotomic import CycloNum, int_mul, int_pow
@@ -224,32 +221,10 @@ def _ptilde_from_elem(parts: Partition, evals: list[CycloNum]) -> CycloNum:
     return pfaffian(rows)
 
 
-# Integer builds at points of Z[w]^m.  A value of Z[w] is the list of its
-# power-basis coefficients; products go through cyclotomic.int_mul, and the
-# caller turns the results into CycloNums once.
+# Integer builds from elementary values in Z[w].  A value of Z[w] is the list
+# of its power-basis coefficients; products go through cyclotomic.int_mul.
 
 IntVec = list[int]
-
-
-def _int_elementary(point: Sequence[IntVec], order: int) -> list[IntVec]:
-    # [e_0, ..., e_m] at the point, by multiplying out prod_i (1 + x_i t).
-    evals = [[1] + [0] * (len(point[0]) - 1)]
-    for x in point:
-        nxt = [evals[0]]
-        for k in range(1, len(evals)):
-            nxt.append([a + b for a, b in zip(evals[k], int_mul(x, evals[k - 1], order))])
-        nxt.append(int_mul(x, evals[-1], order))
-        evals = nxt
-    return evals
-
-
-def _int_staircase_schur(point: Sequence[IntVec], e_m: IntVec, order: int) -> IntVec:
-    # S_rho for rho = (m, ..., 1) in m variables: S_rho = e_m * S_(m-1,...,0)
-    # and S_(m-1,...,0) = prod_{i<j} (x_i + x_j), so no determinant is needed.
-    acc = e_m
-    for x, y in itertools.combinations(point, 2):
-        acc = int_mul(acc, [a + b for a, b in zip(x, y)], order)
-    return acc
 
 
 def _int_ptilde(parts: Partition, evals: list[IntVec], order: int,

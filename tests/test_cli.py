@@ -288,6 +288,33 @@ def test_table_refuses_a_negative_max_d_and_writes_nothing(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [["count", "--g", "3", "--rank", "42", "--ell", "0"],
+                                  ["count", "--g", "3", "--rank", "41", "--ell", "0", "--mode", "float"],
+                                  ["ntilde", "--g", "3", "--n", "21", "--ell", "0", "--e", "-2"]])
+def test_a_count_past_the_size_budget_exits_3_before_walking_a_residue_set(argv, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("a residue set was walked")
+
+    monkeypatch.setattr(quantum, "_orbits", refuse)
+    monkeypatch.setattr(quantum, "_point_table", refuse)
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (3, "")
+    doc = json.loads(err)
+    assert doc["error"] == "not_applicable"
+    assert "n = 21 is past the size budget of the exact route, n <= 20" in doc["reason"]
+
+
+def test_a_float_route_past_its_budget_leaves_the_exact_count_standing(capsys):
+    n = counting.FLOAT_MAX_N + 1
+    code, out, _ = run(["count", "--g", "3", "--rank", str(2 * n), "--ell", "0", "--mode", "float",
+                        "--format", "json"], capsys)
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["N"] == counting.decimal_string(counting.count(3, 2 * n, 0).value)
+    assert doc["float_value"] is None
+    assert f"size budget of the float route, n <= {n - 1}" in doc["float_note"]
+
+
 @pytest.mark.parametrize("n", ["10", "30", str(10 ** 30)])
 def test_table_past_the_basis_budget_exits_3_before_building_a_point(n, tmp_path, monkeypatch, capsys):
     def refuse(*args):
@@ -486,7 +513,7 @@ def test_only_a_failed_proof_exits_1(error, code, kind, argv, monkeypatch, capsy
     def raising(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr(quantum, "orbit_sum", raising)
+    monkeypatch.setattr(quantum, "orbit_trace", raising)  # behind orbit_sum too
     got, out, err = run(argv, capsys)
     assert (got, out) == (code, "")
     doc = json.loads(err)

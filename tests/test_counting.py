@@ -9,7 +9,7 @@ import pytest
 
 from fractions import Fraction
 
-from ogq import counting, quantum, symfunc, verify
+from ogq import cli, counting, cyclotomic, quantum, symfunc, verify
 from ogq.partitions import rho
 from ogq.counting import (
     CountReport,
@@ -290,7 +290,7 @@ def test_float_routes_raise_past_the_double_range():
 
 
 def test_count_makes_one_exact_sum(monkeypatch):
-    calls = {"orbit_sum": [], "evaluation_sum": []}
+    calls = {"orbit_trace": [], "evaluation_sum": []}
     for name in calls:
         def recording(*args, real=getattr(quantum, name), name=name, **kwargs):
             calls[name].append(args)
@@ -299,7 +299,7 @@ def test_count_makes_one_exact_sum(monkeypatch):
         monkeypatch.setattr(quantum, name, recording)
     assert count(3, 14, 0).value == 388628480
     # one orbit sum, and no sum over all the points
-    assert calls == {"orbit_sum": [(7, 3, ((6, 5, 4, 3, 2, 1),) * 2)], "evaluation_sum": []}
+    assert calls == {"orbit_trace": [(7, 3, ((6, 5, 4, 3, 2, 1),) * 2)], "evaluation_sum": []}
 
 
 def test_even_count_is_n_tilde_at_e0_doubled_for_even_ell():
@@ -408,12 +408,15 @@ def test_counting_sums_never_build_the_full_tables(monkeypatch):
 
         monkeypatch.setattr(quantum, name, recording)
     # the exact routes read the orbit representatives only: neither the full
-    # point rows nor the full P~_rho column is asked for
+    # point rows nor the full P~_rho column is asked for; rank 14 squares its
+    # two staircase insertions in closed form, and rank 8 at ell 1 (staircase
+    # power 3) needs one P~_rho factor
     exact = count(3, 14, 0).value
+    assert counting._count_even_plan(3, 4, 1)[2] == 3 and count(3, 8, 1).value > 0
     assert n_tilde(NQuery(2, 3, 0, -4, 0, ptilde_alpha((2,), 2) * ptilde_alpha((2, 1), 2))) == 16
     assert n_tilde(NQuery(300, 4, 0, -598)) > 0
     assert quantum._tables.cache_info().currsize == 0
-    assert keys == {"_point_table": {(7, True), (3, True), (4, True)}, "_ptilde_rho": {(7, True)}}
+    assert keys == {"_point_table": {(7, True), (3, True), (4, True)}, "_ptilde_rho": {(4, True)}}
     assert abs(count_float(3, 14, 0) - exact) <= 1e-6 * exact
     # Gromov-Witten invariants whose insertions are all staircase classes
     assert trivial_bundle_number(3, 4, -14, 5, []) == trivial_bundle_number(3, 4, -6, 1, []) == 832
@@ -499,3 +502,73 @@ def test_count_decomposition_names_the_orbits_and_the_points():
         decomposition = count(3, rank, 0).decomposition
         assert (decomposition["orbits"], decomposition["points"]) == (4, 64)
     assert count(3, 4, 0).decomposition["orbits"] == 1
+
+
+# N(g = 3, rank, ell 0) and the orbit count, as the code before the direct
+# orbit walk and the closed-form staircase square gave them (rank 30 took
+# 4.6 s of CPU then, rank 34 43 s: both have staircase power 2).
+PINNED_COUNTS = {
+    30: (433397346834047701057431451748240719872, 65),
+    32: (109800068673046095541945564979628853860237312, 184),
+    34: (64912512615517762888337937932354788846963880099840, 136),
+    36: (89605718800343599418802263727173784668731059942799179776, 261),
+}
+
+
+@pytest.mark.parametrize("rank", sorted(PINNED_COUNTS))
+def test_counts_at_ranks_30_to_36_are_pinned(rank):
+    report = count(3, rank, 0)
+    assert (report.value, report.decomposition["orbits"]) == PINNED_COUNTS[rank]
+    assert report.decomposition["points"] == 2 ** (rank // 2 - 1)
+
+
+def _refuse(*args):
+    raise AssertionError("the refused route ran")
+
+
+def test_counts_past_the_size_budget_are_refused_before_anything_is_enumerated(monkeypatch):
+    monkeypatch.setattr(quantum, "_orbits", _refuse)
+    monkeypatch.setattr(quantum, "_point_table", _refuse)
+    n = counting.EXACT_MAX_N + 1
+    for call in (lambda: count(3, 2 * n, 0), lambda: count(3, 2 * n - 1, 0),
+                 lambda: n_tilde(NQuery(3, n, 0, -2))):
+        with pytest.raises(counting.SizeBudgetError, match=f"of the exact route, n <= {n - 1}"):
+            call()
+    n = counting.FLOAT_MAX_N + 1
+    for call in (lambda: count_float(3, 2 * n, 0), lambda: count_float(3, 2 * n - 1, 0),
+                 lambda: n_tilde_float(NQuery(3, n, 0, -2))):
+        with pytest.raises(counting.SizeBudgetError, match=f"of the float route, n <= {n - 1}"):
+            call()
+    # an odd staircase power runs the P~_rho Pfaffian, which has a budget of its own
+    for exact, n in counting.PFAFFIAN_MAX_N.items():
+        assert counting._plan(n + 1, 1, 0)[1] == 3
+        with pytest.raises(counting.SizeBudgetError, match=f"with a P~_rho factor, n <= {n}"):
+            (count if exact else count_float)(2, 2 * n + 2, 1)
+        with pytest.raises(counting.SizeBudgetError, match=f"with a P~_rho factor, n <= {n}"):
+            n_tilde(NQuery(2, n + 1, 0, 0, 1)) if exact else n_tilde_float(NQuery(2, n + 1, 0, 0, 1))
+
+
+def test_the_exact_routes_build_no_point_and_no_root_of_unity(monkeypatch, tmp_path, capsys):
+    # the rows come from the residues, so with the caches cleared no
+    # EvalPoint and no CycloNum root of unity is built
+    for cached in (quantum._orbits, quantum._point_table, quantum._ptilde_rho,
+                   quantum.orbit_sum, quantum.structure_table):
+        cached.cache_clear()
+    for module, name in ((quantum, "eval_points"), (quantum, "root_of_unity"), (cyclotomic, "root_of_unity")):
+        monkeypatch.setattr(module, name, _refuse)
+    assert count(3, 14, 0).value == 388628480
+    assert n_tilde(NQuery(2, 3, 0, -4, 0, ptilde_alpha((2,), 2) * ptilde_alpha((2, 1), 2))) == 16
+    assert cli.main(["table", "--n", "6", "--format", "json", "--cache-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.startswith("{")
+
+
+def test_even_staircase_powers_run_no_pfaffian(monkeypatch):
+    # rank 30 and rank 22 at ell 0 have staircase power 2: the closed-form
+    # square replaces P~_rho, exact and float alike
+    assert counting._count_even_plan(3, 15, 0)[2] == counting._count_even_plan(3, 11, 0)[2] == 2
+    for cached in (quantum._ptilde_rho, quantum._staircase_column, quantum.orbit_sum):
+        cached.cache_clear()
+    for module in (symfunc, quantum):
+        monkeypatch.setattr(module, "_int_ptilde", _refuse)
+    assert count(3, 30, 0).value == PINNED_COUNTS[30][0]
+    assert count_float(3, 22, 0) == pytest.approx(count(3, 22, 0).value, rel=1e-9)

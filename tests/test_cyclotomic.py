@@ -1,8 +1,10 @@
 """Exact arithmetic in Q(w) checked against classical cyclotomic facts."""
 
 import cmath
+import itertools
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -327,6 +329,22 @@ def test_fused_dot_refuses_bad_input(monkeypatch):
     dot(0, 1)
     with pytest.raises(cyclotomic.SlotOverflowError, match="overflowed its slot"):
         dot(0, 2)
+
+
+@pytest.mark.parametrize("order", [4, 12, 15, 20, 24, 36])
+def test_fused_dot_at_the_extreme_of_its_slot(order):
+    # arity 4 with every entry +-top, the largest digits _dot_slot sizes for:
+    # the slot bound, not the runtime check on the summed magnitude, guards
+    # each digit, so every dot must equal the trace of the explicit products
+    rng = random.Random(order)
+    phi, top, points = field_degree(order), 10 ** 9, 5
+    vectors = [[[sign * top] * phi for _ in range(points)] for sign in (1, -1)]
+    vectors += [[[rng.choice((top, -top)) for _ in range(phi)] for _ in range(points)] for _ in range(2)]
+    dot = fused_dot(vectors, order, arity=4)
+    for which in itertools.product(range(4), repeat=4):
+        expected = sum(trace(reduce(lambda a, b: int_mul(a, b, order), (vectors[i][j] for i in which)), order)
+                       for j in range(points))
+        assert dot(*which) == expected, which
 
 
 # Integer coefficients of Z[w]: zeros often, small values, and values far

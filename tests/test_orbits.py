@@ -16,7 +16,8 @@ from ogq.partitions import all_strict, rho, weight
 from ogq.quantum import WeightConditionError, eval_points, orbit_count, orbit_sum
 from ogq.symfunc import AlphaPolynomial, _int_alpha, _int_ptilde, ptilde_alpha
 
-ORBIT_COUNTS = {1: 1, 2: 1, 3: 2, 4: 1, 5: 3, 6: 4, 7: 5, 8: 3, 9: 11, 10: 13, 11: 15, 12: 31}
+ORBIT_COUNTS = {1: 1, 2: 1, 3: 2, 4: 1, 5: 3, 6: 4, 7: 5, 8: 3, 9: 11, 10: 13, 11: 15, 12: 31,
+                13: 37, 14: 65, 15: 184}
 
 
 @pytest.mark.parametrize("m", sorted(ORBIT_COUNTS))
@@ -24,6 +25,11 @@ def test_orbit_counts_and_sizes(m):
     orbits = quantum._orbits(m)
     assert len(orbits) == ORBIT_COUNTS[m] == orbit_count(m + 1)
     assert sum(size for _index, size in orbits) == 2 ** m
+
+
+def _residue_sets(m: int) -> dict[frozenset, int]:
+    # each evaluation point as its set of residues mod 4m -> its index
+    return {frozenset(t % (4 * m) for t in ep.doubled): i for i, ep in enumerate(eval_points(m))}
 
 
 def _closure(start: frozenset, order: int) -> set[frozenset]:
@@ -45,15 +51,17 @@ def _closure(start: frozenset, order: int) -> set[frozenset]:
 @pytest.mark.parametrize("m", range(1, 10))
 def test_each_orbit_is_closed_under_the_galois_action_and_the_shift_by_2(m):
     order = 4 * m
-    points = {frozenset(t % order for t in ep.doubled) for ep in eval_points(m)}
+    points = _residue_sets(m)
     covered: set[frozenset] = set()
-    for index, size in quantum._orbits(m):
-        orbit = _closure(frozenset(t % order for t in eval_points(m)[index].doubled), order)
-        assert orbit <= points
+    for residues, size in quantum._orbits(m):
+        orbit = _closure(frozenset(residues), order)
+        assert orbit <= points.keys()
         assert len(orbit) == size
+        # the first point of the orbit in eval_points order represents it
+        assert min(points[point] for point in orbit) == points[frozenset(residues)]
         assert not orbit & covered
         covered |= orbit
-    assert covered == points
+    assert covered == points.keys()
 
 
 def _admissible(n: int, genus: int, insertions) -> bool:
@@ -122,12 +130,13 @@ def test_orbit_rows_are_the_full_rows_at_the_representatives(n):
     assert len(full) == 2 ** m and all(weight == 1 for weight, _e, _s in full)
     assert len(rows) == len(orbits)
     assert sum(weight for weight, _e, _s in rows) == 2 ** m
-    for (index, size), (weight, elem, schur) in zip(orbits, rows):
+    index = [_residue_sets(m)[frozenset(residues)] for residues, _size in orbits]
+    for (_r, size), (weight, elem, schur), i in zip(orbits, rows, index):
         assert weight == size
-        assert (elem, schur) == full[index][1:]
+        assert (elem, schur) == full[i][1:]
     full_rho = quantum._ptilde_rho(n, False)
     assert len(full_rho) == 2 ** m
-    assert list(quantum._ptilde_rho(n, True)) == [full_rho[index] for index, _size in orbits]
+    assert list(quantum._ptilde_rho(n, True)) == [full_rho[i] for i in index]
 
 
 GENERA = tuple(range(13)) + (64, 200, 401)

@@ -8,13 +8,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from ogq import quantum
 from ogq.cyclotomic import CycloNum, field_degree, root_of_unity
 from ogq.partitions import all_strict, rho
 from ogq.symfunc import (
     AlphaPolynomial,
-    _int_elementary,
     _int_ptilde,
-    _int_staircase_schur,
     NotSkewSymmetricError,
     OddDimensionError,
     alpha_evaluate,
@@ -270,16 +269,17 @@ def random_int_point(rng, m, order):
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
 def test_integer_staircase_schur_is_the_product_formula(m):
-    # S_rho = e_m * prod_{i<j} (x_i + x_j) against the Jacobi-Trudi determinant.
+    # quantum._row, which builds S_rho = e_m * prod_{i<j} (x_i + x_j) by signed
+    # rotations, against the Jacobi-Trudi determinant at points of roots of
+    # unity w^t, t any residues mod the order, repeats and antipodes included
     rng = random.Random(100 + m)
     order = 12
-    for _ in range(2):
-        point = random_int_point(rng, m, order)
-        xs = [x.int_coeffs() for x in point]
-        evals = _int_elementary(xs, order)
+    for _ in range(4):
+        residues = tuple(rng.randrange(order) for _ in range(m))
+        point = tuple(root_of_unity(order, t) for t in residues)
+        evals, schur = quantum._row(residues, order)
         assert [CycloNum.from_ints(order, e) for e in evals] == elementary_values(point)
-        got = _int_staircase_schur(xs, evals[m], order)
-        assert CycloNum.from_ints(order, got) == schur_value(rho(m), point)
+        assert CycloNum.from_ints(order, schur) == schur_value(rho(m), point)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
@@ -287,7 +287,7 @@ def test_integer_ptilde_recursion_matches_the_pfaffian(m):
     rng = random.Random(200 + m)
     order = 20
     point = random_int_point(rng, m, order)
-    evals = _int_elementary([x.int_coeffs() for x in point], order)
+    evals = [e.int_coeffs() for e in elementary_values(point)]
     memo = {}
     for lam in sorted(all_strict(m), key=len, reverse=True):
         got = CycloNum.from_ints(order, _int_ptilde(lam, evals, order, memo), 2 ** len(lam))
