@@ -5,14 +5,16 @@ Prints one row per query with the extremal degree e0 and the count N, or the
 parity diagnostic when the query is not applicable or not covered.  The
 powers of two in the applicable rows are the headline pattern.  Each count
 is an exact sum over the affine orbits of the evaluation points, and the
-per-rank tables are kept for the rest of the scan.  With --max-rank 28
-(genus 2..9, ell 0..2) the whole scan takes about 3 s of CPU on a 2-CPU
-x86-64 VM with Python 3.11: the first count of rank 28 at ell 1 (odd
-staircase power, so the P~_rho Pfaffian at the 37 orbit representatives of
-n = 14) about 1.8 s, every other count under 0.5 s, and a count whose rank
-was already seen a few milliseconds.  Counts run to rank 40; past it, and
-past rank 30 with an odd staircase power, a count is refused before any work
-and its row says so.
+per-rank tables are kept for the rest of the scan.  With --max-rank 40
+(genus 2..9, ell 0..2) the whole scan answers every applicable count in
+about 4-5 s of CPU and 43 MB peak on a 2-CPU x86-64 VM with Python 3.11:
+the first count of rank 40 about 1 s (the orbit walk and S_rho at the 805
+representatives of n = 20), an odd staircase power one Pfaffian mod p per
+representative on top, and a count whose rank was already seen a few
+milliseconds.  An odd
+staircase power's sign rests on a check mod a prime, not a proof.  Counts
+run to rank 40; past it a count is refused before any work and its row
+says so.
 """
 
 import argparse

@@ -7,9 +7,10 @@ intersection number), verify (self-check suites).
 
 Exit codes: 0 success, 1 verification failure (a result that is not a
 nonnegative integer, a sum off the weight condition, a value that is not
-rational, a fused dot past its slot), 2 invalid input, 3 not applicable, not
-covered or past a size budget (a table past n = 9, a count past n = 20), 4
-I/O failure, 5 internal error (any other exception: a fault of the program).
+rational, a fused dot past its slot, a staircase Pfaffian off its square
+mod p), 2 invalid input, 3 not applicable, not covered or past a size
+budget (a table past n = 9, a count past n = 20), 4 I/O failure, 5 internal
+error (any other exception: a fault of the program).
 """
 
 from __future__ import annotations
@@ -35,12 +36,13 @@ from .counting import (
     decimal_string,
 )
 from .cyclotomic import NotRationalError, SlotOverflowError
-from .quantum import GWQuery, NonIntegralResultError, QuantumElement, WeightConditionError
+from .quantum import GWQuery, NonIntegralResultError, QuantumElement, StaircaseSignError, WeightConditionError
 from .symfunc import parse_alpha_poly
 
 OK, VERIFY_FAIL, BAD_INPUT, NOT_APPLICABLE, IO_ERROR, INTERNAL_ERROR = 0, 1, 2, 3, 4, 5
 # The failed proofs; any other ArithmeticError is a fault of the program.
-PROOF_FAILURES = (NonIntegralResultError, WeightConditionError, NotRationalError, SlotOverflowError)
+PROOF_FAILURES = (NonIntegralResultError, WeightConditionError, NotRationalError, SlotOverflowError,
+                  StaircaseSignError)
 
 FLOAT_RTOL = 1e-6
 

@@ -63,16 +63,16 @@ class SizeBudgetError(ValueError):
 
 # Largest n per route, checked before anything is enumerated.  The exact
 # route walks the 2^(n-1) residue sets once (n = 20, rank 40: about 1.4 s),
-# the float route sums all 2^(n-1) points; an odd staircase power adds the
-# P~_rho Pfaffian over 2^(n-2) sub-partitions per representative or point.
-EXACT_MAX_N, FLOAT_MAX_N, PFAFFIAN_MAX_N = 20, 12, {True: 15, False: 11}
+# the float route sums all 2^(n-1) points; a staircase factor costs one
+# O(n^3) Pfaffian per representative or point.
+EXACT_MAX_N, FLOAT_MAX_N = 20, 12
 
 
-def _check_budget(n: int, exact: bool, rho_power: int) -> None:
-    limit = PFAFFIAN_MAX_N[exact] if rho_power % 2 else EXACT_MAX_N if exact else FLOAT_MAX_N
+def _check_budget(n: int, exact: bool) -> None:
+    limit = EXACT_MAX_N if exact else FLOAT_MAX_N
     if n > limit:
-        route = ("exact" if exact else "float") + (" route with a P~_rho factor" if rho_power % 2 else " route")
-        raise SizeBudgetError(f"n = {n} is past the size budget of the {route}, n <= {limit}")
+        raise SizeBudgetError(f"n = {n} is past the size budget of the {'exact' if exact else 'float'} route, "
+                              f"n <= {limit}")
 
 
 _NOT_COVERED_KNOWN = (
@@ -164,7 +164,7 @@ def _plan(n: int, ell: int, e: int) -> tuple[int, int]:
 def _n_tilde(query: NQuery, exact: bool) -> Fraction | float:
     # n_tilde and n_tilde_float: one plan, one weight target, one sum.
     exponent, rho_power = _plan(query.n, query.ell, query.e)
-    _check_budget(query.n, exact, rho_power + query.u)
+    _check_budget(query.n, exact)
     target = expected_dim_t(query.n, query.ell, query.e, query.genus, query.u)
     qp = query.q_poly
     if not qp or not qp.is_homogeneous() or qp.weighted_degree() != target:
@@ -298,14 +298,18 @@ def count_even(genus: int, n: int, ell: int) -> CountReport:
     What is checked: the power-of-two prefactor against its closed form
     (_check_prefactor), that the count is a nonnegative integer (the orbit
     sum is a trace, rational by construction), and the catalogued closed
-    forms (a note on the report).  Outside this call, `--mode float` re-sums
-    the same plan over all 2^(n-1) points in complex doubles, and `verify`'s
+    forms (a note on the report).  An odd staircase power takes one factor
+    2^m * P~_rho = +-r from the staircase square; the square is checked
+    mod a prime p at every representative, not proved, and the report's
+    decomposition names p (sign_check_field).  Outside this call,
+    `--mode float` re-sums the same plan over all 2^(n-1) points in complex
+    doubles, with the sign from a complex Pfaffian, and `verify`'s
     trivial-bundle bridge compares n_tilde with Gromov-Witten invariants.
     """
     if n < 2:
         raise UnsupportedRankError(f"even rank needs n >= 2, got n = {n}")
     e0, exponent, rho_power = _count_even_plan(genus, n, ell)
-    _check_budget(n, True, rho_power)
+    _check_budget(n, True)
     num, den = quantum.orbit_trace(n, genus, (partitions.rho(n - 1),) * rho_power)
     value, rest = divmod(num << exponent, den)
     if rest or value < 0:
@@ -327,6 +331,8 @@ def count_even(genus: int, n: int, ell: int) -> CountReport:
             "points": 2 ** (n - 1),
         },
     )
+    if rho_power % 2:
+        report.decomposition["sign_check_prime"] = quantum.sign_check_field(n)[0]
     _catalog_note(report)
     return report
 
@@ -407,7 +413,7 @@ def count_float(genus: int, rank: int, ell: int) -> float:
     if rank % 2 == 0:
         n = rank // 2
         _e0, exponent, rho_power = _count_even_plan(genus, n, ell)
-        _check_budget(n, False, rho_power)
+        _check_budget(n, False)
         staircase = (partitions.rho(n - 1),) * rho_power
         total = quantum.evaluation_sum(n, genus, staircase, exact=False)
         return _float_scaled(exponent, total)

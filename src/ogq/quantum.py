@@ -12,11 +12,12 @@ lives in the cyclotomic field of order 4m (the exponents j are half-integers
 when m is even, so doubled exponents are used throughout).
 
 At a point, the elementary values, S_rho and 2^len(lambda) * P~_lambda lie in
-Z[w].  One integer table (_point_table) holds e and S_rho at every point or
-at the orbit representatives, built from the exponents by signed rotations;
-2^m * P~_rho has a column of its own (_ptilde_rho), and a staircase pair
-needs none: (2^m * P~_rho)^2 = 2^(m-1), times e_m = +-1 for odd n.  The
-public symfunc evaluators stay the independent oracle in the tests.
+Z[w].  One integer table (_point_table) holds S_rho, and e where a caller
+reads it, at every point or at the orbit representatives, built from the
+exponents by signed rotations.  A staircase pair is the square
+(2^m * P~_rho)^2 = r^2 = 2^(m-1) * e_m, and one factor is +-r with its sign
+read mod a prime p (_ptilde_rho): the square is checked mod p, not proved.
+The public symfunc evaluators stay the independent oracle in the tests.
 
 The sum is invariant under the affine maps J -> aJ + b of the doubled
 exponents mod 4m, a a unit and b even, whenever the summand's total degree
@@ -28,17 +29,18 @@ of O), a few traces where there are 2^m points (4 orbits for 64 points at
 n = 7; _orbits walks the residue sets as bit masks).  orbit_trace carries
 that exact route for the counts and n_tilde, over one denominator.  It
 caches, per insertions and integrand, the trace dual of the genus-free
-factors at each representative (_orbit_duals), and per n the squares
-S_rho^(2^k) (_schur_ladder), so a call takes a multiply per extra bit of
-genus - 1 and one inner product per representative.  The structure table's
-genus-0 three-point numbers are each the integer trace of one fused dot,
-one per unordered index triple of admissible weight; it is kept as index
-rows (table_rows), and structure_table builds TableEntry objects.
+factors at each representative (_orbit_duals), and per (n, genus)
+S_rho^(genus-1) (_orbit_powers) from the squares S_rho^(2^k) (_schur_ladder),
+so a call at a seen (n, genus) takes one inner product per representative.
+The structure table's genus-0 three-point numbers are each the integer trace
+of one fused dot, one per unordered index triple of admissible weight; it is
+kept as index rows (table_rows), and structure_table builds TableEntry objects.
 
 evaluation_sum keeps the sum over all 2^m points, exact (on CycloNum views
-of the table) or through the complex embedding.  It carries the invariants
-here (gw_invariant, hence three_point) and every float route, so each is an
-independent summation that cross-checks the orbit route.  The structure
+of the table) or in complex doubles, with S_rho and P~_rho computed there.
+It carries the invariants here (gw_invariant, hence three_point) and every
+float route, so each is an independent summation that cross-checks the
+orbit route.  The structure
 table yields the quantum Euler class and an independent trace-formula route
 to every positive-genus invariant, used to cross-check the direct sum.
 """
@@ -46,12 +48,13 @@ to every positive-genus invariant, used to cross-check the direct sum.
 from __future__ import annotations
 
 import bisect
+import cmath
 import dataclasses
 import itertools
 import math
 import operator
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 
 from . import partitions
 from .cyclotomic import (CycloNum, NotRationalError, _reduce, field_degree, fused_dot, int_inverse,
@@ -74,6 +77,10 @@ class GenusTooSmallError(ValueError):
 
 class NonIntegralResultError(ArithmeticError):
     pass
+
+
+class StaircaseSignError(ArithmeticError):
+    """2^m * P~_rho is neither r nor -r mod p at a row: the staircase square fails."""
 
 
 class WeightConditionError(ArithmeticError):
@@ -207,42 +214,150 @@ def degree_ok(query: GWQuery) -> bool:
 def _turn(v: list[int], t: int) -> list[int]:
     # v * w^t in Z[x]/(x^h + 1), h = len(v), where w^h = -1: a signed rotation.
     h, k = len(v), t % len(v)
-    out = [-c for c in v[h - k:]] + v[:h - k]
-    return [-c for c in out] if t // h % 2 else out
+    if t // h % 2:
+        return v[h - k:] + [-c for c in v[:h - k]]
+    return [-c for c in v[h - k:]] + v[:h - k]
 
 
-def _row(residues: tuple[int, ...], order: int) -> tuple[list[list[int]], list[int]]:
-    # [e_0, ..., e_m] and S_rho = e_m * prod_{i<j} (x_i + x_j) at the point
-    # x_i = w^t_i, built by signed rotations mod x^(order/2) + 1 (at even
-    # order, w^(order/2) = -1) and reduced mod Phi once per value.
-    elem = [[1] + [0] * (order // 2 - 1)]
+def _elementary(residues: tuple[int, ...], order: int) -> list[list[int]]:
+    # [e_0, ..., e_m] at the point x_i = w^t_i, by signed rotations mod
+    # x^(order/2) + 1 (at even order, w^(order/2) = -1), reduced mod Phi once per value
+    values = [[1] + [0] * (order // 2 - 1)]
     for t in residues:
-        turned = [_turn(e, t) for e in elem]
-        elem = elem[:1] + [list(map(operator.add, e, x)) for e, x in zip(elem[1:], turned)] + turned[-1:]
-    schur = elem[-1][:]
+        turned = [_turn(e, t) for e in values]
+        values = values[:1] + [list(map(operator.add, e, x)) for e, x in zip(values[1:], turned)] + turned[-1:]
+    return [_reduce(e, order) for e in values]
+
+
+def _staircase_schur(residues: tuple[int, ...], order: int) -> list[int]:
+    # S_rho = e_m * prod_{i<j} (x_i + x_j) at the same point, as the monomial
+    # e_m * prod_i x_i^(m-1-i) times prod_{i<j} (1 + w^(t_j - t_i))
+    schur = [1] + [0] * (order // 2 - 1)
     for s, t in itertools.combinations(residues, 2):
-        schur = list(map(operator.add, _turn(schur, s), _turn(schur, t)))
-    return [_reduce(e, order) for e in elem], _reduce(schur, order)
+        schur = list(map(operator.add, schur, _turn(schur, t - s)))
+    m = len(residues)
+    return _reduce(_turn(schur, sum((m - i) * t for i, t in enumerate(residues))), order)
+
+
+def _rows(n: int, orbits: bool):
+    # (residues, weight) per row of _point_table(n, orbits)
+    m = n - 1
+    return _orbits(m) if orbits else ((_residues(m, mask), 1) for mask in range(1 << m))
+
+
+def _unit(residues: tuple[int, ...], m: int) -> int:
+    # e_m = w^(sum t) = +-1: the base exponents sum to 0, each upper antipode adds 2m
+    return -1 if sum(residues) % (4 * m) else 1
 
 
 @lru_cache(maxsize=None)
-def _point_table(n: int, orbits: bool) -> tuple[tuple[int, list[list[int]], list[int]], ...]:
-    # Per row, as Z[w] coefficient lists: its weight, the elementary values
-    # [e_0, ..., e_m] and S_rho, at every point in eval_points order (weight 1)
-    # or, with orbits, at the orbit representatives (weight |O|), all from the
-    # residues (_row).  The one source of e and S_rho.
-    m = n - 1
-    rows = _orbits(m) if orbits else ((_residues(m, mask), 1) for mask in range(1 << m))
-    return tuple((size, *_row(residues, session_order(n))) for residues, size in rows)
+def _point_table(n: int, orbits: bool, elem: bool = True) -> tuple[tuple[int, list | None, list[int]], ...]:
+    # Per row, as Z[w] coefficient lists: its weight, [e_0, ..., e_m] (None
+    # unless elem; readers of e call with two arguments) and S_rho, at every
+    # point in eval_points order (weight 1) or, with orbits, at the orbit
+    # representatives (weight |O|), all from the residues.  The rows with e
+    # take S_rho from the rows without.
+    order = session_order(n)
+    if elem:
+        return tuple((w, _elementary(residues, order), s)
+                     for (residues, _), (w, _e, s) in zip(_rows(n, orbits), _point_table(n, orbits, False)))
+    return tuple((size, None, _staircase_schur(residues, order)) for residues, size in _rows(n, orbits))
+
+
+@lru_cache(maxsize=None)
+def sign_check_field(n: int) -> tuple[int, int]:
+    """(p, root) mod which _ptilde_rho reads P~_rho's sign for OG(n)_0: the
+    least prime p = 1 (mod 4m), and a root of unity of order exactly 4m mod p,
+    a root of Phi_4m, so w -> root maps Z[w] to F_p."""
+    order = session_order(n)
+    p = order + 1
+    while not all(p % d for d in range(2, math.isqrt(p) + 1)):
+        p += order
+    primes = [q for q in range(2, order + 1) if order % q == 0 and all(q % d for d in range(2, q))]
+    for a in range(2, p):
+        if all(pow(root := pow(a, (p - 1) // order, p), order // q, p) != 1 for q in primes):
+            return p, root
+
+
+def _staircase_root(m: int, unit: int) -> list[int]:
+    # r in Z[w] with r^2 = 2^(m-1) * e_m, e_m = unit = +-1: 2^((m-1)/2) for odd
+    # m; for even m, 2^((m-2)/2) times zeta8 + zeta8^-1 = zeta8 - w^(3m/2)
+    # (sqrt 2) when e_m = 1 and zeta8 + zeta8^3 = zeta8 + w^(3m/2) (sqrt -2)
+    # when e_m = -1, with zeta8 = w^(m/2).
+    if m % 2:
+        return [1 << (m - 1) // 2] + [0] * (field_degree(4 * m) - 1)
+    root = [0] * (2 * m)
+    root[m // 2], root[3 * m // 2] = 1 << (m - 2) // 2, -unit << (m - 2) // 2
+    return _reduce(root, 4 * m)
+
+
+def _staircase_pfaffian(xs: list, inverse, norm):
+    # 2^m * P~_rho at the point x_1..x_m of any field (norm maps into it): the
+    # Pfaffian of the pair matrix over rho's parts, 4 * P~_(a,b) = e_a e_b +
+    # 2 sum_k (-1)^k e_(a+k) e_(b-k), k = 1..b, with a 0 part appended for odd
+    # m, whose column is e_a.  With f_j = (-1)^j e_j the sum is (-1)^a
+    # conv_a(a + b), conv_a(s) = sum over j > a of f_j e_(s-j), grown as a
+    # falls: O(m^2).
+    m = len(xs)
+    e = [1] + [0] * m
+    for i, x in enumerate(xs, 1):
+        for k in range(i, 0, -1):
+            e[k] = norm(e[k] + x * e[k - 1])
+    parts = list(range(m, 0, -1)) + [0] * (m % 2)
+    rows = [[0] * len(parts) for _ in parts]
+    conv = [0] * (2 * m + 1)
+    for i, a in enumerate(parts):
+        sign = -2 if a % 2 else 2
+        for j in range(i + 1, len(parts)):
+            value = norm(e[a] * e[parts[j]] + sign * conv[a + parts[j]])
+            rows[i][j], rows[j][i] = value, norm(-value)
+        f = -e[a] if a % 2 else e[a]
+        for k in range(m + 1):
+            conv[a + k] = norm(conv[a + k] + f * e[k])
+    # Elimination, O(m^3): with A_0j row 0's largest entry, clear the rest of
+    # row and column 0 by the congruence row_i -= c_i row_j, col_i -= c_i
+    # col_j, c_i = A_0i / A_0j; then Pf(A) = (-1)^(j-1) A_0j Pf(A') on the
+    # other indices, A'_ik = A_ik - c_i A_jk + c_k A_ji.
+    value = 1
+    while rows:
+        first = rows[0]
+        j = max(range(1, len(rows)), key=list(map(abs, first)).__getitem__)
+        pivot = rows[j]
+        if not first[j]:
+            return norm(0)
+        value = norm(value * first[j] * (-1) ** (j - 1))
+        inv = inverse(first[j])
+        c = [norm(x * inv) for x in first]
+        keep = [k for k in range(1, len(rows)) if k != j]
+        rows = [[norm(rows[i][k] - c[i] * pivot[k] + c[k] * pivot[i]) for k in keep] for i in keep]
+    return value
 
 
 @lru_cache(maxsize=None)
 def _ptilde_rho(n: int, orbits: bool) -> tuple[list[int], ...]:
-    # 2^m * P~_rho per row of _point_table(n, orbits), apart from it so that a
-    # sum with no staircase insertion never runs the Pfaffian recursion.
-    order = session_order(n)
-    staircase = partitions.rho(n - 1)
-    return tuple(_int_ptilde(staircase, elem, order, {}) for _w, elem, _s in _point_table(n, orbits))
+    """2^m * P~_rho per row of _point_table(n, orbits), as +-r (_staircase_root).
+
+    The sign is read from one Pfaffian of the pair matrix mod p, w sent to a
+    primitive 4m-th root (sign_check_field).  r's norm is a power of two, so
+    r and -r differ mod p, and given the staircase square the sign is exact.
+    The square is a check mod p, not a proof: a value that is neither r nor
+    -r mod p raises StaircaseSignError.
+    """
+    m, order = n - 1, session_order(n)
+    p, root = sign_check_field(n)
+    powers = [pow(root, k, p) for k in range(order)]
+    roots = {unit: _staircase_root(m, unit) for unit in (1, -1)}
+    images = {unit: sum(c * powers[k] for k, c in enumerate(r)) % p for unit, r in roots.items()}
+    inverse, norm = partial(pow, exp=-1, mod=p), p.__rmod__
+    out = []
+    for residues, _size in _rows(n, orbits):
+        unit = _unit(residues, m)
+        value = _staircase_pfaffian([powers[t] for t in residues], inverse, norm)
+        if value not in (images[unit], -images[unit] % p):
+            raise StaircaseSignError(f"2^m * P~_rho at the residues {residues} of n = {n} is {value} mod {p}, "
+                                     f"neither r nor -r: the staircase square fails")
+        out.append([c if value == images[unit] else -c for c in roots[unit]])
+    return tuple(out)
 
 
 @lru_cache(maxsize=256)
@@ -252,35 +367,55 @@ def _orbit_duals(n: int, insertions: tuple[Partition, ...],
     # the trace dual of |O| * prod of 2^len * P~_lam * Q's numerator, and their
     # one denominator.  Each key holds a dual per representative, hence the bound.
     # Staircase pairs are the closed-form square (2^m * P~_rho)^2 = 2^(m-1),
-    # times e_m = +-1 for odd n; only an odd one out runs the Pfaffian.
+    # times e_m = +-1 for odd n, and an odd one out is +-r (_ptilde_rho); the
+    # elementary values are built only for another class or an integrand.
     m, order = n - 1, session_order(n)
     staircase = partitions.rho(m)
-    pairs, odd = divmod(insertions.count(staircase), 2)
+    others = [lam for lam in insertions if lam != staircase]
+    pairs, odd = divmod(len(insertions) - len(others), 2)
     rho_values = _ptilde_rho(n, True) if odd else None
+    elems = ([e for _w, e, _s in _point_table(n, True)] if others or q_poly is not None
+             else itertools.repeat(None))
     den, duals = 1 << sum(map(len, insertions)), []
-    for k, (size, elem, _s) in enumerate(_point_table(n, True)):
-        value, memo = elem[0] if rho_values is None else rho_values[k], {}
-        for lam in insertions:
-            if lam != staircase:
-                value = int_mul(value, _int_ptilde(lam, elem, order, memo), order)
+    one = [1] + [0] * (field_degree(order) - 1)
+    for k, ((residues, size), elem) in enumerate(zip(_orbits(m), elems)):
+        value, memo = one if rho_values is None else rho_values[k], {}
+        for lam in others:
+            value = int_mul(value, _int_ptilde(lam, elem, order, memo), order)
         if q_poly is not None:
             integrand, qden = _int_alpha(q_poly, elem, order)
             value = int_mul(value, integrand, order)
-        scale = size * (elem[m][0] if n % 2 else 1) ** pairs << (m - 1) * pairs
+        scale = size * (_unit(residues, m) if n % 2 else 1) ** pairs << (m - 1) * pairs
         duals.append([scale * t for t in trace_dual(value, order)])
     return tuple(duals), den if q_poly is None else den * qden
 
 
 @lru_cache(maxsize=None)
 def _schur_ladder(n: int) -> tuple[list[list[int]], ...]:
-    # S_rho^(2^k), k = 0, 1, ..., per representative; orbit_sum adds the rungs.
-    return tuple([s] for _w, _e, s in _point_table(n, True))
+    # S_rho^(2^k), k = 0, 1, ..., per representative; _orbit_powers adds the rungs.
+    return tuple([s] for _w, _e, s in _point_table(n, True, False))
 
 
-@lru_cache(maxsize=None)
-def _schur_inverses(n: int) -> tuple[tuple[list[int], int], ...]:
-    # (b, den) with S_rho * b = den per representative: S_rho^-1 at genus 0.
-    return tuple(int_inverse(s, session_order(n)) for _w, _e, s in _point_table(n, True))
+@lru_cache(maxsize=256)
+def _orbit_powers(n: int, exponent: int) -> tuple[tuple[list[int], ...], int]:
+    # S_rho^exponent per representative over one denominator, exponent =
+    # genus - 1 >= -1: the product of the ladder's squares at exponent's bits,
+    # grown to its top bit, or at -1 the b / den with S_rho * b = den
+    # (int_inverse) over their lcm.  Every ell at one (n, genus), the odd-rank
+    # companion and n_tilde there share it; each key holds a large power per
+    # representative, hence the bound.
+    order, out = session_order(n), []
+    if exponent < 0:
+        inverses = [int_inverse(s, order) for _w, _e, s in _point_table(n, True, False)]
+        common = math.lcm(*(den for _b, den in inverses))
+        return tuple([c * (common // den) for c in b] for b, den in inverses), common
+    for rungs in _schur_ladder(n):
+        while len(rungs) < exponent.bit_length():
+            rungs.append(int_mul(rungs[-1], rungs[-1], order))
+        # [1] is S_rho^0: the inner product reads its one nonzero coefficient
+        chosen = [rung for k, rung in enumerate(rungs) if exponent >> k & 1] or [[1]]
+        out.append(reduce(lambda a, b: int_mul(a, b, order), chosen))
+    return tuple(out), 1
 
 
 def orbit_trace(n: int, genus: int, insertions: tuple[Partition, ...] = (),
@@ -291,12 +426,11 @@ def orbit_trace(n: int, genus: int, insertions: tuple[Partition, ...] = (),
     (1/phi(4m)) * sum over the orbits O of |O| times the trace of
     S_rho^(genus-1) * prod of P~_lam * Q(a_i = e_i/2) at O's representative.
 
-    A term is the inner product of S_rho^(genus-1), the product of the cached
-    squares at genus - 1's bits (b / den at genus 0), with the cached trace
-    dual of the rest; the terms share one denominator, so a caller divides
-    once.  Raises WeightConditionError when a term's total degree is not
-    divisible by 2m, where the orbit formula does not hold (the full sum is
-    0 there).
+    A term is the inner product of S_rho^(genus-1), cached per (n, genus)
+    (b / den at genus 0), with the cached trace dual of the rest; the terms
+    share one denominator, so a caller divides once.  Raises
+    WeightConditionError when a term's total degree is not divisible by 2m,
+    where the orbit formula does not hold (the full sum is 0 there).
     """
     if genus < 0:
         raise ValueError(f"genus must be >= 0, got {genus}")
@@ -311,18 +445,8 @@ def orbit_trace(n: int, genus: int, insertions: tuple[Partition, ...] = (),
             f"summand of total degree {off[0]} at n = {n}: not divisible by 2m = {2 * m}, "
             "so the orbit sum does not apply")
     duals, den = _orbit_duals(n, tuple(sorted(insertions)), q_poly)
-    if genus == 0:
-        factors = _schur_inverses(n)
-    else:
-        factors, bits = [], genus - 1
-        for rungs in _schur_ladder(n):
-            while len(rungs) < bits.bit_length():  # grow it to the top bit asked for
-                rungs.append(int_mul(rungs[-1], rungs[-1], order))
-            # [1] is S_rho^0: the inner product reads its one nonzero coefficient
-            chosen = [rung for k, rung in enumerate(rungs) if bits >> k & 1] or [[1]]
-            factors.append((reduce(lambda a, b: int_mul(a, b, order), chosen), 1))
-    common = math.lcm(*(d for _v, d in factors))
-    total = sum(common // d * sum(map(operator.mul, v, dual)) for (v, d), dual in zip(factors, duals))
+    factors, common = _orbit_powers(n, genus - 1)
+    total = sum(sum(map(operator.mul, v, dual)) for v, dual in zip(factors, duals))
     return total, common * den * field_degree(order)
 
 
@@ -332,7 +456,7 @@ def orbit_sum(n: int, genus: int, insertions: tuple[Partition, ...] = (),
     return Fraction(*orbit_trace(n, genus, insertions, q_poly))
 
 
-orbit_sum.cache_clear = lambda: [f.cache_clear() for f in (_orbit_duals, _schur_ladder, _schur_inverses)]
+orbit_sum.cache_clear = lambda: [f.cache_clear() for f in (_orbit_duals, _schur_ladder, _orbit_powers)]
 
 
 @lru_cache(maxsize=None)
@@ -376,18 +500,30 @@ def _float_tables(n: int) -> tuple[dict[Partition, complex], ...]:
 
 @lru_cache(maxsize=None)
 def _float_schur(n: int) -> tuple[complex, ...]:
-    # Complex-double image of S_rho at every point, for the float path.
-    order = session_order(n)
-    return tuple(CycloNum.from_ints(order, s).embed_complex() for _w, _e, s in _point_table(n, False))
+    # S_rho = e_m * prod_{i<j} (x_i + x_j) at every point in complex doubles,
+    # for the float path: a product of its own, with no integer row.
+    out = []
+    for residues, _w in _rows(n, False):
+        xs = [cmath.exp(1j * math.pi * t / (2 * n - 2)) for t in residues]
+        out.append(math.prod(xs) * math.prod(a + b for a, b in itertools.combinations(xs, 2)))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _staircase_column(n: int) -> tuple[tuple[CycloNum, ...], tuple[complex, ...]]:
-    # P~_rho at every point and its complex image: the staircase insertion's
+def _float_staircase(n: int) -> tuple[complex, ...]:
+    # P~_rho at every point by a complex Pfaffian of the complex pair matrix,
+    # O(m^3) per point with no prime: the float route's own P~_rho, square and sign.
+    return tuple(_staircase_pfaffian([cmath.exp(1j * math.pi * t / (2 * n - 2)) for t in residues],
+                                     (1 + 0j).__truediv__, complex) / 2 ** (n - 1)
+                 for residues, _w in _rows(n, False))
+
+
+@lru_cache(maxsize=None)
+def _staircase_column(n: int) -> tuple[CycloNum, ...]:
+    # P~_rho at every point (_ptilde_rho): the staircase insertion's exact
     # column in evaluation_sum, which never builds the full P~ tables.
     order = session_order(n)
-    exact = tuple(CycloNum.from_ints(order, v, 2 ** (n - 1)) for v in _ptilde_rho(n, False))
-    return exact, tuple(v.embed_complex() for v in exact)
+    return tuple(CycloNum.from_ints(order, v, 2 ** (n - 1)) for v in _ptilde_rho(n, False))
 
 
 def evaluation_sum(n: int, genus: int, insertions: tuple[Partition, ...] = (), *,
@@ -404,18 +540,9 @@ def evaluation_sum(n: int, genus: int, insertions: tuple[Partition, ...] = (), *
     for lam in insertions:
         if lam != staircase:
             columns.append([tab[lam] for tab in (_tables(n) if exact else _float_tables(n))])
-        elif exact:
-            columns.append(_staircase_column(n)[0])
-    if exact:
-        spows = _schur_powers(n, genus - 1)
-    else:  # staircase pairs by the closed-form square P~_rho^2 = 2^-n, times e_m for odd n
-        pairs, odd = divmod(insertions.count(staircase), 2)
-        if pairs:
-            squares = ((e[n - 1][0] if n % 2 else 1) / 2.0 ** n for _w, e, _s in _point_table(n, False))
-            columns.append([x ** pairs for x in squares])
-        if odd:
-            columns.append(_staircase_column(n)[1])
-        spows = [s ** (genus - 1) for s in _float_schur(n)]
+        else:  # the float route squares its own P~_rho, no closed form
+            columns.append(_staircase_column(n) if exact else _float_staircase(n))
+    spows = _schur_powers(n, genus - 1) if exact else [s ** (genus - 1) for s in _float_schur(n)]
     terms = (reduce(operator.mul, row) for row in zip(*columns, spows))
     return sum(terms, zero(session_order(n)) if exact else 0j)
 
@@ -531,8 +658,8 @@ def _structure_table(n: int) -> tuple[tuple[int, int, int, int, int], ...]:
     order = session_order(n)
     basis = partitions.all_strict(m)
     vectors: list[list[list[int]]] = [[] for _ in range(len(basis) + 1)]
-    inverses = []
-    for (size, elem, _s), (inv, den) in zip(_point_table(n, True), _schur_inverses(n)):
+    inverses, (values, den) = [], _orbit_powers(n, -1)
+    for (size, elem, _s), inv in zip(_point_table(n, True), values):
         # lowest terms keep the common denominator, hence the slot, small
         g = math.gcd(den, *(size * c for c in inv))
         inverses.append(([size * c // g for c in inv], den // g))

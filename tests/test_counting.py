@@ -2,6 +2,7 @@
 intersection numbers, and the subbundle counts."""
 
 import hashlib
+import json
 import random
 import sys
 
@@ -384,8 +385,8 @@ def test_float_count_with_no_staircase_insertion_runs_no_pfaffian(monkeypatch):
     # rank 16, ell 0: the plan has staircase power 0, so the float route
     # reads S_rho at every point and never P~_rho
     assert counting._count_even_plan(3, 8, 0)[2] == 0
-    quantum._ptilde_rho.cache_clear()
-    quantum._staircase_column.cache_clear()
+    for cached in (quantum._ptilde_rho, quantum._staircase_column, quantum._float_staircase):
+        cached.cache_clear()
 
     def refuse(*args):
         raise AssertionError("the Pfaffian recursion ran")
@@ -395,6 +396,7 @@ def test_float_count_with_no_staircase_insertion_runs_no_pfaffian(monkeypatch):
     assert count_float(3, 16, 0) == pytest.approx(count(3, 16, 0).value, rel=1e-9)
     assert quantum._ptilde_rho.cache_info().currsize == 0
     assert quantum._staircase_column.cache_info().currsize == 0
+    assert quantum._float_staircase.cache_info().currsize == 0
 
 
 def test_counting_sums_never_build_the_full_tables(monkeypatch):
@@ -410,13 +412,15 @@ def test_counting_sums_never_build_the_full_tables(monkeypatch):
     # the exact routes read the orbit representatives only: neither the full
     # point rows nor the full P~_rho column is asked for; rank 14 squares its
     # two staircase insertions in closed form, and rank 8 at ell 1 (staircase
-    # power 3) needs one P~_rho factor
+    # power 3) needs one P~_rho factor.  Only the n_tilde with an integrand
+    # reads the elementary values (a two-argument key); the rest read S_rho.
     exact = count(3, 14, 0).value
     assert counting._count_even_plan(3, 4, 1)[2] == 3 and count(3, 8, 1).value > 0
     assert n_tilde(NQuery(2, 3, 0, -4, 0, ptilde_alpha((2,), 2) * ptilde_alpha((2, 1), 2))) == 16
     assert n_tilde(NQuery(300, 4, 0, -598)) > 0
     assert quantum._tables.cache_info().currsize == 0
-    assert keys == {"_point_table": {(7, True), (3, True), (4, True)}, "_ptilde_rho": {(4, True)}}
+    assert keys == {"_point_table": {(7, True, False), (3, True), (3, True, False), (4, True, False)},
+                    "_ptilde_rho": {(4, True)}}
     assert abs(count_float(3, 14, 0) - exact) <= 1e-6 * exact
     # Gromov-Witten invariants whose insertions are all staircase classes
     assert trivial_bundle_number(3, 4, -14, 5, []) == trivial_bundle_number(3, 4, -6, 1, []) == 832
@@ -522,6 +526,33 @@ def test_counts_at_ranks_30_to_36_are_pinned(rank):
     assert report.decomposition["points"] == 2 ** (rank // 2 - 1)
 
 
+# N(g, rank, ell) at an odd staircase power past n = 15, which the Pfaffian
+# recursion's budget refused before the sign route; at rank 32 the four
+# values equal the ones with P~_rho from the recursion.  The other (g, ell)
+# in {2, 3} x {1, 3} at ranks 34..38 are not applicable or not covered.
+ODD_POWER_COUNTS = {
+    (2, 32): 41075944744149633269760,
+    (3, 32): 54886636005293527149196276369496209241407488,
+    (2, 34): 32566389835575872903446528,
+    (2, 36): 39389141247292758546568183808,
+    (2, 38): 72708455327623272719574447947776,
+    (2, 40): 204902652576613276624761189177491456,
+    (3, 40): 1088905540126407651284720134390654135353888774642667820725919255887872,
+}
+
+
+@pytest.mark.parametrize("rank", range(32, 41, 2))
+def test_counts_with_an_odd_staircase_power_are_pinned_to_rank_40(rank):
+    for genus in (2, 3):
+        for ell in (1, 3):
+            report = count(genus, rank, ell)
+            assert report.applicable == ((genus, rank) in ODD_POWER_COUNTS), (genus, ell)
+            if report.applicable:
+                assert report.value == ODD_POWER_COUNTS[genus, rank]
+                assert report.decomposition["staircase_power"] % 2 == 1
+                assert report.decomposition["sign_check_prime"] == quantum.sign_check_field(rank // 2)[0]
+
+
 def _refuse(*args):
     raise AssertionError("the refused route ran")
 
@@ -539,13 +570,6 @@ def test_counts_past_the_size_budget_are_refused_before_anything_is_enumerated(m
                  lambda: n_tilde_float(NQuery(3, n, 0, -2))):
         with pytest.raises(counting.SizeBudgetError, match=f"of the float route, n <= {n - 1}"):
             call()
-    # an odd staircase power runs the P~_rho Pfaffian, which has a budget of its own
-    for exact, n in counting.PFAFFIAN_MAX_N.items():
-        assert counting._plan(n + 1, 1, 0)[1] == 3
-        with pytest.raises(counting.SizeBudgetError, match=f"with a P~_rho factor, n <= {n}"):
-            (count if exact else count_float)(2, 2 * n + 2, 1)
-        with pytest.raises(counting.SizeBudgetError, match=f"with a P~_rho factor, n <= {n}"):
-            n_tilde(NQuery(2, n + 1, 0, 0, 1)) if exact else n_tilde_float(NQuery(2, n + 1, 0, 0, 1))
 
 
 def test_the_exact_routes_build_no_point_and_no_root_of_unity(monkeypatch, tmp_path, capsys):
@@ -563,8 +587,9 @@ def test_the_exact_routes_build_no_point_and_no_root_of_unity(monkeypatch, tmp_p
 
 
 def test_even_staircase_powers_run_no_pfaffian(monkeypatch):
-    # rank 30 and rank 22 at ell 0 have staircase power 2: the closed-form
-    # square replaces P~_rho, exact and float alike
+    # rank 30 and rank 22 at ell 0 have staircase power 2: the exact route
+    # takes the closed-form square, with no Pfaffian at all, and the float
+    # route a complex Pfaffian per point, never the recursion
     assert counting._count_even_plan(3, 15, 0)[2] == counting._count_even_plan(3, 11, 0)[2] == 2
     for cached in (quantum._ptilde_rho, quantum._staircase_column, quantum.orbit_sum):
         cached.cache_clear()
@@ -572,3 +597,65 @@ def test_even_staircase_powers_run_no_pfaffian(monkeypatch):
         monkeypatch.setattr(module, "_int_ptilde", _refuse)
     assert count(3, 30, 0).value == PINNED_COUNTS[30][0]
     assert count_float(3, 22, 0) == pytest.approx(count(3, 22, 0).value, rel=1e-9)
+    assert quantum._ptilde_rho.cache_info().currsize == 0
+
+
+def test_a_wrong_staircase_root_is_a_failed_proof(monkeypatch, capsys):
+    # rank 8 at ell 1 has staircase power 3: with r off by a factor 3 the
+    # Pfaffian mod p is neither r nor -r, and the CLI exits 1
+    real = quantum._staircase_root
+    monkeypatch.setattr(quantum, "_staircase_root", lambda m, unit: [3 * c for c in real(m, unit)])
+    for cached in (quantum._ptilde_rho, quantum.orbit_sum):
+        cached.cache_clear()
+    with pytest.raises(quantum.StaircaseSignError, match="neither r nor -r"):
+        count(3, 8, 1)
+    assert cli.main(["count", "--g", "3", "--rank", "8", "--ell", "1"]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "verification_failure"
+
+
+def test_odd_staircase_powers_run_no_pfaffian_recursion(monkeypatch):
+    # genus 2: rank 14 at ell 1 needs n(g - 1 - ell) even, and g = 3 is not applicable
+    assert not count(3, 14, 1).applicable
+    assert counting._count_even_plan(2, 7, 1)[2] == 3
+    for cached in (quantum._ptilde_rho, quantum._staircase_column, quantum._float_staircase,
+                   quantum.orbit_sum):
+        cached.cache_clear()
+    for module in (symfunc, quantum):
+        monkeypatch.setattr(module, "_int_ptilde", _refuse)
+    assert count(2, 14, 1).value == 54272
+    assert count_float(2, 14, 1) == pytest.approx(54272, rel=1e-9)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_the_float_route_reads_the_same_staircase_sign(n):
+    # staircase power 3: one P~_rho factor, exact by its sign mod p, float by
+    # a complex Pfaffian
+    assert counting._count_even_plan(2, n, 1)[2] == 3
+    exact = count(2, 2 * n, 1).value
+    assert count_float(2, 2 * n, 1) == pytest.approx(exact, rel=1e-8)
+
+
+def test_the_report_names_the_check_prime_only_for_an_odd_staircase_power():
+    assert count(2, 32, 1).to_json_dict()["decomposition"]["sign_check_prime"] == 61
+    even = count(3, 32, 0).to_json_dict()["decomposition"]
+    assert even["staircase_power"] == 0 and "sign_check_prime" not in even
+    assert "sign_check_prime" not in count(3, 13, 0).decomposition
+
+
+def test_one_power_of_s_rho_serves_every_ell_at_an_n_and_genus(monkeypatch):
+    # rank 16 at genus 4 has staircase powers 0, 3, 2, 1 for ell 0..3, and all
+    # four read S_rho^3 at the representatives from one cache key
+    assert [counting._count_even_plan(4, 8, ell)[2] for ell in range(4)] == [0, 3, 2, 1]
+    quantum.orbit_sum.cache_clear()
+    count(4, 16, 0)
+    calls = []
+    real = quantum.int_mul
+    monkeypatch.setattr(quantum, "int_mul", lambda *args: calls.append(args) or real(*args))
+    values = [count(4, 16, ell).value for ell in (1, 2, 3)]
+    assert calls == [] and quantum._orbit_powers.cache_info().currsize == 1
+    # rebuilt from the ladder, S_rho^3 is one multiply per representative
+    quantum._orbit_powers.cache_clear()
+    assert count(4, 16, 2).value == values[1]
+    assert len(calls) == quantum.orbit_count(8)
+    quantum.orbit_sum.cache_clear()
+    assert quantum._orbit_powers.cache_info().currsize == quantum._orbit_duals.cache_info().currsize == 0

@@ -224,7 +224,8 @@ def test_the_engine_equals_the_point_sum_and_the_per_representative_formula(n, f
 
 def test_a_warm_orbit_sum_multiplies_once_per_extra_bit(monkeypatch):
     # with the duals and the ladder warm, S_rho^(g-1) costs popcount(g-1) - 1
-    # multiplies per representative, and nothing else multiplies
+    # multiplies per representative, and nothing else multiplies; the power
+    # is then kept per (n, genus), so the same call again multiplies nothing
     n = 5
     reps = orbit_count(n)
     cases = [(genus, ()) for genus in (401, 257, 65, 13, 5, 1)] + [(0, (rho(4),))]
@@ -234,9 +235,13 @@ def test_a_warm_orbit_sum_multiplies_once_per_extra_bit(monkeypatch):
     real = quantum.int_mul
     monkeypatch.setattr(quantum, "int_mul", lambda *args: calls.append(args) or real(*args))
     for genus, insertions in cases:
+        quantum._orbit_powers.cache_clear()
         calls.clear()
         assert orbit_sum(n, genus, insertions) == _per_representative(n, genus, insertions)
         assert len(calls) == reps * max(bin(genus - 1).count("1") - 1, 0), genus
+        calls.clear()
+        orbit_sum(n, genus, insertions)
+        assert calls == [], genus
 
 
 def test_orbit_sum_refuses_a_negative_genus():

@@ -269,15 +269,15 @@ def random_int_point(rng, m, order):
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
 def test_integer_staircase_schur_is_the_product_formula(m):
-    # quantum._row, which builds S_rho = e_m * prod_{i<j} (x_i + x_j) by signed
-    # rotations, against the Jacobi-Trudi determinant at points of roots of
+    # quantum's rows, which build e and S_rho = e_m * prod_{i<j} (x_i + x_j) by
+    # signed rotations, against the Jacobi-Trudi determinant at points of roots of
     # unity w^t, t any residues mod the order, repeats and antipodes included
     rng = random.Random(100 + m)
     order = 12
     for _ in range(4):
         residues = tuple(rng.randrange(order) for _ in range(m))
         point = tuple(root_of_unity(order, t) for t in residues)
-        evals, schur = quantum._row(residues, order)
+        evals, schur = quantum._elementary(residues, order), quantum._staircase_schur(residues, order)
         assert [CycloNum.from_ints(order, e) for e in evals] == elementary_values(point)
         assert CycloNum.from_ints(order, schur) == schur_value(rho(m), point)
 
