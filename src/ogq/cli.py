@@ -104,6 +104,9 @@ def cmd_gw(args) -> int:
         "insertions": [partitions.format_partition(lam) for lam in query.insertions],
         "value": decimal_string(value),
     }
+    if quantum.degree_ok(query) and partitions.rho(args.n - 1) in query.insertions:
+        # the exact sum read P~_rho at every point by its sign mod this prime
+        doc["sign_check_prime"] = quantum.sign_check_field(args.n)[0]
     status = OK
     if args.trace:
         trace = quantum.trace_invariant(query)
@@ -232,6 +235,8 @@ def cmd_ntilde(args) -> int:
         "Q": str(q_poly),
         "value": decimal_string(value),
     }
+    if (prime := counting.n_tilde_sign_prime(query)) is not None:
+        doc["sign_check_prime"] = prime
     status = OK
     if args.mode == "float" and q_poly.terms == parse_alpha_poly("1").terms and not _float_check(
         doc, value, lambda: counting.n_tilde_float(query),

@@ -161,8 +161,9 @@ def _plan(n: int, ell: int, e: int) -> tuple[int, int]:
     )
 
 
-def _n_tilde(query: NQuery, exact: bool) -> Fraction | float:
-    # n_tilde and n_tilde_float: one plan, one weight target, one sum.
+def _n_tilde_sum(query: NQuery, exact: bool) -> tuple[int, tuple, AlphaPolynomial | None] | None:
+    # (power-of-two exponent, staircase insertions, integrand) of n_tilde's
+    # sum: one plan, one weight target; None when the integrand is off it.
     exponent, rho_power = _plan(query.n, query.ell, query.e)
     _check_budget(query.n, exact)
     target = expected_dim_t(query.n, query.ell, query.e, query.genus, query.u)
@@ -173,9 +174,17 @@ def _n_tilde(query: NQuery, exact: bool) -> Fraction | float:
             qp.weighted_degree(),
             target,
         )
-        return Fraction(0) if exact else 0.0
+        return None
     integrand = None if qp.terms == AlphaPolynomial.one().terms else qp
-    insertions = (partitions.rho(query.n - 1),) * (rho_power + query.u)
+    return exponent, (partitions.rho(query.n - 1),) * (rho_power + query.u), integrand
+
+
+def _n_tilde(query: NQuery, exact: bool) -> Fraction | float:
+    # n_tilde and n_tilde_float: the sum of _n_tilde_sum, 0 off the weight.
+    planned = _n_tilde_sum(query, exact)
+    if planned is None:
+        return Fraction(0) if exact else 0.0
+    exponent, insertions, integrand = planned
     if exact:
         total = quantum.orbit_sum(query.n, query.genus, insertions, integrand)
         return Fraction(2) ** exponent * total
@@ -198,9 +207,19 @@ def n_tilde(query: NQuery) -> Fraction:
     bundle of rank 2n, invariant ell and isotropic degree e.
 
     Returns 0 when the integrand is not homogeneous of the expected weight.
-    Raises NotCoveredError when n is even and e is odd.
+    Raises NotCoveredError when n is even and e is odd.  An odd staircase
+    power reads P~_rho by its sign, checked mod a prime, not proved
+    (n_tilde_sign_prime).
     """
     return _n_tilde(query, exact=True)
+
+
+def n_tilde_sign_prime(query: NQuery) -> int | None:
+    """The prime p mod which n_tilde(query) checked the staircase square, or
+    None: only an odd staircase power on the expected weight reads a factor
+    P~_rho by its sign (quantum._ptilde_rho), a check mod p, not a proof."""
+    planned = _n_tilde_sum(query, True)
+    return quantum.sign_check_field(query.n)[0] if planned and len(planned[1]) % 2 else None
 
 
 def n_tilde_float(query: NQuery) -> float:
@@ -304,7 +323,8 @@ def count_even(genus: int, n: int, ell: int) -> CountReport:
     decomposition names p (sign_check_field).  Outside this call,
     `--mode float` re-sums the same plan over all 2^(n-1) points in complex
     doubles, with the sign from a complex Pfaffian, and `verify`'s
-    trivial-bundle bridge compares n_tilde with Gromov-Witten invariants.
+    trivial-bundle bridge compares n_tilde with Gromov-Witten invariants
+    (whose exact sum reads P~_rho's sign mod the same p).
     """
     if n < 2:
         raise UnsupportedRankError(f"even rank needs n >= 2, got n = {n}")

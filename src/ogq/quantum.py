@@ -37,11 +37,11 @@ of one fused dot, one per unordered index triple of admissible weight; it is
 kept as index rows (table_rows), and structure_table builds TableEntry objects.
 
 evaluation_sum keeps the sum over all 2^m points, exact (on CycloNum views
-of the table) or in complex doubles, with S_rho and P~_rho computed there.
-It carries the invariants here (gw_invariant, hence three_point) and every
-float route, so each is an independent summation that cross-checks the
-orbit route.  The structure
-table yields the quantum Euler class and an independent trace-formula route
+of the table) or through the complex embedding, with P~_rho from a complex
+Pfaffian.  It carries the invariants here (gw_invariant, hence three_point)
+and every float route, so each is an independent summation that
+cross-checks the orbit route; only the exact sum with a staircase insertion
+shares the sign route mod p with it.  The structure table yields the quantum Euler class and an independent trace-formula route
 to every positive-genus invariant, used to cross-check the direct sum.
 """
 
@@ -396,26 +396,47 @@ def _schur_ladder(n: int) -> tuple[list[list[int]], ...]:
     return tuple([s] for _w, _e, s in _point_table(n, True, False))
 
 
-@lru_cache(maxsize=256)
+# The coefficient bits and keys _orbit_powers keeps: a power past the bits is
+# not kept, and the least recently used go first.  At n = 20 and genus near 400
+# one power is about 30 MB, at n <= 7 a few kB.
+POWER_CACHE_BITS, POWER_CACHE_KEYS = 1 << 25, 256
+_kept_powers: dict[tuple[int, int], tuple[tuple[list[int], ...], int]] = {}  # least recently used first
+_kept_bits: dict[tuple[int, int], int] = {}
+
+
 def _orbit_powers(n: int, exponent: int) -> tuple[tuple[list[int], ...], int]:
     # S_rho^exponent per representative over one denominator, exponent =
     # genus - 1 >= -1: the product of the ladder's squares at exponent's bits,
     # grown to its top bit, or at -1 the b / den with S_rho * b = den
     # (int_inverse) over their lcm.  Every ell at one (n, genus), the odd-rank
-    # companion and n_tilde there share it; each key holds a large power per
-    # representative, hence the bound.
+    # companion and n_tilde there share it.
+    key = n, exponent
+    if key in _kept_powers:
+        _kept_powers[key] = power = _kept_powers.pop(key)
+        return power
     order, out = session_order(n), []
     if exponent < 0:
         inverses = [int_inverse(s, order) for _w, _e, s in _point_table(n, True, False)]
         common = math.lcm(*(den for _b, den in inverses))
-        return tuple([c * (common // den) for c in b] for b, den in inverses), common
-    for rungs in _schur_ladder(n):
-        while len(rungs) < exponent.bit_length():
-            rungs.append(int_mul(rungs[-1], rungs[-1], order))
-        # [1] is S_rho^0: the inner product reads its one nonzero coefficient
-        chosen = [rung for k, rung in enumerate(rungs) if exponent >> k & 1] or [[1]]
-        out.append(reduce(lambda a, b: int_mul(a, b, order), chosen))
-    return tuple(out), 1
+        out = [[c * (common // den) for c in b] for b, den in inverses]
+    else:
+        common = 1
+        for rungs in _schur_ladder(n):
+            while len(rungs) < exponent.bit_length():
+                rungs.append(int_mul(rungs[-1], rungs[-1], order))
+            # [1] is S_rho^0: the inner product reads its one nonzero coefficient
+            chosen = [rung for k, rung in enumerate(rungs) if exponent >> k & 1] or [[1]]
+            out.append(reduce(lambda a, b: int_mul(a, b, order), chosen))
+    power, bits = (tuple(out), common), sum(map(int.bit_length, itertools.chain.from_iterable(out)))
+    if bits <= POWER_CACHE_BITS:
+        _kept_powers[key], _kept_bits[key] = power, bits
+        while len(_kept_bits) > POWER_CACHE_KEYS or sum(_kept_bits.values()) > POWER_CACHE_BITS:
+            oldest = next(iter(_kept_powers))
+            del _kept_powers[oldest], _kept_bits[oldest]
+    return power
+
+
+_orbit_powers.cache_clear = lambda: (_kept_powers.clear(), _kept_bits.clear())
 
 
 def orbit_trace(n: int, genus: int, insertions: tuple[Partition, ...] = (),
@@ -500,13 +521,9 @@ def _float_tables(n: int) -> tuple[dict[Partition, complex], ...]:
 
 @lru_cache(maxsize=None)
 def _float_schur(n: int) -> tuple[complex, ...]:
-    # S_rho = e_m * prod_{i<j} (x_i + x_j) at every point in complex doubles,
-    # for the float path: a product of its own, with no integer row.
-    out = []
-    for residues, _w in _rows(n, False):
-        xs = [cmath.exp(1j * math.pi * t / (2 * n - 2)) for t in residues]
-        out.append(math.prod(xs) * math.prod(a + b for a, b in itertools.combinations(xs, 2)))
-    return tuple(out)
+    # Complex-double image of S_rho at every point, for the float path.
+    order = session_order(n)
+    return tuple(CycloNum.from_ints(order, s).embed_complex() for _w, _e, s in _point_table(n, False, False))
 
 
 @lru_cache(maxsize=None)
@@ -520,8 +537,9 @@ def _float_staircase(n: int) -> tuple[complex, ...]:
 
 @lru_cache(maxsize=None)
 def _staircase_column(n: int) -> tuple[CycloNum, ...]:
-    # P~_rho at every point (_ptilde_rho): the staircase insertion's exact
-    # column in evaluation_sum, which never builds the full P~ tables.
+    # P~_rho at every point by its sign mod p (_ptilde_rho): the staircase
+    # insertion's exact column in evaluation_sum, which never builds the full
+    # P~ tables.
     order = session_order(n)
     return tuple(CycloNum.from_ints(order, v, 2 ** (n - 1)) for v in _ptilde_rho(n, False))
 
@@ -570,7 +588,9 @@ def gw_invariant(query: GWQuery) -> int:
 
     Zero when the weight condition fails; otherwise 4^d times the sum over
     evaluation tuples of S_rho^(g-1) times the product of insertion values.
-    The result is checked to be a nonnegative integer.
+    The result is checked to be a nonnegative integer.  A staircase
+    insertion takes P~_rho at every point by its sign mod a prime
+    (_ptilde_rho, sign_check_field): that step is checked mod p, not proved.
 
     >>> gw_invariant(GWQuery(2, 0, 1, ((1,), (1,), (1,))))
     1

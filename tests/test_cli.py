@@ -41,6 +41,25 @@ def test_gw_json(capsys):
     assert doc["value"] == "1"
 
 
+def test_gw_and_ntilde_json_name_the_sign_check_prime_where_the_sign_route_ran(capsys):
+    # exact gw reads P~_rho by its sign mod p for any staircase insertion,
+    # ntilde for an odd staircase power on the expected weight
+    def doc(argv):
+        code, out, _ = run(argv + ["--format", "json"], capsys)
+        assert code == 0
+        return json.loads(out)
+    assert doc(["gw", "--n", "3", "--g", "1", "--d", "3", "--insertions", "2,1;2,1;2,1;2,1"]) \
+        ["sign_check_prime"] == quantum.sign_check_field(3)[0] == 17
+    assert "sign_check_prime" not in doc(["gw", "--n", "3", "--g", "0", "--d", "1", "--insertions", "1;1;2"])
+    # off the weight condition the invariant is 0 and no sum runs
+    assert "sign_check_prime" not in doc(["gw", "--n", "3", "--g", "1", "--d", "0", "--insertions", "2,1;1"])
+    ntilde = ["ntilde", "--g", "2", "--n", "7", "--ell", "1", "--e", "0"]
+    assert doc(ntilde) == {"g": 2, "n": 7, "ell": 1, "e": 0, "u": 0, "Q": "1", "value": "54272",
+                           "sign_check_prime": 73}
+    assert "sign_check_prime" not in doc(ntilde + ["--Q", "a1"])
+    assert "sign_check_prime" not in doc(["ntilde", "--g", "3", "--n", "2", "--ell", "0", "--e", "-2"])
+
+
 def test_gw_trace_route(capsys):
     code, out, _ = run(
         ["gw", "--n", "2", "--g", "1", "--d", "1", "--insertions", "1;1", "--trace"],

@@ -652,10 +652,36 @@ def test_one_power_of_s_rho_serves_every_ell_at_an_n_and_genus(monkeypatch):
     real = quantum.int_mul
     monkeypatch.setattr(quantum, "int_mul", lambda *args: calls.append(args) or real(*args))
     values = [count(4, 16, ell).value for ell in (1, 2, 3)]
-    assert calls == [] and quantum._orbit_powers.cache_info().currsize == 1
+    assert calls == [] and len(quantum._kept_powers) == 1
     # rebuilt from the ladder, S_rho^3 is one multiply per representative
     quantum._orbit_powers.cache_clear()
     assert count(4, 16, 2).value == values[1]
     assert len(calls) == quantum.orbit_count(8)
     quantum.orbit_sum.cache_clear()
-    assert quantum._orbit_powers.cache_info().currsize == quantum._orbit_duals.cache_info().currsize == 0
+    assert len(quantum._kept_powers) == quantum._orbit_duals.cache_info().currsize == 0
+
+
+def test_the_kept_powers_are_bounded_by_their_bits(monkeypatch):
+    # a power past POWER_CACHE_BITS is used and not kept, and drops no other;
+    # kept ones past the bound together go least recently used first
+    quantum.orbit_sum.cache_clear()
+    small, large = count(3, 14, 0).value, count(399, 14, 0).value
+    bits = dict(quantum._kept_bits)
+    assert list(quantum._kept_powers) == list(bits) == [(7, 2), (7, 398)] and bits[7, 2] < bits[7, 398]
+    quantum.orbit_sum.cache_clear()
+    monkeypatch.setattr(quantum, "POWER_CACHE_BITS", bits[7, 398] - 1)
+    assert count(3, 14, 0).value == small and count(399, 14, 0).value == large
+    assert list(quantum._kept_powers) == list(quantum._kept_bits) == [(7, 2)]
+    quantum.orbit_sum.cache_clear()
+    monkeypatch.setattr(quantum, "POWER_CACHE_BITS", bits[7, 398] + bits[7, 2] - 1)
+    assert count(3, 14, 0).value == small and list(quantum._kept_powers) == [(7, 2)]
+    monkeypatch.setattr(quantum, "POWER_CACHE_BITS", bits[7, 398])
+    assert count(399, 14, 0).value == large and list(quantum._kept_powers) == [(7, 398)]
+    # by keys: a hit makes a power the most recently used
+    monkeypatch.setattr(quantum, "POWER_CACHE_BITS", 1 << 25)
+    monkeypatch.setattr(quantum, "POWER_CACHE_KEYS", 2)
+    quantum.orbit_sum.cache_clear()
+    count(3, 14, 0), count(5, 14, 0), count(3, 14, 2), count(399, 14, 0)
+    assert list(quantum._kept_powers) == list(quantum._kept_bits) == [(7, 2), (7, 398)]
+    quantum.orbit_sum.cache_clear()
+    assert not quantum._kept_powers and not quantum._kept_bits
