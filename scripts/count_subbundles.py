@@ -9,12 +9,11 @@ per-rank tables are kept for the rest of the scan.  With --max-rank 40
 (genus 2..9, ell 0..2) the whole scan answers every applicable count in
 about 4-5 s of CPU and 43 MB peak on a 2-CPU x86-64 VM with Python 3.11:
 the first count of rank 40 about 1 s (the orbit walk and S_rho at the 805
-representatives of n = 20), an odd staircase power one Pfaffian mod p per
+representatives of n = 20), a staircase power one Pfaffian mod p per
 representative on top, and a count whose rank was already seen a few
-milliseconds.  An odd
-staircase power's sign rests on a check mod a prime, not a proof.  Counts
-run to rank 40; past it a count is refused before any work and its row
-says so.
+milliseconds.  Every staircase factor's sign rests on a check mod a prime,
+not a proof.  Counts run to rank 40; past it a count is refused before any
+work and its row says so.
 """
 
 import argparse

@@ -9,8 +9,10 @@ Exit codes: 0 success, 1 verification failure (a result that is not a
 nonnegative integer, a sum off the weight condition, a value that is not
 rational, a fused dot past its slot, a staircase Pfaffian off its square
 mod p), 2 invalid input, 3 not applicable, not covered or past a size
-budget (a table past n = 9, a count past n = 20), 4 I/O failure, 5 internal
-error (any other exception: a fault of the program).
+budget (the structure table, which table, qmul and gw --trace read, past
+n = 9; gw with a class other than the staircase past n = 10; a count past
+n = 20), 4 I/O failure, 5 internal error (any other exception: a fault of
+the program).
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import traceback
@@ -45,6 +48,16 @@ PROOF_FAILURES = (NonIntegralResultError, WeightConditionError, NotRationalError
                   StaircaseSignError)
 
 FLOAT_RTOL = 1e-6
+TABLE_MAX_N = 9  # the basis budget, 2^(n-1) <= 256 classes: the table grows as their cube
+# gw's exact and float sums with a class other than the staircase read every
+# class at every point: 2^(n-1) of each (n = 10: about 19 s and 234 MB)
+GW_TABLES_MAX_N = 10
+
+
+def _check_table_budget(n: int) -> None:
+    # for every command that reads the structure table, before a point is built
+    if n > TABLE_MAX_N:
+        raise SizeBudgetError(f"n = {n} is past the table budget of 2^(n-1) <= 256 classes")
 
 
 def _emit_error(kind: str, message: str, trace: str | None = None) -> None:
@@ -68,8 +81,10 @@ def _parse_insertions(text: str) -> tuple:
 
 
 def _float_agrees(exact, approx: float) -> bool:
-    reference = float(exact)
-    return abs(approx - reference) <= FLOAT_RTOL * max(1.0, abs(reference))
+    # compared exactly: float(exact) would overflow past the double range
+    exact = Fraction(exact)
+    return math.isfinite(approx) and (abs(Fraction(approx) - exact)
+                                      <= Fraction(FLOAT_RTOL) * max(1, abs(exact)))
 
 
 def _float_check(doc: dict, exact, approx_of, note: str) -> bool:
@@ -96,6 +111,12 @@ def _float_line(doc: dict) -> str:
 
 def cmd_gw(args) -> int:
     query = GWQuery(args.n, args.g, args.d, _parse_insertions(args.insertions))
+    if args.trace:
+        _check_table_budget(args.n)
+    others = set(query.insertions) - {partitions.rho(args.n - 1)}
+    if args.n > GW_TABLES_MAX_N and others and quantum.degree_ok(query):
+        raise SizeBudgetError(f"n = {args.n} is past the size budget of gw with a class other than the staircase, "
+                              f"n <= {GW_TABLES_MAX_N}: its sum reads all 2^(n-1) classes at all 2^(n-1) points")
     value = quantum.gw_invariant(query)
     doc: dict = {
         "n": args.n,
@@ -104,9 +125,8 @@ def cmd_gw(args) -> int:
         "insertions": [partitions.format_partition(lam) for lam in query.insertions],
         "value": decimal_string(value),
     }
-    if quantum.degree_ok(query) and partitions.rho(args.n - 1) in query.insertions:
-        # the exact sum read P~_rho at every point by its sign mod this prime
-        doc["sign_check_prime"] = quantum.sign_check_field(args.n)[0]
+    if quantum.degree_ok(query) and (prime := quantum.sign_check_prime(args.n, query.insertions)) is not None:
+        doc["sign_check_prime"] = prime
     status = OK
     if args.trace:
         trace = quantum.trace_invariant(query)
@@ -176,13 +196,8 @@ def _table_bytes(n: int, max_d: int | None, rows) -> bytes:
             f'  "schema": "ogq-table/1"\n}}\n').encode()
 
 
-TABLE_MAX_N = 9  # the basis budget, 2^(n-1) <= 256 classes: the table grows as their cube
-
-
 def cmd_table(args) -> int:
-    if args.n > TABLE_MAX_N:  # refused before a point is built
-        _emit_error("not_applicable", f"n = {args.n} is past the table budget of 2^(n-1) <= 256 classes")
-        return NOT_APPLICABLE
+    _check_table_budget(args.n)
     rows = quantum.table_rows(args.n, args.max_d)
     payload = _table_bytes(args.n, args.max_d, rows)
     cache_dir = _resolve_cache_dir(args.cache_dir)
@@ -206,6 +221,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_qmul(args) -> int:
+    _check_table_budget(args.n)
     lam = partitions.parse_partition(args.a)
     mu = partitions.parse_partition(args.b)
     product = quantum.quantum_product(

@@ -207,8 +207,8 @@ def n_tilde(query: NQuery) -> Fraction:
     bundle of rank 2n, invariant ell and isotropic degree e.
 
     Returns 0 when the integrand is not homogeneous of the expected weight.
-    Raises NotCoveredError when n is even and e is odd.  An odd staircase
-    power reads P~_rho by its sign, checked mod a prime, not proved
+    Raises NotCoveredError when n is even and e is odd.  Each staircase
+    factor reads P~_rho by its sign, checked mod a prime, not proved
     (n_tilde_sign_prime).
     """
     return _n_tilde(query, exact=True)
@@ -216,10 +216,10 @@ def n_tilde(query: NQuery) -> Fraction:
 
 def n_tilde_sign_prime(query: NQuery) -> int | None:
     """The prime p mod which n_tilde(query) checked the staircase square, or
-    None: only an odd staircase power on the expected weight reads a factor
-    P~_rho by its sign (quantum._ptilde_rho), a check mod p, not a proof."""
+    None: a staircase power on the expected weight reads each factor P~_rho
+    by its sign (quantum.sign_check_prime), a check mod p, not a proof."""
     planned = _n_tilde_sum(query, True)
-    return quantum.sign_check_field(query.n)[0] if planned and len(planned[1]) % 2 else None
+    return quantum.sign_check_prime(query.n, planned[1]) if planned else None
 
 
 def n_tilde_float(query: NQuery) -> float:
@@ -317,20 +317,21 @@ def count_even(genus: int, n: int, ell: int) -> CountReport:
     What is checked: the power-of-two prefactor against its closed form
     (_check_prefactor), that the count is a nonnegative integer (the orbit
     sum is a trace, rational by construction), and the catalogued closed
-    forms (a note on the report).  An odd staircase power takes one factor
-    2^m * P~_rho = +-r from the staircase square; the square is checked
-    mod a prime p at every representative, not proved, and the report's
-    decomposition names p (sign_check_field).  Outside this call,
-    `--mode float` re-sums the same plan over all 2^(n-1) points in complex
-    doubles, with the sign from a complex Pfaffian, and `verify`'s
-    trivial-bundle bridge compares n_tilde with Gromov-Witten invariants
-    (whose exact sum reads P~_rho's sign mod the same p).
+    forms (a note on the report).  Each staircase factor 2^m * P~_rho = +-r
+    has its sign read mod a prime p at every representative: the square is
+    checked mod p, not proved, and the decomposition names p
+    (quantum.sign_check_prime).  Outside this call, `--mode float` re-sums
+    the same plan over all 2^(n-1) points in complex doubles, with the sign
+    from a complex Pfaffian, and `verify`'s trivial-bundle bridge compares
+    n_tilde with Gromov-Witten invariants (whose exact sum reads P~_rho's
+    sign mod the same p).
     """
     if n < 2:
         raise UnsupportedRankError(f"even rank needs n >= 2, got n = {n}")
     e0, exponent, rho_power = _count_even_plan(genus, n, ell)
     _check_budget(n, True)
-    num, den = quantum.orbit_trace(n, genus, (partitions.rho(n - 1),) * rho_power)
+    staircase = (partitions.rho(n - 1),) * rho_power
+    num, den = quantum.orbit_trace(n, genus, staircase)
     value, rest = divmod(num << exponent, den)
     if rest or value < 0:
         raise NonIntegralResultError(f"count is not a nonnegative integer: {Fraction(num << exponent, den)}")
@@ -351,8 +352,8 @@ def count_even(genus: int, n: int, ell: int) -> CountReport:
             "points": 2 ** (n - 1),
         },
     )
-    if rho_power % 2:
-        report.decomposition["sign_check_prime"] = quantum.sign_check_field(n)[0]
+    if (prime := quantum.sign_check_prime(n, staircase)) is not None:
+        report.decomposition["sign_check_prime"] = prime
     _catalog_note(report)
     return report
 
@@ -361,8 +362,8 @@ def count_odd(genus: int, n: int, ell: int) -> CountReport:
     """Count for odd rank 2n+1 >= 3: half the even-rank count one rank up.
 
     The invariant ell must be even; the companion rank-(2n+2) query sits at
-    extremal degree e_0 + ell/2, and its count is exactly twice this one.
-    """
+    extremal degree e_0 + ell/2, its count is twice this one, and its
+    sign_check_prime, if any, is this one's."""
     if n < 1:
         raise UnsupportedRankError(f"odd rank needs n >= 1, got n = {n}")
     if ell % 2:
@@ -395,8 +396,8 @@ def count_odd(genus: int, n: int, ell: int) -> CountReport:
             "route": "odd_rank_halving",
             "companion_rank": 2 * n + 2,
             "companion_e0": partner.e0,
-            "orbits": partner.decomposition["orbits"],
-            "points": partner.decomposition["points"],
+            **{key: partner.decomposition[key] for key in ("orbits", "points", "sign_check_prime")
+               if key in partner.decomposition},
         },
     )
     _catalog_note(report)

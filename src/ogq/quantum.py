@@ -14,9 +14,9 @@ when m is even, so doubled exponents are used throughout).
 At a point, the elementary values, S_rho and 2^len(lambda) * P~_lambda lie in
 Z[w].  One integer table (_point_table) holds S_rho, and e where a caller
 reads it, at every point or at the orbit representatives, built from the
-exponents by signed rotations.  A staircase pair is the square
-(2^m * P~_rho)^2 = r^2 = 2^(m-1) * e_m, and one factor is +-r with its sign
-read mod a prime p (_ptilde_rho): the square is checked mod p, not proved.
+exponents by signed rotations.  Every staircase factor 2^m * P~_rho is +-r,
+r^2 = 2^(m-1) * e_m, with its sign read mod a prime p (_ptilde_rho): the
+square is checked mod p, not proved (sign_check_prime).
 The public symfunc evaluators stay the independent oracle in the tests.
 
 The sum is invariant under the affine maps J -> aJ + b of the doubled
@@ -37,11 +37,11 @@ of one fused dot, one per unordered index triple of admissible weight; it is
 kept as index rows (table_rows), and structure_table builds TableEntry objects.
 
 evaluation_sum keeps the sum over all 2^m points, exact (on CycloNum views
-of the table) or through the complex embedding, with P~_rho from a complex
-Pfaffian.  It carries the invariants here (gw_invariant, hence three_point)
-and every float route, so each is an independent summation that
-cross-checks the orbit route; only the exact sum with a staircase insertion
-shares the sign route mod p with it.  The structure table yields the quantum Euler class and an independent trace-formula route
+of the table, P~_rho by the same sign route mod p) or through the complex
+embedding (P~_rho from a complex Pfaffian, with no prime).  It carries the
+invariants here (gw_invariant, hence three_point) and every float route, an
+independent summation that cross-checks the orbit route.  The structure
+table yields the quantum Euler class and an independent trace-formula route
 to every positive-genus invariant, used to cross-check the direct sum.
 """
 
@@ -245,11 +245,6 @@ def _rows(n: int, orbits: bool):
     return _orbits(m) if orbits else ((_residues(m, mask), 1) for mask in range(1 << m))
 
 
-def _unit(residues: tuple[int, ...], m: int) -> int:
-    # e_m = w^(sum t) = +-1: the base exponents sum to 0, each upper antipode adds 2m
-    return -1 if sum(residues) % (4 * m) else 1
-
-
 @lru_cache(maxsize=None)
 def _point_table(n: int, orbits: bool, elem: bool = True) -> tuple[tuple[int, list | None, list[int]], ...]:
     # Per row, as Z[w] coefficient lists: its weight, [e_0, ..., e_m] (None
@@ -351,7 +346,8 @@ def _ptilde_rho(n: int, orbits: bool) -> tuple[list[int], ...]:
     inverse, norm = partial(pow, exp=-1, mod=p), p.__rmod__
     out = []
     for residues, _size in _rows(n, orbits):
-        unit = _unit(residues, m)
+        # e_m = w^(sum t) = +-1: the base exponents sum to 0, each upper antipode adds 2m
+        unit = -1 if sum(residues) % order else 1
         value = _staircase_pfaffian([powers[t] for t in residues], inverse, norm)
         if value not in (images[unit], -images[unit] % p):
             raise StaircaseSignError(f"2^m * P~_rho at the residues {residues} of n = {n} is {value} mod {p}, "
@@ -360,48 +356,66 @@ def _ptilde_rho(n: int, orbits: bool) -> tuple[list[int], ...]:
     return tuple(out)
 
 
+def sign_check_prime(n: int, insertions) -> int | None:
+    """The prime p mod which an exact sum over these insertions read each P~_rho by its
+    sign (_ptilde_rho, a check mod p, not a proof), or None with no staircase class."""
+    return sign_check_field(n)[0] if partitions.rho(n - 1) in insertions else None
+
+
 @lru_cache(maxsize=256)
 def _orbit_duals(n: int, insertions: tuple[Partition, ...],
                  q_poly: AlphaPolynomial | None) -> tuple[tuple[list[int], ...], int]:
     # orbit_sum's genus-free part, per sorted insertions: at each representative
     # the trace dual of |O| * prod of 2^len * P~_lam * Q's numerator, and their
     # one denominator.  Each key holds a dual per representative, hence the bound.
-    # Staircase pairs are the closed-form square (2^m * P~_rho)^2 = 2^(m-1),
-    # times e_m = +-1 for odd n, and an odd one out is +-r (_ptilde_rho); the
+    # A staircase factor is +-r (_ptilde_rho), multiplied in like any class; the
     # elementary values are built only for another class or an integrand.
     m, order = n - 1, session_order(n)
     staircase = partitions.rho(m)
-    others = [lam for lam in insertions if lam != staircase]
-    pairs, odd = divmod(len(insertions) - len(others), 2)
-    rho_values = _ptilde_rho(n, True) if odd else None
-    elems = ([e for _w, e, _s in _point_table(n, True)] if others or q_poly is not None
+    rho_values = _ptilde_rho(n, True) if staircase in insertions else None
+    elems = ([e for _w, e, _s in _point_table(n, True)] if set(insertions) - {staircase} or q_poly is not None
              else itertools.repeat(None))
     den, duals = 1 << sum(map(len, insertions)), []
-    one = [1] + [0] * (field_degree(order) - 1)
-    for k, ((residues, size), elem) in enumerate(zip(_orbits(m), elems)):
-        value, memo = one if rho_values is None else rho_values[k], {}
-        for lam in others:
-            value = int_mul(value, _int_ptilde(lam, elem, order, memo), order)
+    for k, ((_residues, size), elem) in enumerate(zip(_orbits(m), elems)):
+        memo = {}
+        factors = [rho_values[k] if lam == staircase else _int_ptilde(lam, elem, order, memo)
+                   for lam in insertions]
         if q_poly is not None:
             integrand, qden = _int_alpha(q_poly, elem, order)
-            value = int_mul(value, integrand, order)
-        scale = size * (_unit(residues, m) if n % 2 else 1) ** pairs << (m - 1) * pairs
-        duals.append([scale * t for t in trace_dual(value, order)])
+            factors.append(integrand)
+        value = reduce(lambda a, b: int_mul(a, b, order), factors) if factors else [1]
+        duals.append([size * t for t in trace_dual(value, order)])
     return tuple(duals), den if q_poly is None else den * qden
 
 
-@lru_cache(maxsize=None)
-def _schur_ladder(n: int) -> tuple[list[list[int]], ...]:
-    # S_rho^(2^k), k = 0, 1, ..., per representative; _orbit_powers adds the rungs.
-    return tuple([s] for _w, _e, s in _point_table(n, True, False))
-
-
-# The coefficient bits and keys _orbit_powers keeps: a power past the bits is
-# not kept, and the least recently used go first.  At n = 20 and genus near 400
-# one power is about 30 MB, at n <= 7 a few kB.
+# The coefficient bits _orbit_powers keeps, its powers and the ladders' rungs
+# together, and the keys of its powers: a power past the bits is not kept; the
+# ladders go first, as a kept power answers its (n, genus) with no multiply and
+# a ladder saves only squarings, then the least recently used powers.  At n = 20
+# and genus near 400 one power is about 30 MB, at n = 18 and genus 399 the
+# ladder about 9 MB, at n <= 7 each a few kB.
 POWER_CACHE_BITS, POWER_CACHE_KEYS = 1 << 25, 256
 _kept_powers: dict[tuple[int, int], tuple[tuple[list[int], ...], int]] = {}  # least recently used first
 _kept_bits: dict[tuple[int, int], int] = {}
+_ladders: dict[int, tuple[list[list[int]], ...]] = {}  # least recently used first
+_ladder_bits: dict[int, int] = {}
+
+
+def _bits(vectors) -> int:
+    return sum(map(int.bit_length, itertools.chain.from_iterable(vectors)))
+
+
+def _schur_ladder(n: int) -> tuple[list[list[int]], ...]:
+    # S_rho^(2^k), k = 0, 1, ..., per representative; _orbit_powers adds the
+    # rungs past S_rho, the point table's own, and counts their bits.
+    ladder = _ladders.pop(n, None)
+    if ladder is None:
+        ladder, _ladder_bits[n] = tuple([s] for _w, _e, s in _point_table(n, True, False)), 0
+    _ladders[n] = ladder  # the most recently used
+    return ladder
+
+
+_schur_ladder.cache_clear = lambda: (_ladders.clear(), _ladder_bits.clear())
 
 
 def _orbit_powers(n: int, exponent: int) -> tuple[tuple[list[int], ...], int]:
@@ -424,15 +438,22 @@ def _orbit_powers(n: int, exponent: int) -> tuple[tuple[list[int], ...], int]:
         for rungs in _schur_ladder(n):
             while len(rungs) < exponent.bit_length():
                 rungs.append(int_mul(rungs[-1], rungs[-1], order))
+                _ladder_bits[n] += _bits(rungs[-1:])
             # [1] is S_rho^0: the inner product reads its one nonzero coefficient
             chosen = [rung for k, rung in enumerate(rungs) if exponent >> k & 1] or [[1]]
             out.append(reduce(lambda a, b: int_mul(a, b, order), chosen))
-    power, bits = (tuple(out), common), sum(map(int.bit_length, itertools.chain.from_iterable(out)))
+    power, bits = (tuple(out), common), _bits(out)
     if bits <= POWER_CACHE_BITS:
         _kept_powers[key], _kept_bits[key] = power, bits
-        while len(_kept_bits) > POWER_CACHE_KEYS or sum(_kept_bits.values()) > POWER_CACHE_BITS:
-            oldest = next(iter(_kept_powers))
-            del _kept_powers[oldest], _kept_bits[oldest]
+    held = sum(_kept_bits.values()) + sum(_ladder_bits.values())
+    while _ladders and held > POWER_CACHE_BITS:
+        oldest = next(iter(_ladders))
+        del _ladders[oldest]
+        held -= _ladder_bits.pop(oldest)
+    while len(_kept_bits) > POWER_CACHE_KEYS or held > POWER_CACHE_BITS:
+        oldest = next(iter(_kept_powers))
+        del _kept_powers[oldest]
+        held -= _kept_bits.pop(oldest)
     return power
 
 

@@ -155,7 +155,7 @@ def test_count_json_names_the_orbits_and_the_points(capsys):
     assert doc["N"] == "388628480"
     assert doc["decomposition"] == {
         "route": "odd_e0_odd_n", "prefactor_log2": 15, "staircase_power": 2, "doubled": True,
-        "orbits": 4, "points": 64,
+        "orbits": 4, "points": 64, "sign_check_prime": 73,
     }
     # the text output is unchanged
     code, out, _ = run(["count", "--g", "3", "--rank", "14", "--ell", "0"], capsys)
@@ -348,6 +348,44 @@ def test_table_past_the_basis_budget_exits_3_before_building_a_point(n, tmp_path
     assert doc["error"] == "not_applicable"
     assert "table budget of 2^(n-1) <= 256" in doc["reason"]
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [["qmul", "--n", "10", "--a", "1", "--b", "1"],
+                                  ["gw", "--n", "10", "--g", "1", "--d", "0", "--trace"],
+                                  ["gw", "--n", "11", "--g", "1", "--d", "1", "--insertions", "10;10"],
+                                  ["gw", "--n", "11", "--g", "1", "--d", "1", "--insertions", "10;10",
+                                   "--mode", "float"]])
+def test_the_table_readers_and_a_full_table_gw_past_their_budgets_exit_3_before_building_a_point(
+        argv, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("a point was built")
+
+    for name in ("eval_points", "_point_table", "_orbits"):
+        monkeypatch.setattr(quantum, name, refuse)
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (3, "")
+    doc = json.loads(err)
+    assert doc["error"] == "not_applicable"
+    assert ("table budget of 2^(n-1) <= 256" if argv[2] == "10" else
+            "gw with a class other than the staircase, n <= 10") in doc["reason"]
+
+
+def test_gw_past_the_full_table_budget_still_answers_what_builds_no_table(monkeypatch, capsys):
+    # off the weight condition the invariant is 0 with no point built
+    monkeypatch.setattr(quantum, "_point_table", lambda *args: pytest.fail("a point was built"))
+    assert run(["gw", "--n", "11", "--g", "1", "--d", "0", "--insertions", "10;10"], capsys)[:2] == (0, "0\n")
+
+
+def test_a_float_disagreement_on_a_count_past_the_double_range_exits_1(monkeypatch, capsys):
+    # N(399, rank 14, ell 0) has 1,436 digits: agreement is decided exactly,
+    # so a wrong float value is a failed check, not an OverflowError (exit 5)
+    monkeypatch.setattr(counting, "count_float", lambda *args: 1.0)
+    code, out, _ = run(["count", "--g", "399", "--rank", "14", "--ell", "0", "--mode", "float",
+                        "--format", "json"], capsys)
+    doc = json.loads(out)
+    assert code == 1 and len(doc["N"]) == 1436
+    assert doc["float_value"] == 1.0 and doc["float_agrees"] is False
+    assert cli._float_agrees(counting.count(399, 14, 0).value, float("inf")) is False
 
 
 def test_table_text_lists_the_entries(tmp_path, capsys):

@@ -410,17 +410,18 @@ def test_counting_sums_never_build_the_full_tables(monkeypatch):
 
         monkeypatch.setattr(quantum, name, recording)
     # the exact routes read the orbit representatives only: neither the full
-    # point rows nor the full P~_rho column is asked for; rank 14 squares its
-    # two staircase insertions in closed form, and rank 8 at ell 1 (staircase
-    # power 3) needs one P~_rho factor.  Only the n_tilde with an integrand
-    # reads the elementary values (a two-argument key); the rest read S_rho.
+    # point rows nor the full P~_rho column is asked for; rank 14 (staircase
+    # power 2) and rank 8 at ell 1 (staircase power 3) read P~_rho at the
+    # representatives by its sign, and the two powers-0 n_tilde never do.
+    # Only the n_tilde with an integrand reads the elementary values (a
+    # two-argument key); the rest read S_rho.
     exact = count(3, 14, 0).value
     assert counting._count_even_plan(3, 4, 1)[2] == 3 and count(3, 8, 1).value > 0
     assert n_tilde(NQuery(2, 3, 0, -4, 0, ptilde_alpha((2,), 2) * ptilde_alpha((2, 1), 2))) == 16
     assert n_tilde(NQuery(300, 4, 0, -598)) > 0
     assert quantum._tables.cache_info().currsize == 0
     assert keys == {"_point_table": {(7, True, False), (3, True), (3, True, False), (4, True, False)},
-                    "_ptilde_rho": {(4, True)}}
+                    "_ptilde_rho": {(7, True), (4, True)}}
     assert abs(count_float(3, 14, 0) - exact) <= 1e-6 * exact
     # Gromov-Witten invariants whose insertions are all staircase classes
     assert trivial_bundle_number(3, 4, -14, 5, []) == trivial_bundle_number(3, 4, -6, 1, []) == 832
@@ -586,10 +587,10 @@ def test_the_exact_routes_build_no_point_and_no_root_of_unity(monkeypatch, tmp_p
     assert capsys.readouterr().out.startswith("{")
 
 
-def test_even_staircase_powers_run_no_pfaffian(monkeypatch):
+def test_even_staircase_powers_run_the_sign_route_and_no_pfaffian_recursion(monkeypatch):
     # rank 30 and rank 22 at ell 0 have staircase power 2: the exact route
-    # takes the closed-form square, with no Pfaffian at all, and the float
-    # route a complex Pfaffian per point, never the recursion
+    # reads each factor by its sign, one Pfaffian mod p per representative,
+    # and the float route a complex Pfaffian per point, never the recursion
     assert counting._count_even_plan(3, 15, 0)[2] == counting._count_even_plan(3, 11, 0)[2] == 2
     for cached in (quantum._ptilde_rho, quantum._staircase_column, quantum.orbit_sum):
         cached.cache_clear()
@@ -597,7 +598,7 @@ def test_even_staircase_powers_run_no_pfaffian(monkeypatch):
         monkeypatch.setattr(module, "_int_ptilde", _refuse)
     assert count(3, 30, 0).value == PINNED_COUNTS[30][0]
     assert count_float(3, 22, 0) == pytest.approx(count(3, 22, 0).value, rel=1e-9)
-    assert quantum._ptilde_rho.cache_info().currsize == 0
+    assert quantum._ptilde_rho.cache_info().currsize == 2
 
 
 def test_a_wrong_staircase_root_is_a_failed_proof(monkeypatch, capsys):
@@ -635,11 +636,32 @@ def test_the_float_route_reads_the_same_staircase_sign(n):
     assert count_float(2, 2 * n, 1) == pytest.approx(exact, rel=1e-8)
 
 
-def test_the_report_names_the_check_prime_only_for_an_odd_staircase_power():
+def test_a_wrong_staircase_root_fails_an_even_power_count(monkeypatch, capsys):
+    # rank 14 at ell 0 has staircase power 2: each factor is read by its sign,
+    # so a wrong r is caught here too, and the CLI exits 1
+    assert counting._count_even_plan(3, 7, 0)[2] == 2
+    real = quantum._staircase_root
+    monkeypatch.setattr(quantum, "_staircase_root", lambda m, unit: [3 * c for c in real(m, unit)])
+    for cached in (quantum._ptilde_rho, quantum.orbit_sum):
+        cached.cache_clear()
+    with pytest.raises(quantum.StaircaseSignError, match="neither r nor -r"):
+        count(3, 14, 0)
+    assert cli.main(["count", "--g", "3", "--rank", "14", "--ell", "0"]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "verification_failure"
+
+
+def test_the_report_names_the_check_prime_for_any_staircase_power():
     assert count(2, 32, 1).to_json_dict()["decomposition"]["sign_check_prime"] == 61
+    assert count(3, 14, 0).to_json_dict()["decomposition"]["sign_check_prime"] == 73
     even = count(3, 32, 0).to_json_dict()["decomposition"]
     assert even["staircase_power"] == 0 and "sign_check_prime" not in even
-    assert "sign_check_prime" not in count(3, 13, 0).decomposition
+
+
+def test_an_odd_rank_count_names_its_companions_check_prime():
+    # rank 13 is half of rank 14, whose staircase power 2 read P~_rho mod 73
+    odd = count(3, 13, 0).to_json_dict()["decomposition"]
+    assert odd["companion_rank"] == 14 and odd["sign_check_prime"] == quantum.sign_check_field(7)[0] == 73
+    assert "sign_check_prime" not in count(3, 3, 0).decomposition
 
 
 def test_one_power_of_s_rho_serves_every_ell_at_an_n_and_genus(monkeypatch):
@@ -652,13 +674,33 @@ def test_one_power_of_s_rho_serves_every_ell_at_an_n_and_genus(monkeypatch):
     real = quantum.int_mul
     monkeypatch.setattr(quantum, "int_mul", lambda *args: calls.append(args) or real(*args))
     values = [count(4, 16, ell).value for ell in (1, 2, 3)]
-    assert calls == [] and len(quantum._kept_powers) == 1
+    # only the duals multiply, each staircase factor like any class: 2, 1 and
+    # 0 products per representative for 3, 2 and 1 factors
+    assert len(calls) == 3 * quantum.orbit_count(8) and len(quantum._kept_powers) == 1
     # rebuilt from the ladder, S_rho^3 is one multiply per representative
+    calls.clear()
     quantum._orbit_powers.cache_clear()
     assert count(4, 16, 2).value == values[1]
     assert len(calls) == quantum.orbit_count(8)
     quantum.orbit_sum.cache_clear()
     assert len(quantum._kept_powers) == quantum._orbit_duals.cache_info().currsize == 0
+
+
+def test_the_schur_ladder_counts_against_the_power_budget(monkeypatch):
+    # the squares S_rho^(2^k) past S_rho are held within the same
+    # POWER_CACHE_BITS as the kept powers, and go before any power
+    quantum.orbit_sum.cache_clear()
+    large = count(399, 14, 0).value
+    rungs = quantum._schur_ladder(7)
+    ladder, power = quantum._ladder_bits[7], quantum._kept_bits[7, 398]
+    assert all(len(r) == 9 for r in rungs)
+    assert ladder == sum(c.bit_length() for r in rungs for rung in r[1:] for c in rung) > power
+    for bound, ladders in ((power + ladder, {7: ladder}), (power + ladder - 1, {}), (ladder - 1, {})):
+        quantum.orbit_sum.cache_clear()
+        monkeypatch.setattr(quantum, "POWER_CACHE_BITS", bound)
+        assert count(399, 14, 0).value == large
+        assert list(quantum._kept_powers) == [(7, 398)] and quantum._ladder_bits == ladders
+        assert list(quantum._ladders) == list(ladders)
 
 
 def test_the_kept_powers_are_bounded_by_their_bits(monkeypatch):
