@@ -10,9 +10,8 @@ nonnegative integer, a sum off the weight condition, a value that is not
 rational, a fused dot past its slot, a staircase Pfaffian off its square
 mod p), 2 invalid input, 3 not applicable, not covered or past a size
 budget (the structure table, which table, qmul and gw --trace read, past
-n = 9; gw with a class other than the staircase past n = 10; a count past
-n = 20), 4 I/O failure, 5 internal error (any other exception: a fault of
-the program).
+n = 9; gw on the weight condition past n = 10; a count past n = 20), 4 I/O
+failure, 5 internal error (any other exception: a fault of the program).
 """
 
 from __future__ import annotations
@@ -49,9 +48,10 @@ PROOF_FAILURES = (NonIntegralResultError, WeightConditionError, NotRationalError
 
 FLOAT_RTOL = 1e-6
 TABLE_MAX_N = 9  # the basis budget, 2^(n-1) <= 256 classes: the table grows as their cube
-# gw's exact and float sums with a class other than the staircase read every
-# class at every point: 2^(n-1) of each (n = 10: about 19 s and 234 MB)
-GW_TABLES_MAX_N = 10
+# gw's exact and float sums run over all 2^(n-1) points, for any classes: a
+# cold exact sum of four of the longest classes takes about 3 s at n = 10
+# and 13 s at n = 11
+GW_SUM_MAX_N = 10
 
 
 def _check_table_budget(n: int) -> None:
@@ -113,10 +113,9 @@ def cmd_gw(args) -> int:
     query = GWQuery(args.n, args.g, args.d, _parse_insertions(args.insertions))
     if args.trace:
         _check_table_budget(args.n)
-    others = set(query.insertions) - {partitions.rho(args.n - 1)}
-    if args.n > GW_TABLES_MAX_N and others and quantum.degree_ok(query):
-        raise SizeBudgetError(f"n = {args.n} is past the size budget of gw with a class other than the staircase, "
-                              f"n <= {GW_TABLES_MAX_N}: its sum reads all 2^(n-1) classes at all 2^(n-1) points")
+    if args.n > GW_SUM_MAX_N and quantum.degree_ok(query):
+        raise SizeBudgetError(f"n = {args.n} is past the size budget of gw, n <= {GW_SUM_MAX_N}: "
+                              f"its sum runs over all 2^(n-1) points")
     value = quantum.gw_invariant(query)
     doc: dict = {
         "n": args.n,

@@ -36,9 +36,10 @@ The structure table's genus-0 three-point numbers are each the integer trace
 of one fused dot, one per unordered index triple of admissible weight; it is
 kept as index rows (table_rows), and structure_table builds TableEntry objects.
 
-evaluation_sum keeps the sum over all 2^m points, exact (on CycloNum views
-of the table, P~_rho by the same sign route mod p) or through the complex
-embedding (P~_rho from a complex Pfaffian, with no prime).  It carries the
+evaluation_sum keeps the sum over all 2^m points, exact (products in Z[w],
+P~_rho by the same sign route mod p, then one CycloNum product by the S_rho
+power) or through the complex embedding (P~_rho from a complex Pfaffian,
+with no prime), building only the classes it reads.  It carries the
 invariants here (gw_invariant, hence three_point) and every float route, an
 independent summation that cross-checks the orbit route.  The structure
 table yields the quantum Euler class and an independent trace-formula route
@@ -502,19 +503,10 @@ orbit_sum.cache_clear = lambda: [f.cache_clear() for f in (_orbit_duals, _schur_
 
 
 @lru_cache(maxsize=None)
-def _tables(n: int) -> tuple[dict[Partition, CycloNum], ...]:
-    # Per evaluation point: P~ on the whole Schubert index set, each value
-    # read off one memoized integer Pfaffian recursion over the point.
-    order = session_order(n)
-    basis = partitions.all_strict(n - 1)
-    out = []
-    for _w, elem, _s in _point_table(n, False):
-        memo: dict[Partition, list[int]] = {}
-        out.append({
-            lam: CycloNum.from_ints(order, _int_ptilde(lam, elem, order, memo), 2 ** len(lam))
-            for lam in basis
-        })
-    return tuple(out)
+def _tables(n: int) -> tuple[dict[Partition, list[int]], ...]:
+    # Per point, _int_ptilde's memo: 2^len * P~ in Z[w] of the classes read
+    # (_column) and their sub-Pfaffians, the same keys at every point.
+    return tuple({} for _ in range(1 << n - 1))
 
 
 @lru_cache(maxsize=64)
@@ -525,7 +517,7 @@ def _schur_powers(n: int, exponent: int) -> tuple[CycloNum, ...]:
     # only the 64 most recently used (n, exponent) keys.
     order = session_order(n)
     out = []
-    for _w, _e, base in _point_table(n, False):
+    for _w, _e, base in _point_table(n, False, False):
         den = 1
         if exponent < 0:
             base, den = int_inverse(base, order)
@@ -536,8 +528,25 @@ def _schur_powers(n: int, exponent: int) -> tuple[CycloNum, ...]:
 
 @lru_cache(maxsize=None)
 def _float_tables(n: int) -> tuple[dict[Partition, complex], ...]:
-    # Complex-double image of the cached P~ tables, for the float path.
-    return tuple({lam: v.embed_complex() for lam, v in tab.items()} for tab in _tables(n))
+    # Per point, P~ in complex doubles of the classes a float sum has read.
+    return tuple({} for _ in range(1 << n - 1))
+
+
+def _column(n: int, lam: Partition, exact: bool) -> list:
+    # 2^len * P~_lam in Z[w] (exact), else P~_lam = sum c_k w^k / 2^len in
+    # complex doubles (Horner), at every point; built into the tables on the
+    # first read, in point order, so a build cut short misses the last point.
+    tables = _tables(n) if exact else _float_tables(n)
+    if lam not in tables[-1]:
+        order = session_order(n)
+        if exact:
+            for (_w, elem, _s), memo in zip(_point_table(n, False), tables):
+                _int_ptilde(lam, elem, order, memo)
+        else:
+            root, den = cmath.exp(2j * math.pi / order), 2 ** len(lam)
+            for value, slot in zip(_column(n, lam, True), tables):
+                slot[lam] = reduce(lambda acc, c: acc * root + c, reversed(value), 0j) / den
+    return [table[lam] for table in tables]
 
 
 @lru_cache(maxsize=None)
@@ -556,34 +565,24 @@ def _float_staircase(n: int) -> tuple[complex, ...]:
                  for residues, _w in _rows(n, False))
 
 
-@lru_cache(maxsize=None)
-def _staircase_column(n: int) -> tuple[CycloNum, ...]:
-    # P~_rho at every point by its sign mod p (_ptilde_rho): the staircase
-    # insertion's exact column in evaluation_sum, which never builds the full
-    # P~ tables.
-    order = session_order(n)
-    return tuple(CycloNum.from_ints(order, v, 2 ** (n - 1)) for v in _ptilde_rho(n, False))
-
-
 def evaluation_sum(n: int, genus: int, insertions: tuple[Partition, ...] = (), *,
                    exact: bool = True) -> CycloNum | complex:
     """The closed formula's sum over the evaluation points of OG(n)_0:
     S_rho^(genus-1) * prod of P~_lam over the insertions.
 
-    A CycloNum when exact, otherwise its complex-double image.  Each point
-    multiplies its P~ factors first and the S_rho power, by far the largest
-    factor at high genus, last.
+    A CycloNum when exact, otherwise its complex-double image.  An exact
+    point multiplies 2^len * P~_lam in Z[w] (P~_rho by its sign mod p), then
+    once in CycloNum, over 2^(sum of lengths), by S_rho^(genus-1).
     """
-    staircase = partitions.rho(n - 1)
-    columns = []
-    for lam in insertions:
-        if lam != staircase:
-            columns.append([tab[lam] for tab in (_tables(n) if exact else _float_tables(n))])
-        else:  # the float route squares its own P~_rho, no closed form
-            columns.append(_staircase_column(n) if exact else _float_staircase(n))
-    spows = _schur_powers(n, genus - 1) if exact else [s ** (genus - 1) for s in _float_schur(n)]
-    terms = (reduce(operator.mul, row) for row in zip(*columns, spows))
-    return sum(terms, zero(session_order(n)) if exact else 0j)
+    order, staircase = session_order(n), partitions.rho(n - 1)
+    columns = [(_ptilde_rho(n, False) if exact else _float_staircase(n)) if lam == staircase
+               else _column(n, lam, exact) for lam in insertions]
+    if not exact:
+        spows = [s ** (genus - 1) for s in _float_schur(n)]
+        return sum((reduce(operator.mul, row) for row in zip(*columns, spows)), 0j)
+    mul, den = partial(int_mul, order=order), 1 << sum(map(len, insertions))
+    return sum((CycloNum.from_ints(order, reduce(mul, row), den) * s if row else s
+                for *row, s in zip(*columns, _schur_powers(n, genus - 1))), zero(order))
 
 
 def _as_count(value: CycloNum | Fraction, context: str) -> int:
@@ -607,10 +606,10 @@ def _as_count(value: CycloNum | Fraction, context: str) -> int:
 def gw_invariant(query: GWQuery) -> int:
     """The genus-g degree-d invariant with the given insertions.
 
-    Zero when the weight condition fails; otherwise 4^d times the sum over
-    evaluation tuples of S_rho^(g-1) times the product of insertion values.
-    The result is checked to be a nonnegative integer.  A staircase
-    insertion takes P~_rho at every point by its sign mod a prime
+    Zero when the weight condition fails; otherwise 4^d times evaluation_sum,
+    over all 2^(n-1) evaluation tuples of S_rho^(g-1) times the product of
+    insertion values.  The result is checked to be a nonnegative integer.  A
+    staircase insertion takes P~_rho at every point by its sign mod a prime
     (_ptilde_rho, sign_check_field): that step is checked mod p, not proved.
 
     >>> gw_invariant(GWQuery(2, 0, 1, ((1,), (1,), (1,))))

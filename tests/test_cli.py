@@ -354,7 +354,10 @@ def test_table_past_the_basis_budget_exits_3_before_building_a_point(n, tmp_path
                                   ["gw", "--n", "10", "--g", "1", "--d", "0", "--trace"],
                                   ["gw", "--n", "11", "--g", "1", "--d", "1", "--insertions", "10;10"],
                                   ["gw", "--n", "11", "--g", "1", "--d", "1", "--insertions", "10;10",
-                                   "--mode", "float"]])
+                                   "--mode", "float"],
+                                  ["gw", "--n", "11", "--g", "1", "--d", "0"],
+                                  ["gw", "--n", "11", "--g", "1", "--d", "11", "--insertions",
+                                   ";".join(["10,9,8,7,6,5,4,3,2,1"] * 4), "--mode", "float"]])
 def test_the_table_readers_and_a_full_table_gw_past_their_budgets_exit_3_before_building_a_point(
         argv, monkeypatch, capsys):
     def refuse(*args):
@@ -367,7 +370,7 @@ def test_the_table_readers_and_a_full_table_gw_past_their_budgets_exit_3_before_
     doc = json.loads(err)
     assert doc["error"] == "not_applicable"
     assert ("table budget of 2^(n-1) <= 256" if argv[2] == "10" else
-            "gw with a class other than the staircase, n <= 10") in doc["reason"]
+            "n = 11 is past the size budget of gw, n <= 10") in doc["reason"]
 
 
 def test_gw_past_the_full_table_budget_still_answers_what_builds_no_table(monkeypatch, capsys):

@@ -383,9 +383,10 @@ def test_alpha_from_elem_matches_alpha_evaluate():
 
 def test_float_count_with_no_staircase_insertion_runs_no_pfaffian(monkeypatch):
     # rank 16, ell 0: the plan has staircase power 0, so the float route
-    # reads S_rho at every point and never P~_rho
+    # reads S_rho at every point and never P~_rho nor any other class
     assert counting._count_even_plan(3, 8, 0)[2] == 0
-    for cached in (quantum._ptilde_rho, quantum._staircase_column, quantum._float_staircase):
+    tables = (quantum._ptilde_rho, quantum._float_staircase, quantum._tables, quantum._float_tables)
+    for cached in tables:
         cached.cache_clear()
 
     def refuse(*args):
@@ -394,9 +395,7 @@ def test_float_count_with_no_staircase_insertion_runs_no_pfaffian(monkeypatch):
     for module in (symfunc, quantum):
         monkeypatch.setattr(module, "_int_ptilde", refuse)
     assert count_float(3, 16, 0) == pytest.approx(count(3, 16, 0).value, rel=1e-9)
-    assert quantum._ptilde_rho.cache_info().currsize == 0
-    assert quantum._staircase_column.cache_info().currsize == 0
-    assert quantum._float_staircase.cache_info().currsize == 0
+    assert [cached.cache_info().currsize for cached in tables] == [0, 0, 0, 0]
 
 
 def test_counting_sums_never_build_the_full_tables(monkeypatch):
@@ -592,13 +591,14 @@ def test_even_staircase_powers_run_the_sign_route_and_no_pfaffian_recursion(monk
     # reads each factor by its sign, one Pfaffian mod p per representative,
     # and the float route a complex Pfaffian per point, never the recursion
     assert counting._count_even_plan(3, 15, 0)[2] == counting._count_even_plan(3, 11, 0)[2] == 2
-    for cached in (quantum._ptilde_rho, quantum._staircase_column, quantum.orbit_sum):
+    for cached in (quantum._ptilde_rho, quantum._float_staircase, quantum._tables, quantum.orbit_sum):
         cached.cache_clear()
     for module in (symfunc, quantum):
         monkeypatch.setattr(module, "_int_ptilde", _refuse)
     assert count(3, 30, 0).value == PINNED_COUNTS[30][0]
     assert count_float(3, 22, 0) == pytest.approx(count(3, 22, 0).value, rel=1e-9)
     assert quantum._ptilde_rho.cache_info().currsize == 2
+    assert quantum._tables.cache_info().currsize == 0
 
 
 def test_a_wrong_staircase_root_is_a_failed_proof(monkeypatch, capsys):
@@ -618,13 +618,13 @@ def test_odd_staircase_powers_run_no_pfaffian_recursion(monkeypatch):
     # genus 2: rank 14 at ell 1 needs n(g - 1 - ell) even, and g = 3 is not applicable
     assert not count(3, 14, 1).applicable
     assert counting._count_even_plan(2, 7, 1)[2] == 3
-    for cached in (quantum._ptilde_rho, quantum._staircase_column, quantum._float_staircase,
-                   quantum.orbit_sum):
+    for cached in (quantum._ptilde_rho, quantum._float_staircase, quantum._tables, quantum.orbit_sum):
         cached.cache_clear()
     for module in (symfunc, quantum):
         monkeypatch.setattr(module, "_int_ptilde", _refuse)
     assert count(2, 14, 1).value == 54272
     assert count_float(2, 14, 1) == pytest.approx(54272, rel=1e-9)
+    assert quantum._tables.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("n", range(2, 13))

@@ -515,30 +515,35 @@ def test_gw_float_path_tracks_exact_values():
 def test_staircase_table_matches_full_tables(n):
     staircase = rho(n - 1)
     order = session_order(n)
+    basis = all_strict(n - 1)
     rows = quantum._point_table(n, False)
-    ptildes, ptildes_c = quantum._staircase_column(n), quantum._float_staircase(n)
+    ptildes, ptildes_c = quantum._ptilde_rho(n, False), quantum._float_staircase(n)
     schurs_c = quantum._float_schur(n)
-    tabs = quantum._tables(n)
-    floats = quantum._float_tables(n)
+    # every class read on demand, exact and complex, at every point
+    ints = {lam: quantum._column(n, lam, True) for lam in basis}
+    floats = {lam: quantum._column(n, lam, False) for lam in basis}
     assert len(rows) == len(ptildes) == len(ptildes_c) == len(schurs_c) == 2 ** (n - 1)
-    assert len(tabs) == len(floats) == 2 ** (n - 1)
-    for ep, (weight, elem, schur), ptilde, ptilde_c, schur_c, tab, fvals in zip(
-            eval_points(n - 1), rows, ptildes, ptildes_c, schurs_c, tabs, floats):
+    assert {len(column) for column in [*ints.values(), *floats.values()]} == {2 ** (n - 1)}
+    for k, (ep, (weight, elem, schur), ptilde, ptilde_c, schur_c) in enumerate(zip(
+            eval_points(n - 1), rows, ptildes, ptildes_c, schurs_c)):
         assert weight == 1
         assert [CycloNum.from_ints(order, e) for e in elem] == elementary_values(ep.point)
         # recomputed from the point itself, not from the cached values
         schur_rho = CycloNum.from_ints(order, schur)
         assert schur_rho == schur_value(staircase, ep.point)
-        assert ptilde == ptilde_value(staircase, ep.point) == tab[staircase]
+        want = ptilde_value(staircase, ep.point)
+        assert CycloNum.from_ints(order, ptilde, 2 ** (n - 1)) == want
         assert schur_c == schur_rho.embed_complex()
         # the float P~_rho is a Pfaffian in complex doubles of its own, so it
         # agrees up to rounding
-        assert ptilde_c == pytest.approx(tab[staircase].embed_complex(), abs=1e-12)
-        assert fvals[staircase] == tab[staircase].embed_complex()
-        assert fvals.keys() == tab.keys()
-        for lam in all_strict(n - 1):
-            assert tab[lam] == ptilde_value(lam, ep.point)
-            assert fvals[lam] == tab[lam].embed_complex()
+        assert ptilde_c == pytest.approx(want.embed_complex(), abs=1e-12)
+        for lam in basis:
+            value = CycloNum.from_ints(order, ints[lam][k], 2 ** len(lam))
+            assert value == ptilde_value(lam, ep.point)
+            assert floats[lam][k] == value.embed_complex()
+    # the memo holds only strict partitions of the basis, the same at every point
+    assert all(table.keys() == set(basis) for table in quantum._tables(n))
+    assert all(table.keys() == set(basis) for table in quantum._float_tables(n))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -567,14 +572,63 @@ def test_evaluation_sum_integrand_equals_the_insertion(n, full_point_sum):
             )
 
 
+def _sub_pfaffians(parts):
+    # parts and every strict partition its first-row Pfaffian expansion reads
+    out = {parts}
+    if len(parts) > 2:
+        first, rest = parts[0], parts[1:]
+        for pos, part in enumerate(rest):
+            out |= {(first, part)} | _sub_pfaffians(rest[:pos] + rest[pos + 1:])
+        if len(parts) % 2:
+            out |= _sub_pfaffians(rest)
+    return out
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_a_cold_sum_reads_only_the_classes_it_needs(exact):
+    # genus 1, four classes and the staircase at n = 10: 63 + 45 = 2 * 9 * 6
+    n, classes = 10, ((9, 5, 3, 2, 1), (8, 6, 2), (7, 4), (6, 5, 4, 1))
+    query = GWQuery(n, 1, 6, classes + (rho(9),))
+    assert degree_ok(query)
+    quantum._tables.cache_clear()
+    quantum._float_tables.cache_clear()
+    value = gw_invariant(query) if exact else gw_invariant_float(query)
+    assert value == pytest.approx(4 ** 6 * quantum.orbit_sum(n, 1, query.insertions), rel=1e-9)
+    # the staircase is read by its sign, never into the tables
+    needed = set().union(*map(_sub_pfaffians, classes))
+    assert len(needed) < 2 ** 9 and rho(9) not in needed
+    assert [set(table) for table in quantum._tables(n)] == [needed] * 2 ** 9
+    if exact:
+        assert quantum._float_tables.cache_info().currsize == 0
+    else:
+        assert [set(table) for table in quantum._float_tables(n)] == [set(classes)] * 2 ** 9
+
+
+@pytest.mark.parametrize("n", range(7, 11))
+def test_the_full_point_sum_equals_the_orbit_sum_past_n_6(n):
+    rng = random.Random(n)
+    basis = all_strict(n - 1)
+    for _ in range(2):
+        while True:
+            genus = rng.randint(0, 3)
+            ins = tuple(rng.choice(basis) for _ in range(rng.randint(1, 4)))
+            d = admissible_degree(n, genus, ins)
+            if d is not None:
+                break
+        query = GWQuery(n, genus, d, ins)
+        exact = gw_invariant(query)
+        assert exact == 4 ** d * quantum.orbit_sum(n, genus, ins), query
+        assert gw_invariant_float(query) == pytest.approx(exact, rel=1e-9), query
+
+
 def test_staircase_table_n7_matches_the_direct_evaluation():
-    staircase = rho(6)
+    staircase, order = rho(6), session_order(7)
     rows = quantum._point_table(7, False)
-    ptildes = quantum._staircase_column(7)
+    ptildes = quantum._ptilde_rho(7, False)
     assert len(rows) == len(ptildes) == len(eval_points(6))
     for ep, (_w, _e, schur), ptilde in zip(eval_points(6), rows, ptildes):
-        assert CycloNum.from_ints(session_order(7), schur) == schur_value(staircase, ep.point)
-        assert ptilde == ptilde_value(staircase, ep.point)
+        assert CycloNum.from_ints(order, schur) == schur_value(staircase, ep.point)
+        assert CycloNum.from_ints(order, ptilde, 2 ** 6) == ptilde_value(staircase, ep.point)
 
 
 @pytest.mark.parametrize("n,orbits", [(n, False) for n in range(2, 9)] + [(9, True), (10, True)])
@@ -621,14 +675,13 @@ def test_the_sign_route_is_the_pfaffian_memo_at_the_representatives(n):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_both_staircase_columns_are_the_pfaffian_memo_at_every_point(n):
-    # the exact column by its sign mod p, the complex one by a complex Pfaffian
+    # the exact column by its sign mod p, the complex one by a complex
+    # Pfaffian, and the on-demand table's own P~_rho by the recursion
     m, order = n - 1, session_order(n)
     memo = [_int_ptilde(rho(m), elem, order, {}) for _w, elem, _s in quantum._point_table(n, False)]
-    exact, approx = quantum._staircase_column(n), quantum._float_staircase(n)
-    assert list(quantum._ptilde_rho(n, False)) == memo
-    assert list(exact) == [CycloNum.from_ints(order, value, 2 ** m) for value in memo]
-    for value, z in zip(exact, approx):
-        assert z == pytest.approx(value.embed_complex(), abs=1e-12)
+    assert list(quantum._ptilde_rho(n, False)) == memo == quantum._column(n, rho(m), True)
+    for value, z in zip(memo, quantum._float_staircase(n)):
+        assert z == pytest.approx(CycloNum.from_ints(order, value, 2 ** m).embed_complex(), abs=1e-12)
 
 
 @pytest.mark.parametrize("n", range(2, 8))
