@@ -5,13 +5,16 @@ constants, written as JSON to the cache directory, an export nothing reads
 back), qmul (product of two Schubert classes), ntilde (arbitrary-bundle
 intersection number), verify (self-check suites).
 
-Exit codes: 0 success, 1 verification failure (a result that is not a
-nonnegative integer, a sum off the weight condition, a value that is not
-rational, a fused dot past its slot, a staircase Pfaffian off its square
-mod p), 2 invalid input, 3 not applicable, not covered or past a size
-budget (the structure table, which table, qmul and gw --trace read, past
-n = 9; gw on the weight condition past n = 10; a count past n = 20), 4 I/O
-failure, 5 internal error (any other exception: a fault of the program).
+Exit codes: 0 success, 1 verification failure (a failed proof,
+cyclotomic.ProofFailure: a result that is not a nonnegative integer, a sum
+off the weight condition, a value that is not rational, a fused dot past its
+slot, a staircase Pfaffian off its square mod p), 2 invalid input, 3 not
+applicable, not covered or past a size budget (a refusal, quantum.Refusal:
+the structure table, which table, qmul and gw --trace read, past n = 9; gw
+on the weight condition past n = 10; a count past n = 20), 4 I/O failure,
+5 internal error (any other exception: a fault of the program).  The library
+decides every verdict and refuses past its size budgets, whose caps all live
+in quantum; this module only maps the verdicts to exit codes.
 """
 
 from __future__ import annotations
@@ -28,36 +31,14 @@ from functools import lru_cache
 from pathlib import Path
 
 from . import counting, partitions, quantum, verify
-from .counting import (
-    NotApplicableError,
-    NotCoveredError,
-    NQuery,
-    OddDegreeUnsupportedError,
-    OddEllUnsupportedError,
-    SizeBudgetError,
-    decimal_string,
-)
-from .cyclotomic import NotRationalError, SlotOverflowError
-from .quantum import GWQuery, NonIntegralResultError, QuantumElement, StaircaseSignError, WeightConditionError
+from .counting import NQuery, decimal_string
+from .cyclotomic import ProofFailure
+from .quantum import GWQuery, QuantumElement, Refusal, SizeBudgetError
 from .symfunc import parse_alpha_poly
 
 OK, VERIFY_FAIL, BAD_INPUT, NOT_APPLICABLE, IO_ERROR, INTERNAL_ERROR = 0, 1, 2, 3, 4, 5
-# The failed proofs; any other ArithmeticError is a fault of the program.
-PROOF_FAILURES = (NonIntegralResultError, WeightConditionError, NotRationalError, SlotOverflowError,
-                  StaircaseSignError)
 
 FLOAT_RTOL = 1e-6
-TABLE_MAX_N = 9  # the basis budget, 2^(n-1) <= 256 classes: the table grows as their cube
-# gw's exact and float sums run over all 2^(n-1) points, for any classes: a
-# cold exact sum of four of the longest classes takes about 3 s at n = 10
-# and 13 s at n = 11
-GW_SUM_MAX_N = 10
-
-
-def _check_table_budget(n: int) -> None:
-    # for every command that reads the structure table, before a point is built
-    if n > TABLE_MAX_N:
-        raise SizeBudgetError(f"n = {n} is past the table budget of 2^(n-1) <= 256 classes")
 
 
 def _emit_error(kind: str, message: str, trace: str | None = None) -> None:
@@ -111,11 +92,8 @@ def _float_line(doc: dict) -> str:
 
 def cmd_gw(args) -> int:
     query = GWQuery(args.n, args.g, args.d, _parse_insertions(args.insertions))
-    if args.trace:
-        _check_table_budget(args.n)
-    if args.n > GW_SUM_MAX_N and quantum.degree_ok(query):
-        raise SizeBudgetError(f"n = {args.n} is past the size budget of gw, n <= {GW_SUM_MAX_N}: "
-                              f"its sum runs over all 2^(n-1) points")
+    # the trace route first: past the table budget it refuses before the sum builds a point
+    trace = quantum.trace_invariant(query) if args.trace else None
     value = quantum.gw_invariant(query)
     doc: dict = {
         "n": args.n,
@@ -128,7 +106,6 @@ def cmd_gw(args) -> int:
         doc["sign_check_prime"] = prime
     status = OK
     if args.trace:
-        trace = quantum.trace_invariant(query)
         doc["trace_value"] = decimal_string(trace)
         doc["trace_agrees"] = trace == value
         if not doc["trace_agrees"]:
@@ -196,7 +173,6 @@ def _table_bytes(n: int, max_d: int | None, rows) -> bytes:
 
 
 def cmd_table(args) -> int:
-    _check_table_budget(args.n)
     rows = quantum.table_rows(args.n, args.max_d)
     payload = _table_bytes(args.n, args.max_d, rows)
     cache_dir = _resolve_cache_dir(args.cache_dir)
@@ -220,9 +196,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_qmul(args) -> int:
-    _check_table_budget(args.n)
-    lam = partitions.parse_partition(args.a)
-    mu = partitions.parse_partition(args.b)
+    lam = partitions.validate(partitions.parse_partition(args.a), args.n - 1)
+    mu = partitions.validate(partitions.parse_partition(args.b), args.n - 1)
     product = quantum.quantum_product(
         args.n, QuantumElement.basis(lam), QuantumElement.basis(mu)
     )
@@ -354,13 +329,13 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else BAD_INPUT
     try:
         return args.func(args)
-    except (NotApplicableError, NotCoveredError, SizeBudgetError) as exc:
+    except Refusal as exc:
         _emit_error("not_applicable", str(exc))
         return NOT_APPLICABLE
-    except (ValueError,) as exc:
+    except ValueError as exc:
         _emit_error("invalid_input", str(exc))
         return BAD_INPUT
-    except PROOF_FAILURES as exc:
+    except ProofFailure as exc:
         _emit_error("verification_failure", str(exc))
         return VERIFY_FAIL
     except OSError as exc:

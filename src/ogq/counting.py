@@ -18,7 +18,10 @@ an independent bridge for testing.
 Parity limits are first-class outcomes: a query whose extremal degree does
 not exist raises NotApplicableError, and the even-rank route with n even but
 e_0 odd raises NotCoveredError (the two documented low-rank values in that
-regime are quoted in the diagnostic, not computed).
+regime are quoted in the diagnostic, not computed).  Both are refusals
+(quantum.Refusal), as is a query past a size budget: the caps
+EXACT_MAX_N and FLOAT_MAX_N live in quantum (quantum.check_budget), and each
+route checks its cap before anything is enumerated.
 """
 
 from __future__ import annotations
@@ -31,16 +34,18 @@ from fractions import Fraction
 
 from . import partitions, quantum
 from .symfunc import AlphaPolynomial
-from .quantum import GWQuery, NonIntegralResultError, UnsupportedRankError
+# The routes' caps and their refusal are quantum's, named here for callers of the counts too.
+from .quantum import (EXACT_MAX_N, FLOAT_MAX_N, GWQuery, NonIntegralResultError, Refusal,  # noqa: F401
+                      SizeBudgetError, UnsupportedRankError)
 
 logger = logging.getLogger(__name__)
 
 
-class NotApplicableError(ValueError):
+class NotApplicableError(Refusal):
     """No subbundle of the requested kind exists: a parity condition fails."""
 
 
-class NotCoveredError(ValueError):
+class NotCoveredError(Refusal):
     """The even-rank route does not cover this regime (n even, degree odd);
     e0 is the odd degree the route was asked at, when known."""
 
@@ -55,24 +60,6 @@ class OddEllUnsupportedError(ValueError):
 
 class OddDegreeUnsupportedError(ValueError):
     pass
-
-
-class SizeBudgetError(ValueError):
-    """n is past the route's size budget; refused before anything is enumerated."""
-
-
-# Largest n per route, checked before anything is enumerated.  The exact
-# route walks the 2^(n-1) residue sets once (n = 20, rank 40: about 1.4 s),
-# the float route sums all 2^(n-1) points; a staircase factor costs one
-# O(n^3) Pfaffian per representative or point.
-EXACT_MAX_N, FLOAT_MAX_N = 20, 12
-
-
-def _check_budget(n: int, exact: bool) -> None:
-    limit = EXACT_MAX_N if exact else FLOAT_MAX_N
-    if n > limit:
-        raise SizeBudgetError(f"n = {n} is past the size budget of the {'exact' if exact else 'float'} route, "
-                              f"n <= {limit}")
 
 
 _NOT_COVERED_KNOWN = (
@@ -165,7 +152,7 @@ def _n_tilde_sum(query: NQuery, exact: bool) -> tuple[int, tuple, AlphaPolynomia
     # (power-of-two exponent, staircase insertions, integrand) of n_tilde's
     # sum: one plan, one weight target; None when the integrand is off it.
     exponent, rho_power = _plan(query.n, query.ell, query.e)
-    _check_budget(query.n, exact)
+    quantum.check_budget(query.n, "exact" if exact else "float")
     target = expected_dim_t(query.n, query.ell, query.e, query.genus, query.u)
     qp = query.q_poly
     if not qp or not qp.is_homogeneous() or qp.weighted_degree() != target:
@@ -329,12 +316,10 @@ def count_even(genus: int, n: int, ell: int) -> CountReport:
     if n < 2:
         raise UnsupportedRankError(f"even rank needs n >= 2, got n = {n}")
     e0, exponent, rho_power = _count_even_plan(genus, n, ell)
-    _check_budget(n, True)
+    quantum.check_budget(n, "exact")
     staircase = (partitions.rho(n - 1),) * rho_power
     num, den = quantum.orbit_trace(n, genus, staircase)
-    value, rest = divmod(num << exponent, den)
-    if rest or value < 0:
-        raise NonIntegralResultError(f"count is not a nonnegative integer: {Fraction(num << exponent, den)}")
+    value = quantum.as_count(num << exponent, den, "count")
     report = CountReport(
         genus=genus,
         rank=2 * n,
@@ -381,9 +366,7 @@ def count_odd(genus: int, n: int, ell: int) -> CountReport:
             f"rank {2 * n + 1}: companion extremal degree {partner.e0} "
             f"is not e0 + ell/2 = {e0 + ell // 2}"
         )
-    half, rest = divmod(partner.value, 2)
-    if rest:
-        raise NonIntegralResultError(f"odd-rank halving gave non-integer {partner.value}/2")
+    half = quantum.as_count(partner.value, 2, "odd-rank halving")
     report = CountReport(
         genus=genus,
         rank=2 * n + 1,
@@ -434,7 +417,7 @@ def count_float(genus: int, rank: int, ell: int) -> float:
     if rank % 2 == 0:
         n = rank // 2
         _e0, exponent, rho_power = _count_even_plan(genus, n, ell)
-        _check_budget(n, False)
+        quantum.check_budget(n, "float")
         staircase = (partitions.rho(n - 1),) * rho_power
         total = quantum.evaluation_sum(n, genus, staircase, exact=False)
         return _float_scaled(exponent, total)

@@ -36,11 +36,15 @@ class OrderMismatchError(ValueError):
     """Raised when two elements of different cyclotomic fields are combined."""
 
 
-class NotRationalError(ArithmeticError):
+class ProofFailure(ArithmeticError):
+    """A self-check of a computed value failed: the base of every failed proof."""
+
+
+class NotRationalError(ProofFailure):
     """Raised when a rational value is demanded of a non-rational element."""
 
 
-class SlotOverflowError(ArithmeticError):
+class SlotOverflowError(ProofFailure):
     """A fused dot's packed sum outgrew its slot, so its trace cannot be read."""
 
 

@@ -44,6 +44,11 @@ invariants here (gw_invariant, hence three_point) and every float route, an
 independent summation that cross-checks the orbit route.  The structure
 table yields the quantum Euler class and an independent trace-formula route
 to every positive-genus invariant, used to cross-check the direct sum.
+
+The size budgets live here, four caps and one checker (check_budget) called
+where each route starts.  A verdict is a library type: a Refusal (not
+applicable, not covered, past a budget) or a cyclotomic.ProofFailure (a
+failed self-check); as_count is the one check that a value is a count.
 """
 
 from __future__ import annotations
@@ -58,10 +63,19 @@ from fractions import Fraction
 from functools import lru_cache, partial, reduce
 
 from . import partitions
-from .cyclotomic import (CycloNum, NotRationalError, _reduce, field_degree, fused_dot, int_inverse,
-                         int_mul, int_pow, root_of_unity, trace_dual, zero)
+from .cyclotomic import (CycloNum, ProofFailure, _reduce, field_degree, fused_dot, int_inverse, int_mul,
+                         int_pow, root_of_unity, trace_dual, zero)
 from .partitions import Partition
 from .symfunc import AlphaPolynomial, _int_alpha, _int_ptilde
+
+
+class Refusal(ValueError):
+    """The query is declined with a reason, not answered: not applicable, not
+    covered, or past a size budget."""
+
+
+class SizeBudgetError(Refusal):
+    """n is past the route's size budget; refused before any point or orbit is built."""
 
 
 class UnsupportedRankError(ValueError):
@@ -76,19 +90,53 @@ class GenusTooSmallError(ValueError):
     pass
 
 
-class NonIntegralResultError(ArithmeticError):
+class NonIntegralResultError(ProofFailure):
     pass
 
 
-class StaircaseSignError(ArithmeticError):
+class StaircaseSignError(ProofFailure):
     """2^m * P~_rho is neither r nor -r mod p at a row: the staircase square fails."""
 
 
-class WeightConditionError(ArithmeticError):
+class WeightConditionError(ProofFailure):
     """An orbit sum was asked for a summand off the weight condition.
 
     The full point sum of such a summand is 0, but the orbit formula would
     give a wrong nonzero value, so this is a failed proof, not bad input."""
+
+
+# The size budgets, the largest n per route (check_budget).  The table grows
+# as the cube of its 2^(n-1) classes.  gw's sums run over all 2^(n-1) points
+# for any classes: a cold exact sum of four of the longest takes about 3 s at
+# n = 10 and 13 s at n = 11.  The exact counts walk the 2^(n-1) residue sets
+# once (n = 20, rank 40: about 1.4 s); the float counts sum all 2^(n-1) points.
+TABLE_MAX_N, GW_SUM_MAX_N, EXACT_MAX_N, FLOAT_MAX_N = 9, 10, 20, 12
+_CAPS = {"table": TABLE_MAX_N, "gw": GW_SUM_MAX_N, "exact": EXACT_MAX_N, "float": FLOAT_MAX_N}
+
+
+def check_budget(n: int, route: str) -> None:
+    """Raise SizeBudgetError when n is past the cap of route, before any point
+    or orbit is built: "table" (the structure table and its readers), "gw"
+    (gw's sums on the weight condition), "exact" or "float" (the counts)."""
+    limit = _CAPS[route]
+    if n <= limit:
+        return
+    if route == "table":
+        budget = f"the table budget of 2^(n-1) <= {2 ** (limit - 1)} classes"
+    elif route == "gw":
+        budget = f"the size budget of gw, n <= {limit}: its sum runs over all 2^(n-1) points"
+    else:
+        budget = f"the size budget of the {route} route, n <= {limit}"
+    raise SizeBudgetError(f"n = {n} is past {budget}")
+
+
+def as_count(num: int, den: int, context: str) -> int:
+    """num / den (den > 0) as a nonnegative integer, else NonIntegralResultError:
+    the check every count, invariant and structure constant passes."""
+    value, rest = divmod(num, den)
+    if rest or value < 0:
+        raise NonIntegralResultError(f"{context}: expected a nonnegative integer, got {Fraction(num, den)}")
+    return value
 
 
 def session_order(n: int) -> int:
@@ -585,31 +633,14 @@ def evaluation_sum(n: int, genus: int, insertions: tuple[Partition, ...] = (), *
                 for *row, s in zip(*columns, _schur_powers(n, genus - 1))), zero(order))
 
 
-def _as_count(value: CycloNum | Fraction, context: str) -> int:
-    """The value as a nonnegative integer, else NonIntegralResultError.
-
-    A trace (the orbit route) is rational by construction, so integrality
-    and sign are the checks left; a CycloNum from the full point sum is
-    checked to be rational first.
-    """
-    rat = value
-    if isinstance(value, CycloNum):
-        try:
-            rat = value.as_rational()
-        except NotRationalError as exc:
-            raise NonIntegralResultError(f"{context}: sum is not rational: {value!r}") from exc
-    if rat.denominator != 1 or rat < 0:
-        raise NonIntegralResultError(f"{context}: expected a nonnegative integer, got {rat}")
-    return int(rat)
-
-
 def gw_invariant(query: GWQuery) -> int:
     """The genus-g degree-d invariant with the given insertions.
 
     Zero when the weight condition fails; otherwise 4^d times evaluation_sum,
     over all 2^(n-1) evaluation tuples of S_rho^(g-1) times the product of
-    insertion values.  The result is checked to be a nonnegative integer.  A
-    staircase insertion takes P~_rho at every point by its sign mod a prime
+    insertion values, refused past n = GW_SUM_MAX_N.  The result is checked
+    to be rational (NotRationalError) and a nonnegative integer.  A staircase
+    insertion takes P~_rho at every point by its sign mod a prime
     (_ptilde_rho, sign_check_field): that step is checked mod p, not proved.
 
     >>> gw_invariant(GWQuery(2, 0, 1, ((1,), (1,), (1,))))
@@ -617,15 +648,17 @@ def gw_invariant(query: GWQuery) -> int:
     """
     if not degree_ok(query):
         return 0
-    total = evaluation_sum(query.n, query.genus, query.insertions)
-    return _as_count(total * Fraction(4) ** query.degree, f"invariant {query}")
+    check_budget(query.n, "gw")
+    total = (evaluation_sum(query.n, query.genus, query.insertions) * Fraction(4) ** query.degree).as_rational()
+    return as_count(total.numerator, total.denominator, f"invariant {query}")
 
 
 def gw_invariant_float(query: GWQuery) -> float:
-    """Float fast path for the same sum, via the complex embedding; raises
-    OverflowError when the result is not a finite double."""
+    """Float fast path for the same sum, via the complex embedding, under the
+    same budget; raises OverflowError when the result is not a finite double."""
     if not degree_ok(query):
         return 0.0
+    check_budget(query.n, "gw")
     total = evaluation_sum(query.n, query.genus, query.insertions, exact=False)
     # A double past the range raises OverflowError, as 4.0 ** degree itself
     # does, instead of coming back as inf.
@@ -681,7 +714,7 @@ def table_rows(n: int, max_d: int | None = None) -> tuple[tuple[int, int, int, i
 
 @lru_cache(maxsize=None)
 def _table_entries(n: int) -> tuple[TableEntry, ...]:
-    rows = _structure_table(n)  # first: it refuses n < 2
+    rows = _structure_table(n)  # first: it refuses n < 2 and n past the table budget
     basis = partitions.all_strict(n - 1)
     return tuple(TableEntry(basis[i], basis[j], basis[k], d, c) for i, j, d, k, c in rows)
 
@@ -694,6 +727,7 @@ def _structure_table(n: int) -> tuple[tuple[int, int, int, int, int], ...]:
     # times the integer trace that one dot returns, over those denominators.
     if n < 2:
         raise UnsupportedRankError(f"n must be >= 2, got {n}")
+    check_budget(n, "table")
     m = n - 1
     order = session_order(n)
     basis = partitions.all_strict(m)
@@ -728,7 +762,7 @@ def _structure_table(n: int) -> tuple[tuple[int, int, int, int, int], ...]:
                 value, den = dot(0, a + 1, b + 1, c + 1) * 4 ** d, pair_den << len(basis[c])
                 count, rest = divmod(value, den)
                 if rest or count < 0:
-                    _as_count(Fraction(value, den), f"three-point {basis[a], basis[b], basis[c]}")
+                    as_count(value, den, f"three-point {basis[a], basis[b], basis[c]}")
                 if count:
                     turns = [(a, b, c), (b, c, a), (c, a, b)][:1 if a == c else 3]
                     turns += [(i, k, j) for i, j, k in turns] if a != b != c else []
@@ -755,9 +789,10 @@ def table_json_dict(n: int, max_d: int | None = None) -> dict:
 @lru_cache(maxsize=None)
 def _product_lookup(n: int) -> dict:
     # (lam, mu) -> [(nu, d, c), ...]
+    rows = table_rows(n)  # first: it refuses n past the table budget
     basis = partitions.all_strict(n - 1)
     lookup: dict[tuple[Partition, Partition], list[tuple[Partition, int, int]]] = {}
-    for i, j, d, k, c in table_rows(n):
+    for i, j, d, k, c in rows:
         lookup.setdefault((basis[i], basis[j]), []).append((basis[k], d, c))
     return lookup
 
@@ -834,13 +869,12 @@ def quantum_product(n: int, a: QuantumElement, b: QuantumElement) -> QuantumElem
 def _graded_euler(n: int) -> QuantumElement:
     # The quantum Euler class with its q-grading: the sum over the basis of
     # tau_nu times the basis element dual under the classical Poincare pairing.
-    m = n - 1
-    total = QuantumElement.zero()
+    lookup, m = _product_lookup(n), n - 1  # the lookup first: it refuses n past the table budget
+    data: dict[tuple[Partition, int], Fraction] = {}
     for nu in partitions.all_strict(m):
-        total = total + quantum_product(
-            n, QuantumElement.basis(nu), QuantumElement.basis(partitions.dual(nu, m))
-        )
-    return total
+        for lam, d, c in lookup.get((nu, partitions.dual(nu, m)), ()):
+            data[lam, d] = data.get((lam, d), Fraction(0)) + c
+    return QuantumElement(data)
 
 
 def euler_class(n: int) -> QuantumElement:
@@ -857,9 +891,10 @@ def euler_class(n: int) -> QuantumElement:
 def _mult_trace_weights(n: int) -> dict:
     # trace of multiplication by tau_lam on the q = 1 algebra, per lam: the
     # sum of its structure constants c^{b,d}_{lam,b}
+    rows = table_rows(n)  # first: it refuses n past the table budget
     basis = partitions.all_strict(n - 1)
     out = dict.fromkeys(basis, Fraction(0))
-    for i, j, _d, k, c in table_rows(n):
+    for i, j, _d, k, c in rows:
         if j == k:
             out[basis[i]] += c
     return out
@@ -872,7 +907,8 @@ def trace_invariant(query: GWQuery) -> int:
 
     The product is taken in the graded ring and q set to 1 in the trace: a
     term c q^d tau_b contributes c times the trace of multiplication by
-    tau_b.  Only defined for genus >= 1; zero when the weight condition fails.
+    tau_b.  Only defined for genus >= 1; zero when the weight condition fails;
+    refused past n = TABLE_MAX_N, as the table is.
     """
     if query.genus < 1:
         raise GenusTooSmallError("trace route needs genus >= 1")
@@ -886,9 +922,7 @@ def trace_invariant(query: GWQuery) -> int:
         vec = quantum_product(n, vec, QuantumElement.basis(lam))
     weights = _mult_trace_weights(n)
     total = sum((c * weights[b] for (b, _d), c in vec.terms.items()), Fraction(0))
-    if total.denominator != 1 or total < 0:
-        raise NonIntegralResultError(f"trace route gave {total} for {query}")
-    return int(total)
+    return as_count(total.numerator, total.denominator, f"trace route for {query}")
 
 
 def genus_recursion_check(n: int, genus: int, degree: int, insertions, s: int) -> bool:

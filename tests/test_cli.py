@@ -119,6 +119,14 @@ def test_gw_bad_partition(capsys):
     assert doc["error"] == "invalid_input"
 
 
+@pytest.mark.parametrize("a, b", [("3", "1"), ("1", "3,1")])
+def test_qmul_refuses_a_class_outside_the_basis(a, b, capsys):
+    # a part past n - 1 = 2, as gw refuses it
+    code, out, err = run(["qmul", "--n", "3", "--a", a, "--b", b], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "invalid_input"
+
+
 def test_missing_required_argument(capsys):
     code, _, err = run(["gw", "--n", "2"], capsys)
     assert code == 2

@@ -3,7 +3,9 @@
 counting, verify, cli and the scripts use only the public names of the
 other ogq modules: a helper one of them needs belongs in that module's
 public API.
-No module holds an assert statement, so every invariant survives `python -O`."""
+No module holds an assert statement, so every invariant survives `python -O`.
+The size budgets are one policy: only quantum defines a *_MAX_N cap or
+raises SizeBudgetError."""
 
 import ast
 from pathlib import Path
@@ -101,3 +103,43 @@ def test_the_assert_guard_fires(tmp_path):
         "    return 'assert x'\n"
     )
     assert assert_statements(probe) == [3]
+
+
+def budget_policy_sites(path: Path) -> list[str]:
+    # the *_MAX_N caps one module assigns and the SizeBudgetErrors it raises
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                found += [f"{name.id} at line {node.lineno}" for name in ast.walk(target)
+                          if isinstance(name, ast.Name) and name.id.endswith("_MAX_N")]
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if getattr(exc, "id", getattr(exc, "attr", None)) == "SizeBudgetError":
+                found.append(f"raise SizeBudgetError at line {node.lineno}")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(set(SRC.glob("*.py")) - {SRC / "quantum.py"})
+                         + sorted(SCRIPTS.glob("*.py")), ids=lambda path: path.name)
+def test_only_quantum_defines_a_size_budget(path):
+    assert budget_policy_sites(path) == []
+
+
+def test_the_budget_guard_fires(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from . import quantum\n"
+        "TABLE_MAX_N = 9\n"
+        "A_MAX_N, B = 20, 12\n"
+        "def f(n):\n"
+        "    if n > TABLE_MAX_N:\n"
+        "        raise quantum.SizeBudgetError('past')\n"
+        "    raise SizeBudgetError\n"
+    )
+    assert sorted(budget_policy_sites(probe)) == [
+        "A_MAX_N at line 3", "TABLE_MAX_N at line 2", "raise SizeBudgetError at line 6",
+        "raise SizeBudgetError at line 7"]
+    # quantum holds the four caps and one raise, in check_budget
+    assert sorted(site.split(" at ")[0] for site in budget_policy_sites(SRC / "quantum.py")) == [
+        "EXACT_MAX_N", "FLOAT_MAX_N", "GW_SUM_MAX_N", "TABLE_MAX_N", "raise SizeBudgetError"]

@@ -32,7 +32,7 @@ from ogq.quantum import (
     three_point,
     trace_invariant,
 )
-from ogq import cli, quantum, verify
+from ogq import cli, counting, quantum, verify
 from ogq.symfunc import _int_ptilde, elementary_values, ptilde_alpha, ptilde_value, schur_value
 
 
@@ -95,6 +95,23 @@ def test_projective_three_space_oracles():
     # OG(3)_0 is P^3 with tau_1 = h, tau_2 = h^2, tau_21 = h^3
     assert three_point(3, (1,), (1,), (2,), 0) == 1
     assert gw_invariant(GWQuery(3, 0, 1, ((1,), (2, 1), (2, 1)))) == 1
+
+
+# OG(2)_0 = P^1 and OG(3)_0 = P^3, r = 1 and 3, with tau_1 = H and
+# QH(P^r) = Z[H, q]/(H^(r+1) - q): <tau_1^k>_(g,d) is the sum over the
+# (r+1)-th roots of unity z of z^k ((r+1) z^r)^(g-1), that is (r+1)^g when
+# r+1 divides k + r(g-1) and 0 otherwise, with no evaluation point.
+P_R_CASES = [(n, g, d) for n, r in ((2, 1), (3, 3)) for g in range(5) for d in range(4)
+             if r * (1 - g) + (r + 1) * d >= 0]
+
+
+@pytest.mark.parametrize("n,genus,d", P_R_CASES)
+def test_projective_space_closed_form_at_every_genus(n, genus, d):
+    r = n * (n - 1) // 2
+    k = r * (1 - genus) + (r + 1) * d  # the one k with degree d admissible
+    assert (k + r * (genus - 1)) % (r + 1) == 0
+    assert gw_invariant(GWQuery(n, genus, d, ((1,),) * k)) == (r + 1) ** genus
+    assert gw_invariant(GWQuery(n, genus, d, ((1,),) * (k + 1))) == 0
 
 
 def test_degree_violating_query_is_zero():
@@ -477,6 +494,42 @@ def test_every_table_spelling_refuses_a_rank_below_2(n):
     for build in (structure_table, quantum.table_rows, table_json_dict):
         with pytest.raises(UnsupportedRankError, match="n must be >= 2"):
             build(n)
+
+
+PAST_GW, PAST_TABLE = quantum.GW_SUM_MAX_N + 1, quantum.TABLE_MAX_N + 1
+
+
+# Per library entry, a call past its cap and the budget it is past.
+PAST_THE_BUDGET = {
+    "gw_invariant": (lambda: gw_invariant(GWQuery(PAST_GW, 1, 0, ())), "gw"),
+    "gw_invariant_float": (lambda: gw_invariant_float(GWQuery(PAST_GW, 1, 1, ((10,), (10,)))), "gw"),
+    "three_point": (lambda: three_point(PAST_GW, (), (), (), 0), "gw"),
+    "trivial_bundle_number": (lambda: counting.trivial_bundle_number(1, PAST_GW, 0, 0, ()), "gw"),
+    "genus_recursion_check": (lambda: genus_recursion_check(PAST_GW, 1, 0, (), 1), "gw"),
+    "table_rows": (lambda: quantum.table_rows(PAST_TABLE), "table"),
+    "structure_table": (lambda: structure_table(PAST_TABLE), "table"),
+    "table_json_dict": (lambda: table_json_dict(PAST_TABLE), "table"),
+    "quantum_product": (lambda: quantum_product(PAST_TABLE, QuantumElement.basis(()),
+                                                QuantumElement.basis((1,))), "table"),
+    "trace_invariant": (lambda: trace_invariant(GWQuery(PAST_TABLE, 1, 0, ())), "table"),
+    "trace_invariant_genus_2": (lambda: trace_invariant(GWQuery(PAST_TABLE, 2, 3, ((9,),))), "table"),
+    "euler_class": (lambda: euler_class(PAST_TABLE), "table"),
+    "euler_class_n_1e30": (lambda: euler_class(10 ** 30), "table"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(PAST_THE_BUDGET))
+def test_the_library_refuses_past_its_budgets_before_building_a_point(entry, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a point, an orbit or the basis was built")
+
+    for name in ("eval_points", "_point_table", "_orbits"):
+        monkeypatch.setattr(quantum, name, refuse)
+    monkeypatch.setattr(quantum.partitions, "all_strict", refuse)
+    call, budget = PAST_THE_BUDGET[entry]
+    with pytest.raises(quantum.SizeBudgetError, match="table budget of 2" if budget == "table" else
+                       f"size budget of gw, n <= {PAST_GW - 1}"):
+        call()
 
 
 def test_negative_max_d_is_refused():
