@@ -11,9 +11,13 @@ about 4-5 s of CPU and 43 MB peak on a 2-CPU x86-64 VM with Python 3.11:
 the first count of rank 40 about 1 s (the orbit walk and S_rho at the 805
 representatives of n = 20), a staircase power one Pfaffian mod p per
 representative on top, and a count whose rank was already seen a few
-milliseconds.  Every staircase factor's sign rests on a check mod a prime,
-not a proof.  Counts run to rank 40; past it a count is refused before any
-work and its row says so.
+milliseconds.  Those times hold for genus 2-9; the S_rho power grows with
+the genus, and the first count(400, 40, 0) took 31.7 s in process, nearly
+all of it the S_rho powers at the 805 representatives, whose coefficients
+reach about 8,000 bits, so a large-genus rank-40 row is slow, not hung.
+Every staircase factor's sign rests on a check mod a prime, not a proof.
+Counts run to rank 40; past it a count is refused before any work and its
+row says so.
 """
 
 import argparse

@@ -42,8 +42,10 @@ power) or through the complex embedding (P~_rho from a complex Pfaffian,
 with no prime), building only the classes it reads.  It carries the
 invariants here (gw_invariant, hence three_point) and every float route, an
 independent summation that cross-checks the orbit route.  The structure
-table yields the quantum Euler class and an independent trace-formula route
-to every positive-genus invariant, used to cross-check the direct sum.
+table yields the quantum product (graded, int coefficients) and one cached
+ring at q = 1 on integers (_mult_trace_weights), which carries the quantum
+Euler class and an independent trace-formula route to every positive-genus
+invariant, used to cross-check the direct sum.
 
 The size budgets live here, four caps and one checker (check_budget) called
 where each route starts.  A verdict is a library type: a Refusal (not
@@ -799,42 +801,39 @@ def _product_lookup(n: int) -> dict:
 
 @dataclasses.dataclass
 class QuantumElement:
-    """A finite combination sum c * q^d * tau_lambda with Fraction c."""
+    """A finite combination sum c * q^d * tau_lambda with rational c, an int
+    when integral: a Fraction only after a non-integral scale."""
 
-    terms: dict[tuple[Partition, int], Fraction]
+    terms: dict[tuple[Partition, int], int | Fraction]
 
     def __post_init__(self):
         clean = {}
         for (lam, d), c in self.terms.items():
-            c = Fraction(c)
+            if type(c) is not int and (c := Fraction(c)).denominator == 1:
+                c = c.numerator
             if c:
                 clean[(tuple(lam), d)] = c
         self.terms = clean
 
     @staticmethod
     def basis(lam, d: int = 0) -> "QuantumElement":
-        return QuantumElement({(tuple(lam), d): Fraction(1)})
+        return QuantumElement({(tuple(lam), d): 1})
 
     @staticmethod
     def zero() -> "QuantumElement":
         return QuantumElement({})
 
-    def coefficient(self, lam, d: int = 0) -> Fraction:
-        return self.terms.get((tuple(lam), d), Fraction(0))
+    def coefficient(self, lam, d: int = 0) -> int | Fraction:
+        return self.terms.get((tuple(lam), d), 0)
 
     def __add__(self, other: "QuantumElement") -> "QuantumElement":
         data = dict(self.terms)
         for key, c in other.terms.items():
-            data[key] = data.get(key, Fraction(0)) + c
+            data[key] = data.get(key, 0) + c
         return QuantumElement(data)
 
     def scale(self, factor) -> "QuantumElement":
         return QuantumElement({k: c * Fraction(factor) for k, c in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QuantumElement):
-            return NotImplemented
-        return self.terms == other.terms
 
     def __str__(self) -> str:
         if not self.terms:
@@ -854,75 +853,77 @@ class QuantumElement:
 
 
 def quantum_product(n: int, a: QuantumElement, b: QuantumElement) -> QuantumElement:
-    """Bilinear extension of the basis product read off the structure table."""
+    """Bilinear extension of the basis product read off the structure table;
+    a class off the basis raises partitions.InvalidPartitionError."""
     lookup = _product_lookup(n)
-    data: dict[tuple[Partition, int], Fraction] = {}
+    for lam, _d in itertools.chain(a.terms, b.terms):
+        partitions.validate(lam, n - 1)
+    data: dict[tuple[Partition, int], int | Fraction] = {}
     for (lam, da), ca in a.terms.items():
         for (mu, db), cb in b.terms.items():
             for nu, d, c in lookup.get((lam, mu), ()):
                 key = (nu, d + da + db)
-                data[key] = data.get(key, Fraction(0)) + ca * cb * c
+                data[key] = data.get(key, 0) + ca * cb * c
     return QuantumElement(data)
+
+
+def _times(rows: list[dict[int, int]], vec: dict[int, int]) -> dict[int, int]:
+    # vec times the class whose multiplication rows (position i -> {k: c}) are rows
+    out: dict[int, int] = {}
+    for i, x in vec.items():
+        for k, c in rows[i].items():
+            out[k] = out.get(k, 0) + x * c
+    return out
 
 
 @lru_cache(maxsize=None)
-def _graded_euler(n: int) -> QuantumElement:
-    # The quantum Euler class with its q-grading: the sum over the basis of
-    # tau_nu times the basis element dual under the classical Poincare pairing.
-    lookup, m = _product_lookup(n), n - 1  # the lookup first: it refuses n past the table budget
-    data: dict[tuple[Partition, int], Fraction] = {}
-    for nu in partitions.all_strict(m):
-        for lam, d, c in lookup.get((nu, partitions.dual(nu, m)), ()):
-            data[lam, d] = data.get((lam, d), Fraction(0)) + c
-    return QuantumElement(data)
+def _mult_trace_weights(n: int) -> tuple[dict[Partition, list], list[dict[int, int]], list[int]]:
+    # The q = 1 ring on basis positions: per class lam, multiplication by it
+    # as rows i -> {k: sum over d of c^{k,d}_{i,lam}}; the same rows for the
+    # Euler class E (E is the unit's row, 0); and per position i the trace of
+    # multiplication by its class, the sum over j and d of c^{j,d}_{i,j}.
+    rows = table_rows(n)  # first: it refuses n past the table budget
+    basis = partitions.all_strict(n - 1)
+    mult: list[list[dict[int, int]]] = [[{} for _ in basis] for _ in basis]
+    weights = [0] * len(basis)
+    for i, j, _d, k, c in rows:
+        row = mult[j][i]
+        row[k] = row.get(k, 0) + c
+        if j == k:
+            weights[i] += c
+    # E = sum over nu of tau_nu * tau_dual(nu); its row at position i is tau_i * E
+    euler = _times([mult[basis.index(partitions.dual(nu, n - 1))][i] for i, nu in enumerate(basis)],
+                   dict.fromkeys(range(len(basis)), 1))
+    return dict(zip(basis, mult)), [_times(by_class, euler) for by_class in mult], weights
 
 
 def euler_class(n: int) -> QuantumElement:
     """Quantum Euler class at q = 1: sum over the basis of tau_nu times the
     basis element dual under the classical Poincare pairing."""
-    data: dict[tuple[Partition, int], Fraction] = {}
-    for (lam, _d), c in _graded_euler(n).terms.items():
-        key = (lam, 0)
-        data[key] = data.get(key, Fraction(0)) + c
-    return QuantumElement(data)
-
-
-@lru_cache(maxsize=None)
-def _mult_trace_weights(n: int) -> dict:
-    # trace of multiplication by tau_lam on the q = 1 algebra, per lam: the
-    # sum of its structure constants c^{b,d}_{lam,b}
-    rows = table_rows(n)  # first: it refuses n past the table budget
+    euler = _mult_trace_weights(n)[1][0]  # the ring first: it refuses n past the table budget
     basis = partitions.all_strict(n - 1)
-    out = dict.fromkeys(basis, Fraction(0))
-    for i, j, _d, k, c in rows:
-        if j == k:
-            out[basis[i]] += c
-    return out
+    return QuantumElement({(basis[k], 0): c for k, c in euler.items()})
 
 
 def trace_invariant(query: GWQuery) -> int:
     """The same invariant through the finite-dimensional Frobenius algebra:
     the trace of multiplication by E^(g-1) * tau_{lam_1} * ... * tau_{lam_k}
-    on the q = 1 quantum cohomology, E the quantum Euler class.
+    on the quantum cohomology at q = 1, E the quantum Euler class.
 
-    The product is taken in the graded ring and q set to 1 in the trace: a
-    term c q^d tau_b contributes c times the trace of multiplication by
-    tau_b.  Only defined for genus >= 1; zero when the weight condition fails;
-    refused past n = TABLE_MAX_N, as the table is.
+    The product is an integer vector over the basis positions in the q = 1
+    ring; its trace weighs each coefficient by the trace of multiplication by
+    its class.  Only defined for genus >= 1; zero when the weight condition
+    fails; refused past n = TABLE_MAX_N, as the table is.
     """
     if query.genus < 1:
         raise GenusTooSmallError("trace route needs genus >= 1")
     if not degree_ok(query):
         return 0
-    n = query.n
-    vec = QuantumElement.basis(())
-    for _ in range(query.genus - 1):
-        vec = quantum_product(n, vec, _graded_euler(n))
-    for lam in query.insertions:
-        vec = quantum_product(n, vec, QuantumElement.basis(lam))
-    weights = _mult_trace_weights(n)
-    total = sum((c * weights[b] for (b, _d), c in vec.terms.items()), Fraction(0))
-    return as_count(total.numerator, total.denominator, f"trace route for {query}")
+    mult, euler, weights = _mult_trace_weights(query.n)
+    vec = {0: 1}  # the unit, tau_() at basis position 0
+    for rows in [mult[lam] for lam in query.insertions] + [euler] * (query.genus - 1):
+        vec = _times(rows, vec)
+    return as_count(sum(x * weights[k] for k, x in vec.items()), 1, f"trace route for {query}")
 
 
 def genus_recursion_check(n: int, genus: int, degree: int, insertions, s: int) -> bool:

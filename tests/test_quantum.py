@@ -242,6 +242,30 @@ def test_quantum_product_is_bilinear():
     assert left == want
 
 
+@pytest.mark.parametrize("bad", [(3,), (1, 2)])
+def test_quantum_product_refuses_a_class_off_the_basis(bad):
+    # (3,) has a part past n - 1 = 2; (1, 2) is (2, 1) written out of order
+    for a, b in ((bad, (1,)), ((1,), bad)):
+        with pytest.raises(InvalidPartitionError):
+            quantum_product(3, QuantumElement.basis(a), QuantumElement.basis(b))
+
+
+def _int_coefficients(x):
+    return all(type(c) is int for c in x.terms.values())
+
+
+def test_the_ring_stays_on_ints():
+    for n in range(2, 6):
+        basis = all_strict(n - 1)
+        for lam, mu in itertools.product(basis, repeat=2):
+            assert _int_coefficients(quantum_product(n, QuantumElement.basis(lam), QuantumElement.basis(mu)))
+    for n in range(2, 7):
+        assert _int_coefficients(euler_class(n))
+    half = QuantumElement.basis((1,)).scale(Fraction(1, 2))
+    assert [type(c) for c in half.terms.values()] == [Fraction]
+    assert _int_coefficients(half.scale(2)) and _int_coefficients(QuantumElement.basis((1,)).scale(3))
+
+
 def test_associativity_spot_checks():
     for n in (2, 3):
         basis = all_strict(n - 1)
@@ -301,20 +325,21 @@ def test_trace_route_og3_sample():
     assert trace_invariant(q) == gw_invariant(q)
 
 
-def test_trace_route_matches_the_direct_sum_at_n5_high_genus():
+def test_trace_route_matches_the_direct_sum_at_n5_to_n7():
     # verify's trace suite stops at n = 4 and genus 3
-    rng = random.Random(5)
-    basis = all_strict(4)
-    checked = 0
-    while checked < 12:
-        genus = rng.randint(4, 6)
-        ins = tuple(rng.choice(basis) for _ in range(rng.randint(0, 4)))
-        d = admissible_degree(5, genus, ins)
-        if d is None:
-            continue
-        q = GWQuery(5, genus, d, ins)
-        assert trace_invariant(q) == gw_invariant(q), q
-        checked += 1
+    for n, lowest_genus in ((5, 4), (6, 1), (7, 1)):
+        rng = random.Random(n)
+        basis = all_strict(n - 1)
+        checked = 0
+        while checked < 12:
+            genus = rng.randint(lowest_genus, 6)
+            ins = tuple(rng.choice(basis) for _ in range(rng.randint(0, 4)))
+            d = admissible_degree(n, genus, ins)
+            if d is None:
+                continue
+            q = GWQuery(n, genus, d, ins)
+            assert trace_invariant(q) == gw_invariant(q), q
+            checked += 1
 
 
 def test_genus_recursion_examples():
