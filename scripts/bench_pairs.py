@@ -3,10 +3,10 @@
 
     python3 scripts/bench_pairs.py PARENT CHANGE --workload W --seed S --pairs N
 
-Each pair runs `python3 perfbench/run.py --workload W --seed S --seconds 40`
-once in each checkout, one run at a time; the parent runs first in even
-pairs and the change first in odd ones, so a drift of the host's speed
-falls on both sides alike.  Every run prints one line as it ends: its
+Each pair runs `python3 perfbench/run.py --workload W --seed S --seconds T`
+once in each checkout, one run at a time, T the `run_seconds` of the
+parent's BENCHMARK.json; the parent runs first in even pairs and the change
+first in odd ones, so a drift of the host's speed falls on both sides alike.  Every run prints one line as it ends: its
 end-to-end metrics, `failed` and `workers.untraced` from its report line.
 At the end, per end-to-end metric, each side's median and quartiles and the
 number of pairs the change won (strictly better, in the direction that the
@@ -28,9 +28,9 @@ from pathlib import Path
 SIDES = ("parent", "change")
 
 
-def run_once(root: Path, args) -> dict:
+def run_once(root: Path, args, seconds) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
-           "--seed", str(args.seed), "--seconds", str(args.seconds)]
+           "--seed", str(args.seed), "--seconds", str(seconds)]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
@@ -52,19 +52,21 @@ def main(argv=None) -> int:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("change", type=Path, help="checkout of the change")
-    parser.add_argument("--workload", required=True, choices=("table", "counts", "queries"))
+    parser.add_argument("--workload", required=True, help="a workload name from BENCHMARK.json")
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=40)
     args = parser.parse_args(argv)
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     bench = json.loads((roots["parent"] / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in bench["workloads"]]
+    if args.workload not in workloads:
+        parser.error(f"--workload must be one of {', '.join(workloads)}")
     lower = {m["name"]: m["better"] == "lower" for m in bench["end_to_end"]}
 
     runs: dict[str, list[dict]] = {side: [] for side in SIDES}
     for pair in range(args.pairs):
         for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
-            got = run_once(roots[side], args)
+            got = run_once(roots[side], args, bench["run_seconds"])
             runs[side].append(got)
             figures = " ".join(f"{name}={value:.4g}" for name, value in got["metrics"].items())
             print(f"pair {pair + 1} {side}: {figures} failed={got['failed']} "

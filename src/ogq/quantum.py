@@ -900,9 +900,9 @@ def _mult_trace_weights(n: int) -> tuple[dict[Partition, list], list[dict[int, i
 def euler_class(n: int) -> QuantumElement:
     """Quantum Euler class at q = 1: sum over the basis of tau_nu times the
     basis element dual under the classical Poincare pairing."""
-    euler = _mult_trace_weights(n)[1][0]  # the ring first: it refuses n past the table budget
+    _mult, euler_rows, _weights = _mult_trace_weights(n)  # first: it refuses n past the table budget
     basis = partitions.all_strict(n - 1)
-    return QuantumElement({(basis[k], 0): c for k, c in euler.items()})
+    return QuantumElement({(basis[k], 0): c for k, c in euler_rows[basis.index(())].items()})
 
 
 def trace_invariant(query: GWQuery) -> int:
@@ -920,7 +920,7 @@ def trace_invariant(query: GWQuery) -> int:
     if not degree_ok(query):
         return 0
     mult, euler, weights = _mult_trace_weights(query.n)
-    vec = {0: 1}  # the unit, tau_() at basis position 0
+    vec = {0: 1}  # the unit tau_(): all_strict sorts () first, to position 0
     for rows in [mult[lam] for lam in query.insertions] + [euler] * (query.genus - 1):
         vec = _times(rows, vec)
     return as_count(sum(x * weights[k] for k, x in vec.items()), 1, f"trace route for {query}")
