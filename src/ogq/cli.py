@@ -8,7 +8,8 @@ intersection number), verify (self-check suites).
 Exit codes: 0 success, 1 verification failure (a failed proof,
 cyclotomic.ProofFailure: a result that is not a nonnegative integer, a sum
 off the weight condition, a value that is not rational, a fused dot past its
-slot, a staircase Pfaffian off its square mod p), 2 invalid input, 3 not
+slot, a staircase Pfaffian off its square mod p), 2 invalid input (a bad
+argument, or partitions.InvalidInput from the library), 3 not
 applicable, not covered or past a size budget (a refusal, quantum.Refusal:
 the structure table, which table, qmul and gw --trace read, past n = 9; gw
 on the weight condition past n = 10; a count past n = 20), 4 I/O failure,
@@ -33,6 +34,7 @@ from pathlib import Path
 from . import counting, partitions, quantum, verify
 from .counting import NQuery, decimal_string
 from .cyclotomic import ProofFailure
+from .partitions import InvalidInput
 from .quantum import GWQuery, QuantumElement, Refusal, SizeBudgetError
 from .symfunc import parse_alpha_poly
 
@@ -243,7 +245,7 @@ def cmd_ntilde(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = verify.run_suite(args.suite, slow=args.slow)
+    results = verify.run_suite(args.suite)
     failures = [r for r in results if not r.ok]
     if args.format == "json":
         print(
@@ -273,11 +275,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ogq", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--mode", choices=("exact", "float"), default="exact",
-                        help="float re-evaluates through complex doubles and cross-checks")
+    checked = argparse.ArgumentParser(add_help=False, parents=[common])
+    checked.add_argument("--mode", choices=("exact", "float"), default="exact",
+                         help="float re-evaluates through complex doubles and cross-checks")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gw", parents=[common], help="one Gromov-Witten invariant")
+    p = sub.add_parser("gw", parents=[checked], help="one Gromov-Witten invariant")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
@@ -285,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", action="store_true", help="also run the trace route (genus >= 1)")
     p.set_defaults(func=cmd_gw)
 
-    p = sub.add_parser("count", parents=[common], help="maximal isotropic subbundle count")
+    p = sub.add_parser("count", parents=[checked], help="maximal isotropic subbundle count")
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--ell", type=int, required=True)
@@ -304,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True)
     p.set_defaults(func=cmd_qmul)
 
-    p = sub.add_parser("ntilde", parents=[common], help="arbitrary-bundle intersection number")
+    p = sub.add_parser("ntilde", parents=[checked], help="arbitrary-bundle intersection number")
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--ell", type=int, required=True)
@@ -316,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common], help="self-check suites")
     p.add_argument("--suite", default="all",
                    choices=("duality", "assoc", "recursion", "trace", "counts", "all"))
-    p.add_argument("--slow", action="store_true", help="include the slow n=5 associativity battery")
     p.set_defaults(func=cmd_verify)
     return parser
 
@@ -332,7 +334,7 @@ def main(argv=None) -> int:
     except Refusal as exc:
         _emit_error("not_applicable", str(exc))
         return NOT_APPLICABLE
-    except ValueError as exc:
+    except InvalidInput as exc:
         _emit_error("invalid_input", str(exc))
         return BAD_INPUT
     except ProofFailure as exc:

@@ -33,6 +33,7 @@ import sys
 from fractions import Fraction
 
 from . import partitions, quantum
+from .partitions import InvalidInput
 from .symfunc import AlphaPolynomial
 # The routes' caps and their refusal are quantum's, named here for callers of the counts too.
 from .quantum import (EXACT_MAX_N, FLOAT_MAX_N, GWQuery, NonIntegralResultError, Refusal,  # noqa: F401
@@ -54,11 +55,11 @@ class NotCoveredError(Refusal):
         self.e0 = e0
 
 
-class OddEllUnsupportedError(ValueError):
+class OddEllUnsupportedError(InvalidInput):
     pass
 
 
-class OddDegreeUnsupportedError(ValueError):
+class OddDegreeUnsupportedError(InvalidInput):
     pass
 
 
@@ -88,7 +89,7 @@ def max_iso_degree(rank: int, genus: int, ell: int) -> int:
     if rank < 3:
         raise UnsupportedRankError(f"rank must be >= 3, got {rank}")
     if genus < 2:
-        raise ValueError(f"genus must be >= 2 for stable orthogonal bundles, got {genus}")
+        raise InvalidInput(f"genus must be >= 2 for stable orthogonal bundles, got {genus}")
     if rank % 2 == 0:
         n = rank // 2
         if (n * (genus - 1 - ell)) % 2:
@@ -125,9 +126,9 @@ class NQuery:
         if self.n < 2:
             raise UnsupportedRankError(f"n must be >= 2, got {self.n}")
         if self.genus < 0:
-            raise ValueError(f"genus must be >= 0, got {self.genus}")
+            raise InvalidInput(f"genus must be >= 0, got {self.genus}")
         if self.u < 0:
-            raise ValueError(f"u must be >= 0, got {self.u}")
+            raise InvalidInput(f"u must be >= 0, got {self.u}")
 
 
 def _plan(n: int, ell: int, e: int) -> tuple[int, int]:
@@ -213,7 +214,7 @@ def n_tilde_float(query: NQuery) -> float:
     """Float fast path of n_tilde, constant integrand only; raises
     OverflowError when the value is past the range of a double."""
     if query.q_poly.terms != AlphaPolynomial.one().terms:
-        raise ValueError("float route only evaluates the constant integrand")
+        raise InvalidInput("float route only evaluates the constant integrand")
     return _n_tilde(query, exact=False)
 
 
@@ -465,8 +466,8 @@ def trivial_bundle_number(genus: int, n: int, e: int, u: int, insertions) -> int
     if e % 2:
         raise OddDegreeUnsupportedError(f"subbundle degree must be even, got {e}")
     if e > 0:
-        raise ValueError(f"subbundle degree must be <= 0, got {e}")
+        raise InvalidInput(f"subbundle degree must be <= 0, got {e}")
     if u < 0:
-        raise ValueError(f"u must be >= 0, got {u}")
+        raise InvalidInput(f"u must be >= 0, got {u}")
     ins = (partitions.rho(n - 1),) * u + tuple(tuple(lam) for lam in insertions)
     return quantum.gw_invariant(GWQuery(n, genus, (-e) // 2, ins))

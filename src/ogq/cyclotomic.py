@@ -412,22 +412,22 @@ def root_of_unity(order: int, power: int = 1) -> CycloNum:
     return CycloNum(order, tuple(_reduce(coeffs, order)))
 
 
-def _dot_slot(points: int, phi: int, fold: int, arity: int, top: int) -> int:
-    # A digit of a folded product of arity - 1 lists of entries up to top is
-    # at most lead, of a trace dual phi^2 * top, and a digit of a dot sums
+def _dot_slot(points: int, phi: int, fold: int, top: int) -> int:
+    # A digit of a folded product of up to three lists of entries up to top
+    # is at most lead, of a trace dual phi^2 * top, and a digit of a dot sums
     # points * fold products of the two; two bits hold sign and rounding.
-    lead = arity * phi ** (arity - 1) * top ** (arity - 1)
+    lead = 4 * (phi * top) ** 3
     return (points * fold * lead * phi * phi * top).bit_length() + 2
 
 
-def fused_dot(vectors: Sequence[Sequence[Sequence[int]]], order: int,
-              arity: int) -> Callable[..., int]:
+def fused_dot(vectors: Sequence[Sequence[Sequence[int]]], order: int) -> Callable[..., int]:
     """Traces of sums of pointwise products over equal-length vectors of Z[w].
 
     vectors[i][J] is an element of Z[w], its phi(order) integer power-basis
-    coefficients.  `dot(i, j, ...)` takes 1 to `arity` indices and returns
-    the integer Tr_{Q(w)/Q} of the sum over J of vectors[i][J] * vectors[j][J]
-    * ...; a caller with denominators divides by their product itself.
+    coefficients.  `dot(i, j, ...)` takes 1 to 4 indices (the structure
+    table's inverse of S_rho and three classes) and returns the integer
+    Tr_{Q(w)/Q} of the sum over J of vectors[i][J] * vectors[j][J] * ...; a
+    caller with denominators divides by their product itself.
 
     Each coefficient list is packed into one int, sum c_k * 2^(slot*k), so a
     product of packed ints is the packed unreduced product.  The product f of
@@ -440,8 +440,6 @@ def fused_dot(vectors: Sequence[Sequence[Sequence[int]]], order: int,
     each digit; the runtime check bounds only the summed magnitude, so a sum
     past the top digit raises SlotOverflowError but a spilled digit would not.
     """
-    if arity < 1:
-        raise ValueError("arity must be >= 1")
     lengths = {len(vec) for vec in vectors}
     if len(lengths) != 1:
         raise ValueError("need one or more vectors, all of the same length")
@@ -453,7 +451,7 @@ def fused_dot(vectors: Sequence[Sequence[Sequence[int]]], order: int,
         raise ValueError(f"every coefficient list needs phi({order}) = {phi} entries")
     top = max(abs(c) for vec in vectors for x in vec for c in x)
     fold = order // 2 if order % 2 == 0 else order
-    slot = _dot_slot(points, phi, fold, arity, top)
+    slot = _dot_slot(points, phi, fold, top)
     packed = [[sum(c << slot * k for k, c in enumerate(x)) for x in vec] for vec in vectors]
     # x times the Ramanujan sums packed in reverse holds t_k at digit span - k;
     # residues within half of 0 mod block (the dual) or modulus (a fold) are exact.
@@ -467,8 +465,8 @@ def fused_dot(vectors: Sequence[Sequence[Sequence[int]]], order: int,
 
     def dot(*which: int) -> int:
         nonlocal lead, folded
-        if not 1 <= len(which) <= arity:
-            raise ValueError(f"a dot takes 1 to {arity} vectors, got {len(which)}")
+        if not 1 <= len(which) <= 4:
+            raise ValueError(f"a dot takes 1 to 4 vectors, got {len(which)}")
         if which[:-1] != lead:
             lead = which[:-1]
             folded = [(math.prod(xs) + half) % modulus - half

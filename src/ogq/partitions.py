@@ -14,7 +14,12 @@ import itertools
 Partition = tuple[int, ...]
 
 
-class InvalidPartitionError(ValueError):
+class InvalidInput(ValueError):
+    """The caller's input is malformed or out of range: the base of every
+    input error, and the one type the command line reports as bad input."""
+
+
+class InvalidPartitionError(InvalidInput):
     """Raised for a tuple that is not a strict partition inside {1..m}."""
 
 
@@ -69,7 +74,7 @@ def all_strict(m: int) -> list[Partition]:
     [(), (1,), (2,), (2, 1)]
     """
     if m < 0:
-        raise ValueError("m must be nonnegative")
+        raise InvalidInput("m must be nonnegative")
     out = []
     for r in range(m + 1):
         for combo in itertools.combinations(range(m, 0, -1), r):

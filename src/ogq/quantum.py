@@ -67,7 +67,7 @@ from functools import lru_cache, partial, reduce
 from . import partitions
 from .cyclotomic import (CycloNum, ProofFailure, _reduce, field_degree, fused_dot, int_inverse, int_mul,
                          int_pow, root_of_unity, trace_dual, zero)
-from .partitions import Partition
+from .partitions import InvalidInput, Partition
 from .symfunc import AlphaPolynomial, _int_alpha, _int_ptilde
 
 
@@ -80,15 +80,15 @@ class SizeBudgetError(Refusal):
     """n is past the route's size budget; refused before any point or orbit is built."""
 
 
-class UnsupportedRankError(ValueError):
+class UnsupportedRankError(InvalidInput):
     pass
 
 
-class NegativeDegreeError(ValueError):
+class NegativeDegreeError(InvalidInput):
     pass
 
 
-class GenusTooSmallError(ValueError):
+class GenusTooSmallError(InvalidInput):
     pass
 
 
@@ -237,7 +237,7 @@ class GWQuery:
         if self.n < 2:
             raise UnsupportedRankError(f"n must be >= 2, got {self.n}")
         if self.genus < 0:
-            raise ValueError(f"genus must be >= 0, got {self.genus}")
+            raise InvalidInput(f"genus must be >= 0, got {self.genus}")
         if self.degree < 0:
             raise NegativeDegreeError(f"degree must be >= 0, got {self.degree}")
         ins = tuple(partitions.validate(lam, self.n - 1) for lam in self.insertions)
@@ -526,7 +526,7 @@ def orbit_trace(n: int, genus: int, insertions: tuple[Partition, ...] = (),
     where the orbit formula does not hold (the full sum is 0 there).
     """
     if genus < 0:
-        raise ValueError(f"genus must be >= 0, got {genus}")
+        raise InvalidInput(f"genus must be >= 0, got {genus}")
     m = n - 1
     order = session_order(n)
     weight = (genus - 1) * m * (m + 1) // 2 + sum(partitions.weight(lam) for lam in insertions)
@@ -601,9 +601,11 @@ def _column(n: int, lam: Partition, exact: bool) -> list:
 
 @lru_cache(maxsize=None)
 def _float_schur(n: int) -> tuple[complex, ...]:
-    # Complex-double image of S_rho at every point, for the float path.
-    order = session_order(n)
-    return tuple(CycloNum.from_ints(order, s).embed_complex() for _w, _e, s in _point_table(n, False, False))
+    # Complex-double image of S_rho at every point, for the float path, by
+    # Horner's rule on the integers as in _column.
+    root = cmath.exp(2j * math.pi / session_order(n))
+    return tuple(reduce(lambda acc, c: acc * root + c, reversed(s), 0j)
+                 for _w, _e, s in _point_table(n, False, False))
 
 
 @lru_cache(maxsize=None)
@@ -744,7 +746,7 @@ def _structure_table(n: int) -> tuple[tuple[int, int, int, int, int], ...]:
             vec.append(_int_ptilde(lam, elem, order, memo))
     common = math.lcm(*(den for _inv, den in inverses))
     vectors[0] = [[c * (common // den) for c in inv] for inv, den in inverses]
-    dot = fused_dot(vectors, order, arity=4)
+    dot = fused_dot(vectors, order)
     scale = common * field_degree(order)
     weights = [partitions.weight(lam) for lam in basis]
     by_weight = {w: [c for c, x in enumerate(weights) if x == w] for w in set(weights)}
@@ -930,7 +932,7 @@ def genus_recursion_check(n: int, genus: int, degree: int, insertions, s: int) -
     """Appending 4s staircase insertions while raising the degree by s*n must
     not change the invariant; returns whether the two agree."""
     if s < 0:
-        raise ValueError("s must be >= 0")
+        raise InvalidInput("s must be >= 0")
     base = GWQuery(n, genus, degree, tuple(insertions))
     extended = GWQuery(
         n,

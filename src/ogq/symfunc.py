@@ -25,7 +25,7 @@ import re
 from fractions import Fraction
 
 from .cyclotomic import CycloNum, int_mul, int_pow
-from .partitions import InvalidPartitionError, Partition, validate
+from .partitions import InvalidInput, InvalidPartitionError, Partition, validate
 
 
 PointTuple = tuple[CycloNum, ...]
@@ -320,7 +320,7 @@ class AlphaPolynomial:
     @staticmethod
     def variable(index: int) -> "AlphaPolynomial":
         if index < 1:
-            raise ValueError("variable index is 1-based")
+            raise InvalidInput("variable index is 1-based")
         return AlphaPolynomial.from_dict({(0,) * (index - 1) + (1,): Fraction(1)})
 
     def __bool__(self) -> bool:
@@ -396,7 +396,7 @@ def parse_alpha_poly(text: str) -> AlphaPolynomial:
     data: dict[tuple[int, ...], Fraction] = {}
     cleaned = text.replace(" ", "")
     if not cleaned:
-        raise ValueError("empty polynomial text")
+        raise InvalidInput("empty polynomial text")
     for chunk in cleaned.replace("-", "+-").split("+"):
         if not chunk:
             continue
@@ -405,20 +405,20 @@ def parse_alpha_poly(text: str) -> AlphaPolynomial:
             coeff = Fraction(-1)
             chunk = chunk[1:]
         if not chunk:
-            raise ValueError(f"dangling sign in {text!r}")
+            raise InvalidInput(f"dangling sign in {text!r}")
         exps: dict[int, int] = {}
         for factor in chunk.split("*"):
             match = _TERM_FACTOR.match(factor)
             if match:
                 idx = int(match.group(1))
                 if idx < 1:
-                    raise ValueError(f"variable index must be >= 1 in {factor!r}")
+                    raise InvalidInput(f"variable index must be >= 1 in {factor!r}")
                 exps[idx] = exps.get(idx, 0) + int(match.group(2) or 1)
             else:
                 try:
                     coeff *= Fraction(factor)
                 except (ValueError, ZeroDivisionError) as exc:
-                    raise ValueError(f"cannot parse factor {factor!r} in {text!r}") from exc
+                    raise InvalidInput(f"cannot parse factor {factor!r} in {text!r}") from exc
         width = max(exps) if exps else 0
         key = tuple(exps.get(i, 0) for i in range(1, width + 1))
         data[key] = data.get(key, Fraction(0)) + coeff

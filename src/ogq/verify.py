@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from . import counting, partitions, quantum
 from .counting import NQuery
+from .partitions import InvalidInput
 from .quantum import GWQuery, QuantumElement
 from .symfunc import AlphaPolynomial, ptilde_alpha
 
@@ -25,11 +26,11 @@ class CheckResult:
     detail: str = ""
 
 
-def suite_duality(max_n: int = 6) -> list[CheckResult]:
+def suite_duality() -> list[CheckResult]:
     """Genus-0 two-point invariants realize the Kronecker pairing against the
-    complement-dual index, for every pair of Schubert classes."""
+    complement-dual index, for every pair of Schubert classes, n = 2..6."""
     out = []
-    for n in range(2, max_n + 1):
+    for n in range(2, 7):
         m = n - 1
         basis = partitions.all_strict(m)
         bad = []
@@ -49,11 +50,10 @@ def suite_duality(max_n: int = 6) -> list[CheckResult]:
     return out
 
 
-def suite_assoc(include_slow: bool = False) -> list[CheckResult]:
-    """Associativity of the quantum product on all basis triples."""
+def suite_assoc() -> list[CheckResult]:
+    """Associativity of the quantum product on all basis triples, n = 2..5."""
     out = []
-    ns = (2, 3, 4, 5) if include_slow else (2, 3, 4)
-    for n in ns:
+    for n in range(2, 6):
         basis = partitions.all_strict(n - 1)
         bad = []
         for a, b, c in itertools.product(basis, repeat=3):
@@ -80,13 +80,13 @@ def suite_assoc(include_slow: bool = False) -> list[CheckResult]:
     return out
 
 
-def suite_recursion(samples: int = 20, seed: int = 20260816) -> list[CheckResult]:
+def suite_recursion() -> list[CheckResult]:
     """Degree/insertion recursion: 4s staircase insertions and s*n extra
-    degree leave the invariant unchanged, on sampled admissible queries."""
-    rng = random.Random(seed)
+    degree leave the invariant unchanged, on 20 sampled admissible queries."""
+    rng = random.Random(20260816)
     out = []
     found = 0
-    while found < samples:
+    while found < 20:
         n = rng.choice((2, 3))
         basis = partitions.all_strict(n - 1)
         genus = rng.randint(0, 3)
@@ -107,16 +107,16 @@ def suite_recursion(samples: int = 20, seed: int = 20260816) -> list[CheckResult
     return out
 
 
-def suite_trace(max_n: int = 4, max_genus: int = 3, max_insertions: int = 3) -> list[CheckResult]:
+def suite_trace() -> list[CheckResult]:
     """The Frobenius-algebra trace route agrees with the direct evaluation
-    sum on every admissible low-complexity query."""
+    sum on every admissible query of n = 2..4, genus 1..3, <= 3 insertions."""
     out = []
-    for n in range(2, max_n + 1):
+    for n in range(2, 5):
         basis = partitions.all_strict(n - 1)
         checked = 0
         bad = []
-        for genus in range(1, max_genus + 1):
-            for size in range(max_insertions + 1):
+        for genus in range(1, 4):
+            for size in range(4):
                 for ins in itertools.combinations_with_replacement(basis, size):
                     d = quantum.admissible_degree(n, genus, ins)
                     if d is None:
@@ -130,7 +130,7 @@ def suite_trace(max_n: int = 4, max_genus: int = 3, max_insertions: int = 3) -> 
         out.append(
             CheckResult(
                 "trace",
-                f"n={n}: {checked} admissible queries, genus 1..{max_genus}",
+                f"n={n}: {checked} admissible queries, genus 1..3",
                 not bad,
                 "" if not bad else f"first failure: {bad[0]}",
             )
@@ -138,13 +138,13 @@ def suite_trace(max_n: int = 4, max_genus: int = 3, max_insertions: int = 3) -> 
     return out
 
 
-def _bridge_samples(samples: int, seed: int) -> list[CheckResult]:
+def _bridge_samples() -> list[CheckResult]:
     # trivial-bundle counts == arbitrary-bundle route at ell = 0 with the
-    # staircase factors folded into the integrand
-    rng = random.Random(seed)
+    # staircase factors folded into the integrand, on 10 sampled queries
+    rng = random.Random(20260816)
     out = []
     found = 0
-    while found < samples:
+    while found < 10:
         n = rng.choice((2, 3))
         m = n - 1
         basis = partitions.all_strict(m)
@@ -175,7 +175,7 @@ def _bridge_samples(samples: int, seed: int) -> list[CheckResult]:
     return out
 
 
-def suite_counts(bridge_samples: int = 10, seed: int = 20260816) -> list[CheckResult]:
+def suite_counts() -> list[CheckResult]:
     """Headline subbundle counts, the not-covered contract, and the bridge
     between the trivial-bundle and arbitrary-bundle routes."""
     out = []
@@ -216,25 +216,22 @@ def suite_counts(bridge_samples: int = 10, seed: int = 20260816) -> list[CheckRe
                 report.reason or "unexpectedly applicable",
             )
         )
-    out.extend(_bridge_samples(bridge_samples, seed))
+    out.extend(_bridge_samples())
     return out
 
 
 _SUITES = {
-    "duality": lambda slow: suite_duality(),
-    "assoc": lambda slow: suite_assoc(include_slow=slow),
-    "recursion": lambda slow: suite_recursion(),
-    "trace": lambda slow: suite_trace(),
-    "counts": lambda slow: suite_counts(),
+    "duality": suite_duality,
+    "assoc": suite_assoc,
+    "recursion": suite_recursion,
+    "trace": suite_trace,
+    "counts": suite_counts,
 }
 
 
-def run_suite(name: str, slow: bool = False) -> list[CheckResult]:
+def run_suite(name: str) -> list[CheckResult]:
     if name == "all":
-        out = []
-        for key in _SUITES:
-            out.extend(_SUITES[key](slow))
-        return out
+        return [result for suite in _SUITES.values() for result in suite()]
     if name not in _SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {sorted(_SUITES)} or 'all'")
-    return _SUITES[name](slow)
+        raise InvalidInput(f"unknown suite {name!r}; choose from {sorted(_SUITES)} or 'all'")
+    return _SUITES[name]()

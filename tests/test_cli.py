@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ogq import cli, counting, cyclotomic, quantum, verify
+from ogq import cli, counting, cyclotomic, partitions, quantum, symfunc, verify
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -132,6 +132,17 @@ def test_missing_required_argument(capsys):
     assert code == 2
     doc = json.loads(err)
     assert doc["error"] == "bad_arguments"
+
+
+@pytest.mark.parametrize("argv", [["table", "--n", "3", "--mode", "float"],
+                                  ["qmul", "--n", "3", "--a", "2", "--b", "2", "--mode", "float"],
+                                  ["verify", "--slow"]])
+def test_an_option_the_subcommand_would_not_read_is_a_bad_argument(argv, capsys):
+    # --mode cross-checks gw, count and ntilde only; verify always runs the
+    # n = 5 associativity battery
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "bad_arguments"
 
 
 def test_count_text(capsys):
@@ -572,6 +583,7 @@ def test_verify_json(capsys):
     (OverflowError("int too large"), 5, "internal_error"),
     (IndexError("list index out of range"), 5, "internal_error"),
     (KeyError((3,)), 5, "internal_error"),
+    (ValueError("a value error the library did not type"), 5, "internal_error"),
 ])
 @pytest.mark.parametrize("argv", [["count", "--g", "3", "--rank", "4", "--ell", "0"],
                                   ["ntilde", "--g", "3", "--n", "2", "--ell", "0", "--e", "-2"]])
@@ -591,8 +603,43 @@ def test_only_a_failed_proof_exits_1(error, code, kind, argv, monkeypatch, capsy
     assert ("raising" in doc.get("traceback", "")) == (code == 5)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: quantum.GWQuery(2, -1, 0, ()),
+    lambda: counting.NQuery(-1, 2, 0, -2),
+    lambda: counting.NQuery(3, 2, 0, -2, u=-1),
+    lambda: quantum.orbit_trace(2, -1),
+    lambda: counting.max_iso_degree(4, 1, 0),
+    lambda: counting.trivial_bundle_number(3, 2, 2, 0, []),
+    lambda: counting.trivial_bundle_number(3, 2, -2, -1, []),
+    lambda: quantum.genus_recursion_check(2, 0, 1, ((1,),) * 3, -1),
+    lambda: partitions.all_strict(-1),
+    lambda: symfunc.parse_alpha_poly("a1 + -"),
+    lambda: symfunc.AlphaPolynomial.variable(0),
+    lambda: counting.n_tilde_float(counting.NQuery(3, 2, 0, -2, 0, symfunc.parse_alpha_poly("a1"))),
+    lambda: verify.run_suite("bogus"),
+])
+def test_every_bare_input_check_raises_the_input_type(call):
+    # the one type main reports as bad input (exit 2)
+    with pytest.raises(partitions.InvalidInput):
+        call()
+
+
+def test_a_plain_value_error_in_gw_is_a_fault_not_bad_input(monkeypatch, capsys):
+    # only partitions.InvalidInput exits 2
+    def raising(query):
+        raise ValueError("a value error the library did not type")
+
+    monkeypatch.setattr(quantum, "gw_invariant", raising)
+    code, out, err = run(["gw", "--n", "2", "--g", "0", "--d", "1", "--insertions", "1;1;1"], capsys)
+    assert (code, out) == (5, "")
+    doc = json.loads(err)
+    assert doc["error"] == "internal_error"
+    assert doc["reason"] == "ValueError: a value error the library did not type"
+    assert "raising" in doc["traceback"]
+
+
 def test_verify_failure_exits_1(monkeypatch, capsys):
-    def broken(name, slow=False):
+    def broken(name):
         return [verify.CheckResult("demo", "forced failure", False, "boom")]
 
     monkeypatch.setattr(verify, "run_suite", broken)

@@ -229,25 +229,24 @@ dot_ints = st.one_of(st.just(0), st.integers(-300, 300))
 def dot_cases(draw):
     order = draw(st.integers(4, 24))
     points = draw(st.integers(1, 6))
-    arity = draw(st.integers(1, 4))
     phi = field_degree(order)
     element = st.one_of(st.just([0] * phi), st.lists(dot_ints, min_size=phi, max_size=phi))
     vectors = draw(st.lists(st.lists(element, min_size=points, max_size=points),
                             min_size=1, max_size=4))
-    which = draw(st.lists(st.integers(0, len(vectors) - 1), min_size=1, max_size=arity))
-    return order, vectors, arity, which
+    which = draw(st.lists(st.integers(0, len(vectors) - 1), min_size=1, max_size=4))
+    return order, vectors, which
 
 
 @given(dot_cases())
 def test_fused_dot_equals_the_plain_sum_of_products(case):
-    order, vectors, arity, which = case
+    order, vectors, which = case
     expected = zero(order)
     for j in range(len(vectors[0])):
         term = one(order)
         for i in which:
             term = term * CycloNum.from_ints(order, vectors[i][j])
         expected = expected + term
-    got = fused_dot(vectors, order, arity)(*which)
+    got = fused_dot(vectors, order)(*which)
     assert type(got) is int
     assert got == trace(expected.coeffs, order)
 
@@ -256,17 +255,17 @@ def test_fused_dot_equals_the_plain_sum_of_products(case):
 def test_fused_dot_with_a_kept_prefix_equals_a_fresh_dot(case, rng):
     # every call of a shuffled sequence, most of them sharing leading
     # indices with the call before, against a fresh dot for that call alone
-    order, vectors, arity, which = case
+    order, vectors, which = case
     calls = [tuple(which)]
     for _ in range(12):
-        size = rng.randint(1, arity)
+        size = rng.randint(1, 4)
         lead = calls[-1][:size - 1] if rng.random() < 0.7 else ()
         calls.append(lead + tuple(rng.randrange(len(vectors)) for _ in range(size - len(lead))))
     rng.shuffle(calls)
     calls += calls[::-1]
-    dot = fused_dot(vectors, order, arity)
+    dot = fused_dot(vectors, order)
     for call in calls:
-        assert dot(*call) == fused_dot(vectors, order, arity)(*call)
+        assert dot(*call) == fused_dot(vectors, order)(*call)
 
 
 @given(st.integers(1, 30).flatmap(lambda order: st.tuples(
@@ -292,7 +291,7 @@ def test_trace_examples():
 def test_fused_dot_sums_to_non_rational_and_rational_values():
     # w at order 12 and its inverse w - w^3 (w^4 = w^2 - 1)
     w, w_inv = [0, 1, 0, 0], [0, 1, 0, -1]
-    dot = fused_dot([[w, w_inv], [w, w], [w_inv, [0, 36, 0, 0]]], 12, 3)
+    dot = fused_dot([[w, w_inv], [w, w], [w_inv, [0, 36, 0, 0]]], 12)
     # w^2 + 1 is not rational; its trace is Tr(w^2) + phi = 2 + 4
     assert dot(0, 1) == 6
     # 1 + 36, whose trace is phi times itself
@@ -306,26 +305,25 @@ def test_fused_dot_refuses_bad_input(monkeypatch):
     # a coefficient list that is not phi(order) long, as an element of
     # another field
     with pytest.raises(ValueError, match="phi"):
-        fused_dot([[w4], [w8]], 4, 2)
+        fused_dot([[w4], [w8]], 4)
     with pytest.raises(ValueError, match="same length"):
-        fused_dot([[w4], [w4, w4]], 4, 2)
+        fused_dot([[w4], [w4, w4]], 4)
     with pytest.raises(ValueError, match="at least one point"):
-        fused_dot([[], []], 4, 2)
-    with pytest.raises(ValueError, match="arity"):
-        fused_dot([[w4], [w4]], 4, 0)
-    dot = fused_dot([[w4], [w4]], 4, 2)
-    with pytest.raises(ValueError, match="1 to 2"):
-        dot(0, 1, 1)
-    with pytest.raises(ValueError, match="1 to 2"):
+        fused_dot([[], []], 4)
+    dot = fused_dot([[w4], [w4]], 4)
+    assert dot(0, 1, 1, 0) == dot(0, 0, 0, 0)
+    with pytest.raises(ValueError, match="1 to 4"):
+        dot(0, 1, 1, 0, 1)
+    with pytest.raises(ValueError, match="1 to 4"):
         dot()
     # the slot guard: packed too narrowly, a sum of products spills over
     # its top digit and is refused, not read as a wrong trace
     monkeypatch.setattr(cyclotomic, "_dot_slot", lambda *args: 4)
-    dot = fused_dot([[[100, 0]], [[100, 0]]], 4, 2)
+    dot = fused_dot([[[100, 0]], [[100, 0]]], 4)
     with pytest.raises(cyclotomic.SlotOverflowError, match="overflowed its slot"):
         dot(0, 1)
     # and on a call that reuses the kept product of the call before
-    dot = fused_dot([[[100, 0]], [[0, 1]], [[100, 0]]], 4, 2)
+    dot = fused_dot([[[100, 0]], [[0, 1]], [[100, 0]]], 4)
     dot(0, 1)
     with pytest.raises(cyclotomic.SlotOverflowError, match="overflowed its slot"):
         dot(0, 2)
@@ -333,14 +331,14 @@ def test_fused_dot_refuses_bad_input(monkeypatch):
 
 @pytest.mark.parametrize("order", [4, 12, 15, 20, 24, 36])
 def test_fused_dot_at_the_extreme_of_its_slot(order):
-    # arity 4 with every entry +-top, the largest digits _dot_slot sizes for:
+    # four indices with every entry +-top, the largest digits _dot_slot sizes for:
     # the slot bound, not the runtime check on the summed magnitude, guards
     # each digit, so every dot must equal the trace of the explicit products
     rng = random.Random(order)
     phi, top, points = field_degree(order), 10 ** 9, 5
     vectors = [[[sign * top] * phi for _ in range(points)] for sign in (1, -1)]
     vectors += [[[rng.choice((top, -top)) for _ in range(phi)] for _ in range(points)] for _ in range(2)]
-    dot = fused_dot(vectors, order, arity=4)
+    dot = fused_dot(vectors, order)
     for which in itertools.product(range(4), repeat=4):
         expected = sum(trace(reduce(lambda a, b: int_mul(a, b, order), (vectors[i][j] for i in which)), order)
                        for j in range(points))

@@ -122,7 +122,7 @@ def test_fused_dot_of_arity_three_matches_sympy(case):
         for i in which:
             term = term * _poly(vectors[i][j])
         total = total + term
-    got = fused_dot(vectors, order, 3)(*which)
+    got = fused_dot(vectors, order)(*which)
     assert type(got) is int
     assert got == _sympy_trace(_reduced(total, order), order)
 
