@@ -36,7 +36,7 @@ from .counting import NQuery, decimal_string
 from .cyclotomic import ProofFailure
 from .partitions import InvalidInput
 from .quantum import GWQuery, QuantumElement, Refusal, SizeBudgetError
-from .symfunc import parse_alpha_poly
+from .symfunc import AlphaPolynomial, parse_alpha_poly
 
 OK, VERIFY_FAIL, BAD_INPUT, NOT_APPLICABLE, IO_ERROR, INTERNAL_ERROR = 0, 1, 2, 3, 4, 5
 
@@ -230,7 +230,9 @@ def cmd_ntilde(args) -> int:
     if (prime := counting.n_tilde_sign_prime(query)) is not None:
         doc["sign_check_prime"] = prime
     status = OK
-    if args.mode == "float" and q_poly.terms == parse_alpha_poly("1").terms and not _float_check(
+    if args.mode == "float" and q_poly.terms != AlphaPolynomial.one().terms:
+        doc["float_value"], doc["float_note"] = None, "the float route evaluates only the constant integrand"
+    elif args.mode == "float" and not _float_check(
         doc, value, lambda: counting.n_tilde_float(query),
         f"the value has {len(doc['value'])} digits and cannot be represented as a double",
     ):

@@ -34,18 +34,21 @@ S_rho^(genus-1) (_orbit_powers) from the squares S_rho^(2^k) (_schur_ladder),
 so a call at a seen (n, genus) takes one inner product per representative.
 The structure table's genus-0 three-point numbers are each the integer trace
 of one fused dot, one per unordered index triple of admissible weight; it is
-kept as index rows (table_rows), and structure_table builds TableEntry objects.
+kept once, as index rows (table_rows), and structure_table builds its
+TableEntry objects from them on each call.
 
 evaluation_sum keeps the sum over all 2^m points, exact (products in Z[w],
 P~_rho by the same sign route mod p, then one CycloNum product by the S_rho
 power) or through the complex embedding (P~_rho from a complex Pfaffian,
 with no prime), building only the classes it reads.  It carries the
 invariants here (gw_invariant, hence three_point) and every float route, an
-independent summation that cross-checks the orbit route.  The structure
-table yields the quantum product (graded, int coefficients) and one cached
-ring at q = 1 on integers (_mult_trace_weights), which carries the quantum
-Euler class and an independent trace-formula route to every positive-genus
-invariant, used to cross-check the direct sum.
+independent summation that cross-checks the orbit route.  The table rows
+yield one cached quantum ring, at q = 1 on integers (_product_lookup): per
+class, multiplication rows over the basis positions.  The graded quantum
+product reads each degree back from the weights, as the table fixes it; the
+quantum Euler class and an independent trace-formula route to every
+positive-genus invariant (_mult_trace_weights) multiply in the same rows,
+cross-checking the direct sum.
 
 The size budgets live here, four caps and one checker (check_budget) called
 where each route starts.  A verdict is a library type: a Refusal (not
@@ -699,12 +702,12 @@ def structure_table(n: int, max_d: int | None = None) -> tuple[TableEntry, ...]:
 
     tau_lam * tau_mu = sum over (nu, d) of c q^d tau_nu, where c is the
     genus-0 three-point number against the dual of nu and the admissible d
-    satisfy |nu| = |lam| + |mu| - 2(n-1)d.
+    satisfy |nu| = |lam| + |mu| - 2(n-1)d.  The entries are built on each
+    call from the cached index rows (table_rows).
     """
-    if max_d is not None and max_d < 0:
-        raise NegativeDegreeError(f"max_d must be >= 0, got {max_d}")
-    full = _table_entries(n)
-    return full if max_d is None else tuple(e for e in full if e.d <= max_d)
+    rows = table_rows(n, max_d)  # first: it refuses max_d < 0, n < 2 and n past the table budget
+    basis = partitions.all_strict(n - 1)
+    return tuple(TableEntry(basis[i], basis[j], basis[k], d, c) for i, j, d, k, c in rows)
 
 
 def table_rows(n: int, max_d: int | None = None) -> tuple[tuple[int, int, int, int, int], ...]:
@@ -714,13 +717,6 @@ def table_rows(n: int, max_d: int | None = None) -> tuple[tuple[int, int, int, i
         raise NegativeDegreeError(f"max_d must be >= 0, got {max_d}")
     full = _structure_table(n)
     return full if max_d is None else tuple(row for row in full if row[2] <= max_d)
-
-
-@lru_cache(maxsize=None)
-def _table_entries(n: int) -> tuple[TableEntry, ...]:
-    rows = _structure_table(n)  # first: it refuses n < 2 and n past the table budget
-    basis = partitions.all_strict(n - 1)
-    return tuple(TableEntry(basis[i], basis[j], basis[k], d, c) for i, j, d, k, c in rows)
 
 
 @lru_cache(maxsize=None)
@@ -775,10 +771,11 @@ def _structure_table(n: int) -> tuple[tuple[int, int, int, int, int], ...]:
     return tuple(rows)
 
 
-# The one cache behind every spelling of a structure_table call, keyed by n;
-# clearing it also clears the rows it is built from.
-structure_table.cache_info = _table_entries.cache_info
-structure_table.cache_clear = lambda: _table_entries.cache_clear() or _structure_table.cache_clear()
+# The one cache behind every spelling of a structure_table call, the rows
+# keyed by n; clearing it also clears the ring built from them.
+structure_table.cache_info = _structure_table.cache_info
+structure_table.cache_clear = lambda: [f.cache_clear() for f in (_structure_table, _product_lookup,
+                                                                 _mult_trace_weights)]
 
 
 def table_json_dict(n: int, max_d: int | None = None) -> dict:
@@ -791,14 +788,17 @@ def table_json_dict(n: int, max_d: int | None = None) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _product_lookup(n: int) -> dict:
-    # (lam, mu) -> [(nu, d, c), ...]
+def _product_lookup(n: int) -> tuple[dict[Partition, list[dict[int, int]]], dict[Partition, int], list[Partition]]:
+    # The quantum ring at q = 1 on basis positions: per class mu, multiplication
+    # by it as rows i -> {k: c^{k,d}_{i,mu}} in the table's (d, k) order; each
+    # class's position; the basis.  |nu| = |lam| + |mu| - 2(n-1)d fixes d, so
+    # q = 1 loses nothing: quantum_product reads d back from the weights.
     rows = table_rows(n)  # first: it refuses n past the table budget
     basis = partitions.all_strict(n - 1)
-    lookup: dict[tuple[Partition, Partition], list[tuple[Partition, int, int]]] = {}
-    for i, j, d, k, c in rows:
-        lookup.setdefault((basis[i], basis[j]), []).append((basis[k], d, c))
-    return lookup
+    mult: list[list[dict[int, int]]] = [[{} for _ in basis] for _ in basis]
+    for i, j, _d, k, c in rows:
+        mult[j][i][k] = c
+    return dict(zip(basis, mult)), {lam: i for i, lam in enumerate(basis)}, basis
 
 
 @dataclasses.dataclass
@@ -857,14 +857,16 @@ class QuantumElement:
 def quantum_product(n: int, a: QuantumElement, b: QuantumElement) -> QuantumElement:
     """Bilinear extension of the basis product read off the structure table;
     a class off the basis raises partitions.InvalidPartitionError."""
-    lookup = _product_lookup(n)
+    mult, position, basis = _product_lookup(n)
     for lam, _d in itertools.chain(a.terms, b.terms):
         partitions.validate(lam, n - 1)
     data: dict[tuple[Partition, int], int | Fraction] = {}
     for (lam, da), ca in a.terms.items():
         for (mu, db), cb in b.terms.items():
-            for nu, d, c in lookup.get((lam, mu), ()):
-                key = (nu, d + da + db)
+            pair = sum(lam) + sum(mu)
+            for k, c in mult[mu][position[lam]].items():
+                nu = basis[k]
+                key = (nu, (pair - sum(nu)) // (2 * n - 2) + da + db)
                 data[key] = data.get(key, 0) + ca * cb * c
     return QuantumElement(data)
 
@@ -879,30 +881,23 @@ def _times(rows: list[dict[int, int]], vec: dict[int, int]) -> dict[int, int]:
 
 
 @lru_cache(maxsize=None)
-def _mult_trace_weights(n: int) -> tuple[dict[Partition, list], list[dict[int, int]], list[int]]:
-    # The q = 1 ring on basis positions: per class lam, multiplication by it
-    # as rows i -> {k: sum over d of c^{k,d}_{i,lam}}; the same rows for the
-    # Euler class E (E is the unit's row, 0); and per position i the trace of
+def _mult_trace_weights(n: int) -> tuple[list[dict[int, int]], list[int]]:
+    # Over _product_lookup's rows: the rows of multiplication by the Euler
+    # class E (E is the unit's row, 0), and per position i the trace of
     # multiplication by its class, the sum over j and d of c^{j,d}_{i,j}.
-    rows = table_rows(n)  # first: it refuses n past the table budget
-    basis = partitions.all_strict(n - 1)
-    mult: list[list[dict[int, int]]] = [[{} for _ in basis] for _ in basis]
-    weights = [0] * len(basis)
-    for i, j, _d, k, c in rows:
-        row = mult[j][i]
-        row[k] = row.get(k, 0) + c
-        if j == k:
-            weights[i] += c
+    mult, _position, basis = _product_lookup(n)  # first: it refuses n past the table budget
+    by_position = list(mult.values())
+    weights = [sum(rows[i].get(j, 0) for j, rows in enumerate(by_position)) for i in range(len(basis))]
     # E = sum over nu of tau_nu * tau_dual(nu); its row at position i is tau_i * E
-    euler = _times([mult[basis.index(partitions.dual(nu, n - 1))][i] for i, nu in enumerate(basis)],
+    euler = _times([mult[partitions.dual(nu, n - 1)][i] for i, nu in enumerate(basis)],
                    dict.fromkeys(range(len(basis)), 1))
-    return dict(zip(basis, mult)), [_times(by_class, euler) for by_class in mult], weights
+    return [_times(rows, euler) for rows in by_position], weights
 
 
 def euler_class(n: int) -> QuantumElement:
     """Quantum Euler class at q = 1: sum over the basis of tau_nu times the
     basis element dual under the classical Poincare pairing."""
-    _mult, euler_rows, _weights = _mult_trace_weights(n)  # first: it refuses n past the table budget
+    euler_rows, _weights = _mult_trace_weights(n)  # first: it refuses n past the table budget
     basis = partitions.all_strict(n - 1)
     return QuantumElement({(basis[k], 0): c for k, c in euler_rows[basis.index(())].items()})
 
@@ -921,7 +916,8 @@ def trace_invariant(query: GWQuery) -> int:
         raise GenusTooSmallError("trace route needs genus >= 1")
     if not degree_ok(query):
         return 0
-    mult, euler, weights = _mult_trace_weights(query.n)
+    euler, weights = _mult_trace_weights(query.n)
+    mult = _product_lookup(query.n)[0]
     vec = {0: 1}  # the unit tau_(): all_strict sorts () first, to position 0
     for rows in [mult[lam] for lam in query.insertions] + [euler] * (query.genus - 1):
         vec = _times(rows, vec)

@@ -548,6 +548,20 @@ def test_ntilde_float_mode_reports_an_unrepresentable_value(capsys):
     assert out.splitlines() == [doc["value"], f"float route: {doc['float_note']}"]
 
 
+def test_ntilde_float_mode_reports_a_non_constant_integrand(capsys):
+    # the float route evaluates only Q = 1: it says so, as for a value past the doubles
+    argv = ["ntilde", "--g", "3", "--n", "2", "--ell", "0", "--e", "-4", "--Q", "a1^2", "--mode", "float"]
+    code, out, _ = run(argv + ["--format", "json"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["float_value"] is None
+    assert doc["float_note"] == "the float route evaluates only the constant integrand"
+    assert "float_agrees" not in doc
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert out.splitlines() == [doc["value"], f"float route: {doc['float_note']}"]
+
+
 def test_ntilde_not_covered_exits_3(capsys):
     code, _, err = run(
         ["ntilde", "--g", "3", "--n", "2", "--ell", "0", "--e", "-1"], capsys

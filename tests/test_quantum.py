@@ -847,9 +847,9 @@ def test_negative_schur_powers_invert_the_positive_ones(n):
 def test_every_spelling_of_the_full_structure_table_shares_one_cache_entry():
     structure_table.cache_clear()
     full = structure_table(3)
-    assert structure_table(3, None) is full
-    assert structure_table(n=3) is full
-    assert structure_table(3, max_d=None) is full
+    assert structure_table(3, None) == full
+    assert structure_table(n=3) == full
+    assert structure_table(3, max_d=None) == full
     assert structure_table(3, 0) == tuple(e for e in full if e.d == 0)
     info = structure_table.cache_info()
     assert (info.hits, info.misses) == (4, 1)
@@ -857,6 +857,51 @@ def test_every_spelling_of_the_full_structure_table_shares_one_cache_entry():
 
 def test_clearing_the_structure_table_also_clears_its_rows():
     structure_table(3)
+    quantum_product(3, QuantumElement.basis((1,)), QuantumElement.basis((2,)))
+    euler_class(3)
     structure_table.cache_clear()
     assert structure_table.cache_info().currsize == 0
     assert quantum._structure_table.cache_info().currsize == 0
+    # and the ring built from the rows
+    assert quantum._product_lookup.cache_info().currsize == 0
+    assert quantum._mult_trace_weights.cache_info().currsize == 0
+
+
+def _graded_lookup(n):
+    # (lam, mu) -> [(nu, d, c), ...] regrouped straight from the table rows
+    basis = all_strict(n - 1)
+    lookup = {}
+    for i, j, d, k, c in quantum.table_rows(n):
+        lookup.setdefault((basis[i], basis[j]), []).append((basis[k], d, c))
+    return lookup
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_the_q1_ring_gives_the_graded_product_of_every_basis_pair(n):
+    # the ring keeps no degrees: quantum_product reads each d back from the weights
+    lookup = _graded_lookup(n)
+    for lam, mu in itertools.product(all_strict(n - 1), repeat=2):
+        want = {(nu, d): c for nu, d, c in lookup.get((lam, mu), ())}
+        got = quantum_product(n, QuantumElement.basis(lam), QuantumElement.basis(mu))
+        assert got == QuantumElement(want), (lam, mu)
+        if n <= 4:
+            shifted = quantum_product(n, QuantumElement.basis(lam, 2), QuantumElement.basis(mu, 1))
+            assert shifted == QuantumElement({(nu, d + 3): c for (nu, d), c in want.items()}), (lam, mu)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_the_trace_route_is_built_over_the_product_rows(monkeypatch, n):
+    # one copy of the q = 1 ring: the Euler class and its rows are summed
+    # over _product_lookup's own row objects
+    mult = quantum._product_lookup(n)[0]
+    seen, real = [], quantum._times
+    monkeypatch.setattr(quantum, "_times", lambda rows, vec: seen.append(rows) or real(rows, vec))
+    quantum._mult_trace_weights.cache_clear()
+    try:
+        quantum._mult_trace_weights(n)
+    finally:
+        quantum._mult_trace_weights.cache_clear()
+    pairing, *per_class = seen
+    assert len(per_class) == len(mult)
+    assert all(rows is mine for rows, mine in zip(per_class, mult.values()))
+    assert all(row is mult[dual(nu, n - 1)][i] for i, (row, nu) in enumerate(zip(pairing, all_strict(n - 1))))
