@@ -10,7 +10,9 @@ first in odd ones, so a drift of the host's speed falls on both sides alike.  Ev
 end-to-end metrics, `failed` and `workers.untraced` from its report line.
 At the end, per end-to-end metric, each side's median and quartiles and the
 number of pairs the change won (strictly better, in the direction that the
-parent's BENCHMARK.json names).
+parent's BENCHMARK.json names); then per metric the relative change of the
+medians, the metric's bound from the parent's BENCHMARK.json and one verdict
+(see verdict): "worse past the bound", "unresolved" or "within the bound".
 
 Standard library only; it imports nothing from ogq and writes nothing in
 either checkout beyond what perfbench/run.py itself does.
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -47,6 +50,25 @@ def spread(values: list[float]) -> tuple[float, float, float]:
     return q2, q1, q3
 
 
+def verdict(parent: list[float], change: list[float], lower: bool, bound: float) -> tuple[float, str]:
+    """(relative change of the medians, verdict) for one end-to-end metric.
+
+    "worse past the bound" when the change's median is worse than the
+    parent's by more than bound (a fraction of the parent's median);
+    otherwise "unresolved" when the parent's quartile spread is wider than
+    bound of its median, unless every change run beats every parent run;
+    otherwise "within the bound".
+    """
+    (pm, p1, p3), cm = spread(parent), spread(change)[0]
+    relative = (cm - pm) / pm if pm else (0.0 if cm == pm else math.copysign(math.inf, cm - pm))
+    if (relative if lower else -relative) > bound:
+        return relative, "worse past the bound"
+    beats_all = all((c < p) if lower else (c > p) for c in change for p in parent)
+    if p3 - p1 > bound * abs(pm) and not beats_all:
+        return relative, "unresolved"
+    return relative, "within the bound"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -62,6 +84,7 @@ def main(argv=None) -> int:
     if args.workload not in workloads:
         parser.error(f"--workload must be one of {', '.join(workloads)}")
     lower = {m["name"]: m["better"] == "lower" for m in bench["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
 
     runs: dict[str, list[dict]] = {side: [] for side in SIDES}
     for pair in range(args.pairs):
@@ -80,6 +103,11 @@ def main(argv=None) -> int:
         (pm, p1, p3), (cm, c1, c3) = (spread(values[side]) for side in SIDES)
         print(f"  {name}: {pm:.4g} [{p1:.4g}, {p3:.4g}] -> {cm:.4g} [{c1:.4g}, {c3:.4g}], "
               f"wins {wins}/{args.pairs}")
+    print("\nrelative change of the medians, bound, verdict")
+    for name, is_lower in lower.items():
+        relative, said = verdict(*([r["metrics"][name] for r in runs[side]] for side in SIDES),
+                                 is_lower, bounds[name])
+        print(f"  {name}: {relative:+.1%}, bound {bounds[name]:.0%}, {said}")
     for side in SIDES:
         print(f"  {side}: failed {[r['failed'] for r in runs[side]]}, "
               f"workers.untraced {[r['untraced'] for r in runs[side]]}")

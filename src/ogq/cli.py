@@ -35,8 +35,8 @@ from . import counting, partitions, quantum, verify
 from .counting import NQuery, decimal_string
 from .cyclotomic import ProofFailure
 from .partitions import InvalidInput
-from .quantum import GWQuery, QuantumElement, Refusal, SizeBudgetError
-from .symfunc import AlphaPolynomial, parse_alpha_poly
+from .quantum import GWQuery, QuantumElement, Refusal
+from .symfunc import parse_alpha_poly
 
 OK, VERIFY_FAIL, BAD_INPUT, NOT_APPLICABLE, IO_ERROR, INTERNAL_ERROR = 0, 1, 2, 3, 4, 5
 
@@ -72,14 +72,14 @@ def _float_agrees(exact, approx: float) -> bool:
 
 def _float_check(doc: dict, exact, approx_of, note: str) -> bool:
     # Fills float_value and float_agrees in doc, or float_value None and a
-    # float_note when the float route leaves the double range; returns False
-    # only on a disagreement.
+    # float_note when the float route leaves the double range or refuses the
+    # query; returns False only on a disagreement.
     try:
         approx = approx_of()
-    except (OverflowError, SizeBudgetError) as exc:
-        # the exact value stands; only the float route ran out of range
+    except (OverflowError, Refusal) as exc:
+        # the exact value stands; only the float route could not answer
         doc["float_value"] = None
-        doc["float_note"] = str(exc) if isinstance(exc, SizeBudgetError) else note
+        doc["float_note"] = str(exc) if isinstance(exc, Refusal) else note
         return True
     doc["float_value"] = approx
     doc["float_agrees"] = _float_agrees(exact, approx)
@@ -230,9 +230,7 @@ def cmd_ntilde(args) -> int:
     if (prime := counting.n_tilde_sign_prime(query)) is not None:
         doc["sign_check_prime"] = prime
     status = OK
-    if args.mode == "float" and q_poly.terms != AlphaPolynomial.one().terms:
-        doc["float_value"], doc["float_note"] = None, "the float route evaluates only the constant integrand"
-    elif args.mode == "float" and not _float_check(
+    if args.mode == "float" and not _float_check(
         doc, value, lambda: counting.n_tilde_float(query),
         f"the value has {len(doc['value'])} digits and cannot be represented as a double",
     ):

@@ -3,32 +3,34 @@
 For a stable orthogonal bundle V of rank r and even Stiefel-Whitney-compatible
 degree data on a smooth curve of genus g, the number of maximal isotropic
 subbundles of the extremal degree e_0 is finite, and it is computed here by
-specializing the evaluation sum behind the Gromov-Witten invariants: N is
-a power of two times a sum over the evaluation tuples of staircase-Schur
-powers and staircase P~ powers.  The exact values are summed over the
-affine orbits of the tuples (quantum.orbit_trace, a few traces over one
-denominator), the float values over all 2^(n-1) tuples (evaluation_sum), so
-`--mode float` is an independent summation of the same formula.  One plan
-(_plan) picks the power of two and the staircase power for every caller.
-The intermediate quantity n_tilde covers arbitrary degree e and an
-arbitrary polynomial integrand in the halved elementary classes a_i, and
-the trivial-bundle case is literally a Gromov-Witten invariant, which gives
-an independent bridge for testing.
+specializing the evaluation sum behind the Gromov-Witten invariants.  One
+scaled sum (_scaled_sum) carries every number: a power of two times a sum
+over the evaluation tuples of staircase-Schur powers, staircase P~ powers
+and an integrand.  Its exact value is summed over the affine orbits of the
+tuples (quantum.orbit_trace, a few traces over one denominator), its float
+value over all 2^(n-1) tuples (evaluation_sum), so `--mode float` is an
+independent summation of the same formula.  One plan (_plan) picks the
+power of two and the staircase power for every caller.  The intermediate
+quantity n_tilde covers arbitrary degree e and an arbitrary polynomial
+integrand in the halved elementary classes a_i, read term by term: only the
+terms on the expected weight are summed, the others integrate to 0.  An
+even-rank count is n_tilde's sum at e_0 with the integrand 1, doubled for
+even ell, and the trivial-bundle case is literally a Gromov-Witten
+invariant, which gives an independent bridge for testing.
 
 Parity limits are first-class outcomes: a query whose extremal degree does
 not exist raises NotApplicableError, and the even-rank route with n even but
 e_0 odd raises NotCoveredError (the two documented low-rank values in that
 regime are quoted in the diagnostic, not computed).  Both are refusals
-(quantum.Refusal), as is a query past a size budget: the caps
-EXACT_MAX_N and FLOAT_MAX_N live in quantum (quantum.check_budget), and each
-route checks its cap before anything is enumerated.
+(quantum.Refusal), as is a query past a size budget (the caps EXACT_MAX_N
+and FLOAT_MAX_N live in quantum, and the scaled sum checks its route's cap
+before anything is enumerated) and an integrand the float route does not
+evaluate, one whose terms on the expected weight are not a constant.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import logging
-import math
 import sys
 from fractions import Fraction
 
@@ -38,8 +40,6 @@ from .symfunc import AlphaPolynomial
 # The routes' caps and their refusal are quantum's, named here for callers of the counts too.
 from .quantum import (EXACT_MAX_N, FLOAT_MAX_N, GWQuery, NonIntegralResultError, Refusal,  # noqa: F401
                       SizeBudgetError, UnsupportedRankError)
-
-logger = logging.getLogger(__name__)
 
 
 class NotApplicableError(Refusal):
@@ -149,73 +149,61 @@ def _plan(n: int, ell: int, e: int) -> tuple[int, int]:
     )
 
 
-def _n_tilde_sum(query: NQuery, exact: bool) -> tuple[int, tuple, AlphaPolynomial | None] | None:
-    # (power-of-two exponent, staircase insertions, integrand) of n_tilde's
-    # sum: one plan, one weight target; None when the integrand is off it.
-    exponent, rho_power = _plan(query.n, query.ell, query.e)
-    quantum.check_budget(query.n, "exact" if exact else "float")
-    target = expected_dim_t(query.n, query.ell, query.e, query.genus, query.u)
-    qp = query.q_poly
-    if not qp or not qp.is_homogeneous() or qp.weighted_degree() != target:
-        logger.debug(
-            "integrand weight %s does not match expected dimension %s; returning 0",
-            qp.weighted_degree(),
-            target,
-        )
-        return None
-    integrand = None if qp.terms == AlphaPolynomial.one().terms else qp
-    return exponent, (partitions.rho(query.n - 1),) * (rho_power + query.u), integrand
-
-
-def _n_tilde(query: NQuery, exact: bool) -> Fraction | float:
-    # n_tilde and n_tilde_float: the sum of _n_tilde_sum, 0 off the weight.
-    planned = _n_tilde_sum(query, exact)
-    if planned is None:
-        return Fraction(0) if exact else 0.0
-    exponent, insertions, integrand = planned
+def _scaled_sum(exact: bool, n: int, genus: int, insertions: tuple, exponent: int,
+                integrand: AlphaPolynomial | None = None) -> tuple[int, int] | float:
+    # 2^exponent times the sum over the evaluation points of S_rho^(genus-1)
+    # * prod of P~ over the insertions * the integrand (None: 1), under the
+    # route's cap: exact as (numerator, denominator) from the orbit trace,
+    # else a double from the full float sum, which takes a constant integrand
+    # only.  Every count and n_tilde is this sum.
+    quantum.check_budget(n, "exact" if exact else "float")
+    if integrand is not None and not integrand:  # no term: nothing to sum
+        return (0, 1) if exact else 0.0
     if exact:
-        total = quantum.orbit_sum(query.n, query.genus, insertions, integrand)
-        return Fraction(2) ** exponent * total
-    total = quantum.evaluation_sum(query.n, query.genus, insertions, exact=False)
-    return _float_scaled(exponent, total)
+        num, den = quantum.orbit_trace(n, genus, insertions, q_poly=integrand)
+        return (num << exponent, den) if exponent >= 0 else (num, den << -exponent)
+    if integrand is not None and integrand.weighted_degree():
+        raise Refusal("the float route evaluates only the constant integrand")
+    total = quantum.evaluation_sum(n, genus, insertions, exact=False)
+    return quantum.scaled_double(total if integrand is None else total * float(integrand.terms[0][1]), exponent)
 
 
-def _float_scaled(exponent: int, total: complex) -> float:
-    # 2^exponent * Re(total) for the float routes.  A double past the range
-    # raises OverflowError here, as 2.0 ** exponent itself does, instead of
-    # coming back as inf.
-    value = (2.0 ** exponent * total).real
-    if not math.isfinite(value):
-        raise OverflowError(f"2^{exponent} times the float sum is not a finite double")
-    return value
+def _n_tilde_plan(query: NQuery) -> tuple[int, int, tuple, int, AlphaPolynomial | None]:
+    # _scaled_sum's arguments for n_tilde: the integrand's terms on the
+    # expected weight, None for the constant 1; every other term integrates to 0.
+    exponent, rho_power = _plan(query.n, query.ell, query.e)
+    target = expected_dim_t(query.n, query.ell, query.e, query.genus, query.u)
+    kept = AlphaPolynomial(tuple((exps, c) for exps, c in query.q_poly.terms
+                                 if sum(i * k for i, k in enumerate(exps, 1)) == target))
+    return (query.n, query.genus, (partitions.rho(query.n - 1),) * (rho_power + query.u), exponent,
+            None if kept == AlphaPolynomial.one() else kept)
 
 
 def n_tilde(query: NQuery) -> Fraction:
     """The intersection number behind the counts, for an arbitrary orthogonal
     bundle of rank 2n, invariant ell and isotropic degree e.
 
-    Returns 0 when the integrand is not homogeneous of the expected weight.
-    Raises NotCoveredError when n is even and e is odd.  Each staircase
+    Linear in the integrand: its terms off the expected weight integrate to
+    0.  Raises NotCoveredError when n is even and e is odd.  Each staircase
     factor reads P~_rho by its sign, checked mod a prime, not proved
     (n_tilde_sign_prime).
     """
-    return _n_tilde(query, exact=True)
+    return Fraction(*_scaled_sum(True, *_n_tilde_plan(query)))
 
 
 def n_tilde_sign_prime(query: NQuery) -> int | None:
     """The prime p mod which n_tilde(query) checked the staircase square, or
-    None: a staircase power on the expected weight reads each factor P~_rho
-    by its sign (quantum.sign_check_prime), a check mod p, not a proof."""
-    planned = _n_tilde_sum(query, True)
-    return quantum.sign_check_prime(query.n, planned[1]) if planned else None
+    None: a staircase power summed with a nonzero integrand reads each factor
+    P~_rho by its sign (quantum.sign_check_prime), a check mod p, not a proof."""
+    n, _genus, insertions, _exponent, integrand = _n_tilde_plan(query)
+    return quantum.sign_check_prime(n, insertions) if integrand is None or integrand else None
 
 
 def n_tilde_float(query: NQuery) -> float:
-    """Float fast path of n_tilde, constant integrand only; raises
+    """Float fast path of n_tilde, where the integrand's terms on the expected
+    weight are a constant (0.0 with none), else a Refusal; raises
     OverflowError when the value is past the range of a double."""
-    if query.q_poly.terms != AlphaPolynomial.one().terms:
-        raise InvalidInput("float route only evaluates the constant integrand")
-    return _n_tilde(query, exact=False)
+    return _scaled_sum(False, *_n_tilde_plan(query))
 
 
 def decimal_string(value: int | Fraction) -> str:
@@ -317,10 +305,8 @@ def count_even(genus: int, n: int, ell: int) -> CountReport:
     if n < 2:
         raise UnsupportedRankError(f"even rank needs n >= 2, got n = {n}")
     e0, exponent, rho_power = _count_even_plan(genus, n, ell)
-    quantum.check_budget(n, "exact")
     staircase = (partitions.rho(n - 1),) * rho_power
-    num, den = quantum.orbit_trace(n, genus, staircase)
-    value = quantum.as_count(num << exponent, den, "count")
+    value = quantum.as_count(*_scaled_sum(True, n, genus, staircase, exponent), "count")
     report = CountReport(
         genus=genus,
         rank=2 * n,
@@ -418,10 +404,7 @@ def count_float(genus: int, rank: int, ell: int) -> float:
     if rank % 2 == 0:
         n = rank // 2
         _e0, exponent, rho_power = _count_even_plan(genus, n, ell)
-        quantum.check_budget(n, "float")
-        staircase = (partitions.rho(n - 1),) * rho_power
-        total = quantum.evaluation_sum(n, genus, staircase, exact=False)
-        return _float_scaled(exponent, total)
+        return _scaled_sum(False, n, genus, (partitions.rho(n - 1),) * rho_power, exponent)
     if ell % 2:
         raise OddEllUnsupportedError(f"odd rank supports even ell only, got {ell}")
     max_iso_degree(rank, genus, ell)

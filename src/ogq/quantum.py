@@ -53,7 +53,8 @@ cross-checking the direct sum.
 The size budgets live here, four caps and one checker (check_budget) called
 where each route starts.  A verdict is a library type: a Refusal (not
 applicable, not covered, past a budget) or a cyclotomic.ProofFailure (a
-failed self-check); as_count is the one check that a value is a count.
+failed self-check); as_count is the one check that a value is a count,
+and scaled_double the one rule that a float route's value is a finite double.
 """
 
 from __future__ import annotations
@@ -141,6 +142,15 @@ def as_count(num: int, den: int, context: str) -> int:
     value, rest = divmod(num, den)
     if rest or value < 0:
         raise NonIntegralResultError(f"{context}: expected a nonnegative integer, got {Fraction(num, den)}")
+    return value
+
+
+def scaled_double(total: complex, exponent: int) -> float:
+    """2^exponent * Re(total), a float route's value, or OverflowError past
+    the range of a double (as 2.0 ** exponent itself raises), never inf."""
+    value = (2.0 ** exponent * total).real
+    if not math.isfinite(value):
+        raise OverflowError(f"2^{exponent} times the float sum is not a finite double")
     return value
 
 
@@ -528,6 +538,8 @@ def orbit_trace(n: int, genus: int, insertions: tuple[Partition, ...] = (),
     WeightConditionError when a term's total degree is not divisible by 2m,
     where the orbit formula does not hold (the full sum is 0 there).
     """
+    if n < 2:
+        raise UnsupportedRankError(f"n must be >= 2, got {n}")
     if genus < 0:
         raise InvalidInput(f"genus must be >= 0, got {genus}")
     m = n - 1
@@ -629,6 +641,8 @@ def evaluation_sum(n: int, genus: int, insertions: tuple[Partition, ...] = (), *
     point multiplies 2^len * P~_lam in Z[w] (P~_rho by its sign mod p), then
     once in CycloNum, over 2^(sum of lengths), by S_rho^(genus-1).
     """
+    if n < 2:
+        raise UnsupportedRankError(f"n must be >= 2, got {n}")
     order, staircase = session_order(n), partitions.rho(n - 1)
     columns = [(_ptilde_rho(n, False) if exact else _float_staircase(n)) if lam == staircase
                else _column(n, lam, exact) for lam in insertions]
@@ -666,13 +680,7 @@ def gw_invariant_float(query: GWQuery) -> float:
     if not degree_ok(query):
         return 0.0
     check_budget(query.n, "gw")
-    total = evaluation_sum(query.n, query.genus, query.insertions, exact=False)
-    # A double past the range raises OverflowError, as 4.0 ** degree itself
-    # does, instead of coming back as inf.
-    value = (total * 4.0 ** query.degree).real
-    if not math.isfinite(value):
-        raise OverflowError(f"4^{query.degree} times the float sum is not a finite double")
-    return value
+    return scaled_double(evaluation_sum(query.n, query.genus, query.insertions, exact=False), 2 * query.degree)
 
 
 def three_point(n: int, lam, mu, nu, d: int) -> int:

@@ -629,13 +629,23 @@ def test_only_a_failed_proof_exits_1(error, code, kind, argv, monkeypatch, capsy
     lambda: partitions.all_strict(-1),
     lambda: symfunc.parse_alpha_poly("a1 + -"),
     lambda: symfunc.AlphaPolynomial.variable(0),
-    lambda: counting.n_tilde_float(counting.NQuery(3, 2, 0, -2, 0, symfunc.parse_alpha_poly("a1"))),
+    lambda: quantum.orbit_trace(1, 1),
+    lambda: quantum.orbit_sum(1, 2),
+    lambda: quantum.evaluation_sum(1, 1),
     lambda: verify.run_suite("bogus"),
 ])
 def test_every_bare_input_check_raises_the_input_type(call):
     # the one type main reports as bad input (exit 2)
     with pytest.raises(partitions.InvalidInput):
         call()
+
+
+def test_an_integrand_the_float_route_cannot_evaluate_is_a_refusal():
+    # not bad input: the exact route answers the same query
+    query = counting.NQuery(3, 2, 0, -4, 0, symfunc.parse_alpha_poly("a1^2 + a1"))
+    assert counting.n_tilde(query) == 8
+    with pytest.raises(quantum.Refusal, match="only the constant integrand"):
+        counting.n_tilde_float(query)
 
 
 def test_a_plain_value_error_in_gw_is_a_fault_not_bad_input(monkeypatch, capsys):

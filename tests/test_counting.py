@@ -121,7 +121,7 @@ def test_n_tilde_headline_values():
 
 def test_n_tilde_zero_on_weight_mismatch():
     assert n_tilde(NQuery(3, 2, 0, -2, 0, parse_alpha_poly("a1"))) == 0
-    assert n_tilde(NQuery(3, 2, 0, -2, 0, parse_alpha_poly("a1 + 1"))) == 0
+    assert n_tilde(NQuery(3, 2, 0, -2, 0, parse_alpha_poly("a1 + 1"))) == 8
 
 
 def test_n_tilde_not_covered_for_even_n_odd_degree():
@@ -150,8 +150,7 @@ def test_n_tilde_with_staircase_insertions_and_integrand():
 def test_n_tilde_float_matches_exact():
     q = NQuery(3, 2, 0, -2)
     assert abs(n_tilde_float(q) - 8.0) <= 1e-6 * 8.0
-    with pytest.raises(ValueError):
-        n_tilde_float(NQuery(3, 2, 0, -2, 0, parse_alpha_poly("a1")))
+    assert n_tilde_float(NQuery(3, 2, 0, -2, 0, parse_alpha_poly("a1"))) == 0.0
 
 
 HEADLINE_COUNTS = [
@@ -357,6 +356,35 @@ def _random_integrand(rng, width):
         exps = tuple(rng.randint(0, 2) for _ in range(rng.randint(0, width)))
         terms[exps] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
     return AlphaPolynomial.from_dict(terms)
+
+
+def _on_weight(poly, weight):
+    return AlphaPolynomial(tuple((exps, c) for exps, c in poly.terms
+                                 if sum(i * k for i, k in enumerate(exps, 1)) == weight))
+
+
+@pytest.mark.parametrize("n, e", [(2, -4), (3, -4), (4, -6)])
+def test_n_tilde_is_linear_in_its_integrand(n, e, full_point_sum):
+    # terms off the expected weight integrate to 0: n_tilde of a sum is the
+    # sum of the n_tildes, a mixed-weight integrand counts its part on the
+    # weight, and that part's value is the full point sum's
+    genus, rng = 3, random.Random(n)
+    target = expected_dim(n, 0, e, genus)
+    exponent, rho_power = counting._plan(n, 0, e)
+    assert target > 0 and rho_power == 0
+    values = []
+    for _ in range(4):
+        # a random coefficient is at most 5 in size, so a1^target and 1 stay in q1 + q2
+        q1 = _random_integrand(rng, n - 1) + AlphaPolynomial.from_dict({(target,): 11, (): 11})
+        q2 = _random_integrand(rng, n - 1)
+        on = _on_weight(q1 + q2, target)
+        assert on and on != q1 + q2
+        total = n_tilde(NQuery(genus, n, 0, e, 0, q1 + q2))
+        assert total == n_tilde(NQuery(genus, n, 0, e, 0, q1)) + n_tilde(NQuery(genus, n, 0, e, 0, q2))
+        assert total == n_tilde(NQuery(genus, n, 0, e, 0, on))
+        assert total == Fraction(2) ** exponent * full_point_sum(n, genus, (), on).as_rational()
+        values.append(total)
+    assert any(values)
 
 
 def test_alpha_from_elem_matches_alpha_evaluate():

@@ -5,7 +5,9 @@ other ogq modules: a helper one of them needs belongs in that module's
 public API.
 No module holds an assert statement, so every invariant survives `python -O`.
 The size budgets are one policy: only quantum defines a *_MAX_N cap or
-raises SizeBudgetError."""
+raises SizeBudgetError.  One function in counting reaches the sums, and one
+function in the package raises OverflowError, so no second copy of either
+creeps back."""
 
 import ast
 from pathlib import Path
@@ -143,3 +145,59 @@ def test_the_budget_guard_fires(tmp_path):
     # quantum holds the four caps and one raise, in check_budget
     assert sorted(site.split(" at ")[0] for site in budget_policy_sites(SRC / "quantum.py")) == [
         "EXACT_MAX_N", "FLOAT_MAX_N", "GW_SUM_MAX_N", "TABLE_MAX_N", "raise SizeBudgetError"]
+
+
+def functions_holding(path: Path, hit) -> set[str]:
+    # the names of the functions of one module holding a node that hit accepts,
+    # each node counted in its innermost function (None: at module level)
+    found = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if hit(child):
+                found.add(owner)
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
+def names_a_sum(node) -> bool:
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+    return name in ("orbit_trace", "evaluation_sum")
+
+
+def raises_overflow(node) -> bool:
+    exc = getattr(node, "exc", None) if isinstance(node, ast.Raise) else None
+    return getattr(exc.func if isinstance(exc, ast.Call) else exc, "id", None) == "OverflowError"
+
+
+def test_counting_reaches_the_sums_in_one_function():
+    assert functions_holding(SRC / "counting.py", names_a_sum) == {"_scaled_sum"}
+
+
+def test_one_function_in_the_package_raises_overflow_error():
+    assert {f"{path.stem}.{name}" for path in SRC.glob("*.py")
+            for name in functions_holding(path, raises_overflow)} == {"quantum.scaled_double"}
+
+
+def test_the_one_function_guards_fire(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from . import quantum\n"
+        "from .quantum import evaluation_sum\n"
+        "def f(n):\n"
+        "    def g():\n"
+        "        raise OverflowError('past')\n"
+        "    return quantum.orbit_trace(n, 1)\n"
+        "def h(n):\n"
+        "    if n:\n"
+        "        raise OverflowError\n"
+        "    return evaluation_sum(n, 1)\n"
+        "raise OverflowError()\n"
+    )
+    assert functions_holding(probe, names_a_sum) == {"f", "h"}
+    assert functions_holding(probe, raises_overflow) == {"g", "h", None}
