@@ -149,16 +149,18 @@ def _plan(n: int, ell: int, e: int) -> tuple[int, int]:
     )
 
 
-def _scaled_sum(exact: bool, n: int, genus: int, insertions: tuple, exponent: int,
+def _scaled_sum(exact: bool, n: int, genus: int, staircases: int, exponent: int,
                 integrand: AlphaPolynomial | None = None) -> tuple[int, int] | float:
     # 2^exponent times the sum over the evaluation points of S_rho^(genus-1)
-    # * prod of P~ over the insertions * the integrand (None: 1), under the
-    # route's cap: exact as (numerator, denominator) from the orbit trace,
-    # else a double from the full float sum, which takes a constant integrand
-    # only.  Every count and n_tilde is this sum.
+    # * P~_rho^staircases * the integrand (None: 1), under the route's cap,
+    # checked before the staircase is built: exact as (numerator,
+    # denominator) from the orbit trace, else a double from the full float
+    # sum, which takes a constant integrand only.  Every count and n_tilde
+    # is this sum.
     quantum.check_budget(n, "exact" if exact else "float")
     if integrand is not None and not integrand:  # no term: nothing to sum
         return (0, 1) if exact else 0.0
+    insertions = (partitions.rho(n - 1),) * staircases
     if exact:
         num, den = quantum.orbit_trace(n, genus, insertions, q_poly=integrand)
         return (num << exponent, den) if exponent >= 0 else (num, den << -exponent)
@@ -168,15 +170,12 @@ def _scaled_sum(exact: bool, n: int, genus: int, insertions: tuple, exponent: in
     return quantum.scaled_double(total if integrand is None else total * float(integrand.terms[0][1]), exponent)
 
 
-def _n_tilde_plan(query: NQuery) -> tuple[int, int, tuple, int, AlphaPolynomial | None]:
+def _n_tilde_plan(query: NQuery) -> tuple[int, int, int, int, AlphaPolynomial | None]:
     # _scaled_sum's arguments for n_tilde: the integrand's terms on the
     # expected weight, None for the constant 1; every other term integrates to 0.
     exponent, rho_power = _plan(query.n, query.ell, query.e)
-    target = expected_dim_t(query.n, query.ell, query.e, query.genus, query.u)
-    kept = AlphaPolynomial(tuple((exps, c) for exps, c in query.q_poly.terms
-                                 if sum(i * k for i, k in enumerate(exps, 1)) == target))
-    return (query.n, query.genus, (partitions.rho(query.n - 1),) * (rho_power + query.u), exponent,
-            None if kept == AlphaPolynomial.one() else kept)
+    kept = query.q_poly.part_of_weight(expected_dim_t(query.n, query.ell, query.e, query.genus, query.u))
+    return query.n, query.genus, rho_power + query.u, exponent, None if kept == AlphaPolynomial.one() else kept
 
 
 def n_tilde(query: NQuery) -> Fraction:
@@ -195,8 +194,11 @@ def n_tilde_sign_prime(query: NQuery) -> int | None:
     """The prime p mod which n_tilde(query) checked the staircase square, or
     None: a staircase power summed with a nonzero integrand reads each factor
     P~_rho by its sign (quantum.sign_check_prime), a check mod p, not a proof."""
-    n, _genus, insertions, _exponent, integrand = _n_tilde_plan(query)
-    return quantum.sign_check_prime(n, insertions) if integrand is None or integrand else None
+    n, _genus, staircases, _exponent, integrand = _n_tilde_plan(query)
+    quantum.check_budget(n, "exact")  # before the staircase is built
+    if integrand is not None and not integrand:
+        return None
+    return quantum.sign_check_prime(n, (partitions.rho(n - 1),) * staircases)
 
 
 def n_tilde_float(query: NQuery) -> float:
@@ -305,8 +307,7 @@ def count_even(genus: int, n: int, ell: int) -> CountReport:
     if n < 2:
         raise UnsupportedRankError(f"even rank needs n >= 2, got n = {n}")
     e0, exponent, rho_power = _count_even_plan(genus, n, ell)
-    staircase = (partitions.rho(n - 1),) * rho_power
-    value = quantum.as_count(*_scaled_sum(True, n, genus, staircase, exponent), "count")
+    value = quantum.as_count(*_scaled_sum(True, n, genus, rho_power, exponent), "count")
     report = CountReport(
         genus=genus,
         rank=2 * n,
@@ -324,7 +325,7 @@ def count_even(genus: int, n: int, ell: int) -> CountReport:
             "points": 2 ** (n - 1),
         },
     )
-    if (prime := quantum.sign_check_prime(n, staircase)) is not None:
+    if (prime := quantum.sign_check_prime(n, (partitions.rho(n - 1),) * rho_power)) is not None:
         report.decomposition["sign_check_prime"] = prime
     _catalog_note(report)
     return report
@@ -404,7 +405,7 @@ def count_float(genus: int, rank: int, ell: int) -> float:
     if rank % 2 == 0:
         n = rank // 2
         _e0, exponent, rho_power = _count_even_plan(genus, n, ell)
-        return _scaled_sum(False, n, genus, (partitions.rho(n - 1),) * rho_power, exponent)
+        return _scaled_sum(False, n, genus, rho_power, exponent)
     if ell % 2:
         raise OddEllUnsupportedError(f"odd rank supports even ell only, got {ell}")
     max_iso_degree(rank, genus, ell)

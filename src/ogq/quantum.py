@@ -230,7 +230,7 @@ def _orbits(m: int) -> tuple[tuple[tuple[int, ...], int], ...]:
 
 
 def orbit_count(n: int) -> int:
-    """How many orbit representatives orbit_sum visits for OG(n)_0, against
+    """How many orbit representatives orbit_trace visits for OG(n)_0, against
     2^(n-1) evaluation points."""
     if n < 2:
         raise UnsupportedRankError(f"n must be >= 2, got {n}")
@@ -429,7 +429,7 @@ def sign_check_prime(n: int, insertions) -> int | None:
 @lru_cache(maxsize=256)
 def _orbit_duals(n: int, insertions: tuple[Partition, ...],
                  q_poly: AlphaPolynomial | None) -> tuple[tuple[list[int], ...], int]:
-    # orbit_sum's genus-free part, per sorted insertions: at each representative
+    # orbit_trace's genus-free part, per sorted insertions: at each representative
     # the trace dual of |O| * prod of 2^len * P~_lam * Q's numerator, and their
     # one denominator.  Each key holds a dual per representative, hence the bound.
     # A staircase factor is +-r (_ptilde_rho), multiplied in like any class; the
@@ -546,7 +546,7 @@ def orbit_trace(n: int, genus: int, insertions: tuple[Partition, ...] = (),
     order = session_order(n)
     weight = (genus - 1) * m * (m + 1) // 2 + sum(partitions.weight(lam) for lam in insertions)
     weights = {weight} if q_poly is None else {
-        weight + sum(i * k for i, k in enumerate(exps, 1)) for exps, _c in q_poly.terms}
+        weight + AlphaPolynomial.term_weight(exps) for exps, _c in q_poly.terms}
     off = sorted(w for w in weights if w % (2 * m))
     if off:
         raise WeightConditionError(
@@ -558,13 +558,7 @@ def orbit_trace(n: int, genus: int, insertions: tuple[Partition, ...] = (),
     return total, common * den * field_degree(order)
 
 
-def orbit_sum(n: int, genus: int, insertions: tuple[Partition, ...] = (),
-              q_poly: AlphaPolynomial | None = None) -> Fraction:
-    """orbit_trace's value as a Fraction in lowest terms."""
-    return Fraction(*orbit_trace(n, genus, insertions, q_poly))
-
-
-orbit_sum.cache_clear = lambda: [f.cache_clear() for f in (_orbit_duals, _schur_ladder, _orbit_powers)]
+orbit_trace.cache_clear = lambda: [f.cache_clear() for f in (_orbit_duals, _schur_ladder, _orbit_powers)]
 
 
 @lru_cache(maxsize=None)
@@ -729,7 +723,7 @@ def table_rows(n: int, max_d: int | None = None) -> tuple[tuple[int, int, int, i
 
 @lru_cache(maxsize=None)
 def _structure_table(n: int) -> tuple[tuple[int, int, int, int, int], ...]:
-    # orbit_sum at genus 0, fused on Z[w] ints at the representatives:
+    # orbit_trace at genus 0, fused on Z[w] ints at the representatives:
     # vector 0 is |O| * S_rho^-1 = |O| * b / den (int_inverse), vector i+1 is
     # 2^len * P~ of basis[i] over 2^len; a three-point number is 4^d / phi
     # times the integer trace that one dot returns, over those denominators.

@@ -358,15 +358,18 @@ class AlphaPolynomial:
 
     __rmul__ = __mul__
 
-    def weighted_degree(self) -> int:
-        """Largest term weight sum_i i*k_i; the zero polynomial has weight 0."""
-        if not self.terms:
-            return 0
-        return max(sum((i + 1) * k for i, k in enumerate(e)) for e, _ in self.terms)
+    @staticmethod
+    def term_weight(exps: tuple[int, ...]) -> int:
+        """The weighted degree sum_i i*k_i of the term with exponents exps."""
+        return sum(i * k for i, k in enumerate(exps, 1))
 
-    def is_homogeneous(self) -> bool:
-        weights = {sum((i + 1) * k for i, k in enumerate(e)) for e, _ in self.terms}
-        return len(weights) <= 1
+    def weighted_degree(self) -> int:
+        """Largest term weight; the zero polynomial has weight 0."""
+        return max((self.term_weight(e) for e, _ in self.terms), default=0)
+
+    def part_of_weight(self, weight: int) -> "AlphaPolynomial":
+        """The terms of weighted degree `weight`."""
+        return AlphaPolynomial(tuple(t for t in self.terms if self.term_weight(t[0]) == weight))
 
     def __str__(self) -> str:
         if not self.terms:

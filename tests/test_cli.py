@@ -342,6 +342,24 @@ def test_a_count_past_the_size_budget_exits_3_before_walking_a_residue_set(argv,
     assert "n = 21 is past the size budget of the exact route, n <= 20" in doc["reason"]
 
 
+HUGE = 10 ** 30
+
+
+@pytest.mark.parametrize("argv", [["count", "--g", "3", "--rank", str(2 * HUGE), "--ell", "0"],
+                                  ["count", "--g", "3", "--rank", str(2 * HUGE - 1), "--ell", "0", "--mode", "float"],
+                                  ["ntilde", "--g", "3", "--n", str(HUGE), "--ell", "0", "--e", "-2"]])
+def test_a_count_at_a_huge_rank_exits_3_before_building_the_staircase(argv, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("the staircase was built")
+
+    monkeypatch.setattr(partitions, "rho", refuse)
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (3, "")
+    doc = json.loads(err)
+    assert doc["error"] == "not_applicable"
+    assert f"n = {HUGE} is past the size budget of the exact route" in doc["reason"]
+
+
 def test_a_float_route_past_its_budget_leaves_the_exact_count_standing(capsys):
     n = counting.FLOAT_MAX_N + 1
     code, out, _ = run(["count", "--g", "3", "--rank", str(2 * n), "--ell", "0", "--mode", "float",
@@ -607,7 +625,7 @@ def test_only_a_failed_proof_exits_1(error, code, kind, argv, monkeypatch, capsy
     def raising(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr(quantum, "orbit_trace", raising)  # behind orbit_sum too
+    monkeypatch.setattr(quantum, "orbit_trace", raising)
     got, out, err = run(argv, capsys)
     assert (got, out) == (code, "")
     doc = json.loads(err)
@@ -630,7 +648,6 @@ def test_only_a_failed_proof_exits_1(error, code, kind, argv, monkeypatch, capsy
     lambda: symfunc.parse_alpha_poly("a1 + -"),
     lambda: symfunc.AlphaPolynomial.variable(0),
     lambda: quantum.orbit_trace(1, 1),
-    lambda: quantum.orbit_sum(1, 2),
     lambda: quantum.evaluation_sum(1, 1),
     lambda: verify.run_suite("bogus"),
 ])

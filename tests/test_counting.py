@@ -358,11 +358,6 @@ def _random_integrand(rng, width):
     return AlphaPolynomial.from_dict(terms)
 
 
-def _on_weight(poly, weight):
-    return AlphaPolynomial(tuple((exps, c) for exps, c in poly.terms
-                                 if sum(i * k for i, k in enumerate(exps, 1)) == weight))
-
-
 @pytest.mark.parametrize("n, e", [(2, -4), (3, -4), (4, -6)])
 def test_n_tilde_is_linear_in_its_integrand(n, e, full_point_sum):
     # terms off the expected weight integrate to 0: n_tilde of a sum is the
@@ -377,7 +372,7 @@ def test_n_tilde_is_linear_in_its_integrand(n, e, full_point_sum):
         # a random coefficient is at most 5 in size, so a1^target and 1 stay in q1 + q2
         q1 = _random_integrand(rng, n - 1) + AlphaPolynomial.from_dict({(target,): 11, (): 11})
         q2 = _random_integrand(rng, n - 1)
-        on = _on_weight(q1 + q2, target)
+        on = (q1 + q2).part_of_weight(target)
         assert on and on != q1 + q2
         total = n_tilde(NQuery(genus, n, 0, e, 0, q1 + q2))
         assert total == n_tilde(NQuery(genus, n, 0, e, 0, q1)) + n_tilde(NQuery(genus, n, 0, e, 0, q2))
@@ -423,7 +418,7 @@ def test_float_count_with_no_staircase_insertion_runs_no_pfaffian(monkeypatch):
 
 def test_counting_sums_never_build_the_full_tables(monkeypatch):
     quantum._tables.cache_clear()
-    quantum.orbit_sum.cache_clear()
+    quantum.orbit_trace.cache_clear()
     keys = {"_point_table": set(), "_ptilde_rho": set()}
     for name in keys:
         def recording(*args, real=getattr(quantum, name), name=name):
@@ -595,11 +590,23 @@ def test_counts_past_the_size_budget_are_refused_before_anything_is_enumerated(m
             call()
 
 
+def test_counts_at_a_huge_rank_are_refused_before_the_staircase_is_built(monkeypatch):
+    # the staircase partition has n - 1 parts, so the cap comes first
+    monkeypatch.setattr(counting.partitions, "rho", _refuse)
+    n = 10 ** 30
+    query = NQuery(3, n, 0, -2)
+    for call in (lambda: count(3, 2 * n, 0), lambda: count(3, 2 * n - 1, 0), lambda: n_tilde(query),
+                 lambda: counting.n_tilde_sign_prime(query), lambda: count_float(3, 2 * n, 0),
+                 lambda: count_float(3, 2 * n - 1, 0), lambda: n_tilde_float(query)):
+        with pytest.raises(counting.SizeBudgetError, match=f"n = {n} is past the size budget"):
+            call()
+
+
 def test_the_exact_routes_build_no_point_and_no_root_of_unity(monkeypatch, tmp_path, capsys):
     # the rows come from the residues, so with the caches cleared no
     # EvalPoint and no CycloNum root of unity is built
     for cached in (quantum._orbits, quantum._point_table, quantum._ptilde_rho,
-                   quantum.orbit_sum, quantum.structure_table):
+                   quantum.orbit_trace, quantum.structure_table):
         cached.cache_clear()
     for module, name in ((quantum, "eval_points"), (quantum, "root_of_unity"), (cyclotomic, "root_of_unity")):
         monkeypatch.setattr(module, name, _refuse)
@@ -614,7 +621,7 @@ def test_even_staircase_powers_run_the_sign_route_and_no_pfaffian_recursion(monk
     # reads each factor by its sign, one Pfaffian mod p per representative,
     # and the float route a complex Pfaffian per point, never the recursion
     assert counting._count_even_plan(3, 15, 0)[2] == counting._count_even_plan(3, 11, 0)[2] == 2
-    for cached in (quantum._ptilde_rho, quantum._float_staircase, quantum._tables, quantum.orbit_sum):
+    for cached in (quantum._ptilde_rho, quantum._float_staircase, quantum._tables, quantum.orbit_trace):
         cached.cache_clear()
     for module in (symfunc, quantum):
         monkeypatch.setattr(module, "_int_ptilde", _refuse)
@@ -629,7 +636,7 @@ def test_a_wrong_staircase_root_is_a_failed_proof(monkeypatch, capsys):
     # Pfaffian mod p is neither r nor -r, and the CLI exits 1
     real = quantum._staircase_root
     monkeypatch.setattr(quantum, "_staircase_root", lambda m, unit: [3 * c for c in real(m, unit)])
-    for cached in (quantum._ptilde_rho, quantum.orbit_sum):
+    for cached in (quantum._ptilde_rho, quantum.orbit_trace):
         cached.cache_clear()
     with pytest.raises(quantum.StaircaseSignError, match="neither r nor -r"):
         count(3, 8, 1)
@@ -641,7 +648,7 @@ def test_odd_staircase_powers_run_no_pfaffian_recursion(monkeypatch):
     # genus 2: rank 14 at ell 1 needs n(g - 1 - ell) even, and g = 3 is not applicable
     assert not count(3, 14, 1).applicable
     assert counting._count_even_plan(2, 7, 1)[2] == 3
-    for cached in (quantum._ptilde_rho, quantum._float_staircase, quantum._tables, quantum.orbit_sum):
+    for cached in (quantum._ptilde_rho, quantum._float_staircase, quantum._tables, quantum.orbit_trace):
         cached.cache_clear()
     for module in (symfunc, quantum):
         monkeypatch.setattr(module, "_int_ptilde", _refuse)
@@ -665,7 +672,7 @@ def test_a_wrong_staircase_root_fails_an_even_power_count(monkeypatch, capsys):
     assert counting._count_even_plan(3, 7, 0)[2] == 2
     real = quantum._staircase_root
     monkeypatch.setattr(quantum, "_staircase_root", lambda m, unit: [3 * c for c in real(m, unit)])
-    for cached in (quantum._ptilde_rho, quantum.orbit_sum):
+    for cached in (quantum._ptilde_rho, quantum.orbit_trace):
         cached.cache_clear()
     with pytest.raises(quantum.StaircaseSignError, match="neither r nor -r"):
         count(3, 14, 0)
@@ -691,7 +698,7 @@ def test_one_power_of_s_rho_serves_every_ell_at_an_n_and_genus(monkeypatch):
     # rank 16 at genus 4 has staircase powers 0, 3, 2, 1 for ell 0..3, and all
     # four read S_rho^3 at the representatives from one cache key
     assert [counting._count_even_plan(4, 8, ell)[2] for ell in range(4)] == [0, 3, 2, 1]
-    quantum.orbit_sum.cache_clear()
+    quantum.orbit_trace.cache_clear()
     count(4, 16, 0)
     calls = []
     real = quantum.int_mul
@@ -705,21 +712,21 @@ def test_one_power_of_s_rho_serves_every_ell_at_an_n_and_genus(monkeypatch):
     quantum._orbit_powers.cache_clear()
     assert count(4, 16, 2).value == values[1]
     assert len(calls) == quantum.orbit_count(8)
-    quantum.orbit_sum.cache_clear()
+    quantum.orbit_trace.cache_clear()
     assert len(quantum._kept_powers) == quantum._orbit_duals.cache_info().currsize == 0
 
 
 def test_the_schur_ladder_counts_against_the_power_budget(monkeypatch):
     # the squares S_rho^(2^k) past S_rho are held within the same
     # POWER_CACHE_BITS as the kept powers, and go before any power
-    quantum.orbit_sum.cache_clear()
+    quantum.orbit_trace.cache_clear()
     large = count(399, 14, 0).value
     rungs = quantum._schur_ladder(7)
     ladder, power = quantum._ladder_bits[7], quantum._kept_bits[7, 398]
     assert all(len(r) == 9 for r in rungs)
     assert ladder == sum(c.bit_length() for r in rungs for rung in r[1:] for c in rung) > power
     for bound, ladders in ((power + ladder, {7: ladder}), (power + ladder - 1, {}), (ladder - 1, {})):
-        quantum.orbit_sum.cache_clear()
+        quantum.orbit_trace.cache_clear()
         monkeypatch.setattr(quantum, "POWER_CACHE_BITS", bound)
         assert count(399, 14, 0).value == large
         assert list(quantum._kept_powers) == [(7, 398)] and quantum._ladder_bits == ladders
@@ -729,15 +736,15 @@ def test_the_schur_ladder_counts_against_the_power_budget(monkeypatch):
 def test_the_kept_powers_are_bounded_by_their_bits(monkeypatch):
     # a power past POWER_CACHE_BITS is used and not kept, and drops no other;
     # kept ones past the bound together go least recently used first
-    quantum.orbit_sum.cache_clear()
+    quantum.orbit_trace.cache_clear()
     small, large = count(3, 14, 0).value, count(399, 14, 0).value
     bits = dict(quantum._kept_bits)
     assert list(quantum._kept_powers) == list(bits) == [(7, 2), (7, 398)] and bits[7, 2] < bits[7, 398]
-    quantum.orbit_sum.cache_clear()
+    quantum.orbit_trace.cache_clear()
     monkeypatch.setattr(quantum, "POWER_CACHE_BITS", bits[7, 398] - 1)
     assert count(3, 14, 0).value == small and count(399, 14, 0).value == large
     assert list(quantum._kept_powers) == list(quantum._kept_bits) == [(7, 2)]
-    quantum.orbit_sum.cache_clear()
+    quantum.orbit_trace.cache_clear()
     monkeypatch.setattr(quantum, "POWER_CACHE_BITS", bits[7, 398] + bits[7, 2] - 1)
     assert count(3, 14, 0).value == small and list(quantum._kept_powers) == [(7, 2)]
     monkeypatch.setattr(quantum, "POWER_CACHE_BITS", bits[7, 398])
@@ -745,8 +752,8 @@ def test_the_kept_powers_are_bounded_by_their_bits(monkeypatch):
     # by keys: a hit makes a power the most recently used
     monkeypatch.setattr(quantum, "POWER_CACHE_BITS", 1 << 25)
     monkeypatch.setattr(quantum, "POWER_CACHE_KEYS", 2)
-    quantum.orbit_sum.cache_clear()
+    quantum.orbit_trace.cache_clear()
     count(3, 14, 0), count(5, 14, 0), count(3, 14, 2), count(399, 14, 0)
     assert list(quantum._kept_powers) == list(quantum._kept_bits) == [(7, 2), (7, 398)]
-    quantum.orbit_sum.cache_clear()
+    quantum.orbit_trace.cache_clear()
     assert not quantum._kept_powers and not quantum._kept_bits

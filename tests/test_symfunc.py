@@ -316,8 +316,9 @@ def test_alpha_polynomial_weighted_degree():
     assert parse_alpha_poly("a3").weighted_degree() == 3
     assert parse_alpha_poly("a1^2*a3").weighted_degree() == 5
     assert parse_alpha_poly("2*a2 + a1^2").weighted_degree() == 2
-    assert parse_alpha_poly("2*a2 + a1^2").is_homogeneous()
-    assert not parse_alpha_poly("a1 + a2").is_homogeneous()
+    assert parse_alpha_poly("2*a2 + a1^2").part_of_weight(2) == parse_alpha_poly("2*a2 + a1^2")
+    assert parse_alpha_poly("a1 + a2").part_of_weight(2) == parse_alpha_poly("a2")
+    assert not parse_alpha_poly("a1 + a2").part_of_weight(3)
     assert AlphaPolynomial(()).weighted_degree() == 0
 
 
@@ -370,7 +371,7 @@ def test_ptilde_alpha_reproduces_ptilde_value(m):
 def test_ptilde_alpha_is_weight_homogeneous(m):
     for lam in all_strict(m):
         q = ptilde_alpha(lam, m)
-        assert q.is_homogeneous()
+        assert q.part_of_weight(q.weighted_degree()) == q
         if lam:
             assert q.weighted_degree() == sum(lam)
 
