@@ -11,8 +11,12 @@ end-to-end metrics, `failed` and `workers.untraced` from its report line.
 At the end, per end-to-end metric, each side's median and quartiles and the
 number of pairs the change won (strictly better, in the direction that the
 parent's BENCHMARK.json names); then per metric the relative change of the
-medians, the metric's bound from the parent's BENCHMARK.json and one verdict
-(see verdict): "worse past the bound", "unresolved" or "within the bound".
+medians, the metric's bound from the parent's BENCHMARK.json, one verdict
+(see verdict): "worse past the bound", "unresolved" or "within the bound",
+and whether the change shows a gain on it (see gain).  A note follows when
+the two sides' median `workers.untraced` differ: a worker's `peak_rss_mb`
+then follows the peak of the driver that started it, which grows with the
+number of workers, not the change.
 
 Standard library only; it imports nothing from ogq and writes nothing in
 either checkout beyond what perfbench/run.py itself does.
@@ -48,6 +52,28 @@ def spread(values: list[float]) -> tuple[float, float, float]:
         return values[0], values[0], values[0]
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q2, q1, q3
+
+
+def wins(parent: list[float], change: list[float], lower: bool) -> int:
+    # pairs the change wins, strictly better; a tie counts for neither side
+    return sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+
+
+def gain(parent: list[float], change: list[float], lower: bool) -> bool:
+    """Whether the change shows a gain on one metric: it wins at least 9 of
+    every 10 pairs and its median beats the parent's by more than the
+    parent's interquartile range."""
+    (pm, p1, p3), cm = spread(parent), spread(change)[0]
+    return 10 * wins(parent, change, lower) >= 9 * len(parent) and ((pm - cm) if lower else (cm - pm)) > p3 - p1
+
+
+def untraced_note(parent: list[int], change: list[int]) -> str | None:
+    """The note printed when the two sides' median workers.untraced differ."""
+    pm, cm = statistics.median(parent), statistics.median(change)
+    if pm == cm:
+        return None
+    return (f"note: median workers.untraced differ, parent {pm:g} -> change {cm:g}: "
+            "peak_rss_mb follows the driver's own peak, not the change")
 
 
 def verdict(parent: list[float], change: list[float], lower: bool, bound: float) -> tuple[float, str]:
@@ -99,18 +125,20 @@ def main(argv=None) -> int:
           f"median [quartiles], parent -> change, change wins")
     for name, is_lower in lower.items():
         values = {side: [r["metrics"][name] for r in runs[side]] for side in SIDES}
-        wins = sum((c < p) if is_lower else (c > p) for p, c in zip(values["parent"], values["change"]))
         (pm, p1, p3), (cm, c1, c3) = (spread(values[side]) for side in SIDES)
         print(f"  {name}: {pm:.4g} [{p1:.4g}, {p3:.4g}] -> {cm:.4g} [{c1:.4g}, {c3:.4g}], "
-              f"wins {wins}/{args.pairs}")
-    print("\nrelative change of the medians, bound, verdict")
+              f"wins {wins(values['parent'], values['change'], is_lower)}/{args.pairs}")
+    print("\nrelative change of the medians, bound, verdict, gain")
     for name, is_lower in lower.items():
-        relative, said = verdict(*([r["metrics"][name] for r in runs[side]] for side in SIDES),
-                                 is_lower, bounds[name])
-        print(f"  {name}: {relative:+.1%}, bound {bounds[name]:.0%}, {said}")
+        values = [[r["metrics"][name] for r in runs[side]] for side in SIDES]
+        relative, said = verdict(*values, is_lower, bounds[name])
+        shown = "gain shown" if gain(*values, is_lower) else "no gain shown"
+        print(f"  {name}: {relative:+.1%}, bound {bounds[name]:.0%}, {said}, {shown}")
     for side in SIDES:
         print(f"  {side}: failed {[r['failed'] for r in runs[side]]}, "
               f"workers.untraced {[r['untraced'] for r in runs[side]]}")
+    if note := untraced_note(*([r["untraced"] for r in runs[side]] for side in SIDES)):
+        print(note)
     return 0
 
 

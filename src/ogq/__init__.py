@@ -40,8 +40,6 @@ from .counting import (
     CountReport,
     NQuery,
     count,
-    count_even,
-    count_odd,
     expected_dim,
     expected_dim_t,
     max_iso_degree,

@@ -10,13 +10,16 @@ and an integrand.  Its exact value is summed over the affine orbits of the
 tuples (quantum.orbit_trace, a few traces over one denominator), its float
 value over all 2^(n-1) tuples (evaluation_sum), so `--mode float` is an
 independent summation of the same formula.  One plan (_plan) picks the
-power of two and the staircase power for every caller.  The intermediate
+power of two and the staircase power at rank 2n and degree e; n_tilde's
+plan (_n_tilde_plan) and the one count plan (_count_plan), which count and
+count_float share for both rank parities, read it.  The intermediate
 quantity n_tilde covers arbitrary degree e and an arbitrary polynomial
 integrand in the halved elementary classes a_i, read term by term: only the
 terms on the expected weight are summed, the others integrate to 0.  An
 even-rank count is n_tilde's sum at e_0 with the integrand 1, doubled for
-even ell, and the trivial-bundle case is literally a Gromov-Witten
-invariant, which gives an independent bridge for testing.
+even ell; an odd-rank count is half the even-rank count one rank up, the
+same sum with one power of two less.  The trivial-bundle case is literally
+a Gromov-Witten invariant, which gives an independent bridge for testing.
 
 Parity limits are first-class outcomes: a query whose extremal degree does
 not exist raises NotApplicableError, and the even-rank route with n even but
@@ -84,7 +87,8 @@ def max_iso_degree(rank: int, genus: int, ell: int) -> int:
     """Largest degree e_0 of a maximal isotropic subbundle of a generic
     stable orthogonal bundle of the given rank and invariant ell.
 
-    Raises NotApplicableError when the parity conditions rule the degree out.
+    Raises NotApplicableError when the parity conditions rule the degree
+    out, and OddEllUnsupportedError for odd rank with odd ell.
     """
     if rank < 3:
         raise UnsupportedRankError(f"rank must be >= 3, got {rank}")
@@ -100,7 +104,7 @@ def max_iso_degree(rank: int, genus: int, ell: int) -> int:
         return -n * (genus - 1 - ell) // 2
     n = (rank - 1) // 2
     if ell % 2:
-        raise NotApplicableError(f"rank {rank}: ell must be even, got {ell}")
+        raise OddEllUnsupportedError(f"odd rank supports even ell only, got {ell}")
     if ((n + 1) * (genus - 1)) % 2:
         raise NotApplicableError(
             f"rank {rank}: (n+1)*(g-1) = {(n + 1) * (genus - 1)} is odd, "
@@ -265,17 +269,37 @@ class CountReport:
         return out
 
 
-def _count_even_plan(genus: int, n: int, ell: int) -> tuple[int, int, int]:
-    # Returns (e0, exponent, rho_power) with N = 2^exponent * evaluation sum:
-    # the plan at e0, doubled when ell is even.
-    e0 = max_iso_degree(2 * n, genus, ell)
+def _count_plan(genus: int, rank: int, ell: int) -> tuple[int, int, int, int, dict]:
+    # (e0, n, exponent, staircase power, the decomposition's route keys): the
+    # count is _scaled_sum at that n, staircase power and exponent.  Even rank
+    # 2n: the plan at e0, doubled when ell is even.  Odd rank: the companion
+    # plan one rank up, whose count is twice this one, so one power of two less.
+    e0 = max_iso_degree(rank, genus, ell)
+    if rank % 2:
+        try:
+            companion_e0, n, exponent, rho_power, _keys = _count_plan(genus, rank + 1, ell)
+        except NotCoveredError as exc:
+            raise NotCoveredError(
+                f"rank {rank}: companion even-rank query is not covered ({exc})",
+                e0=e0,
+            ) from exc
+        if companion_e0 != e0 + ell // 2:
+            raise NonIntegralResultError(
+                f"rank {rank}: companion extremal degree {companion_e0} "
+                f"is not e0 + ell/2 = {e0 + ell // 2}"
+            )
+        return e0, n, exponent - 1, rho_power, {
+            "route": "odd_rank_halving", "companion_rank": rank + 1, "companion_e0": companion_e0}
+    n = rank // 2
     doubling = 1 if ell % 2 == 0 else 0
     exponent, rho_power = _plan(n, ell, e0)
     exponent += doubling
     # the prefactor is an exact power of two; its square matches the
     # closed form in n, the staircase power and g, which pins the decomposition
     _check_prefactor(exponent, n, rho_power, genus, doubling)
-    return e0, exponent, rho_power
+    return e0, n, exponent, rho_power, {
+        "route": "even_e0" if e0 % 2 == 0 else "odd_e0_odd_n", "prefactor_log2": exponent,
+        "staircase_power": rho_power, "doubled": ell % 2 == 0}
 
 
 def _check_prefactor(exponent: int, n: int, shift: int, genus: int, doubling: int) -> None:
@@ -287,129 +311,53 @@ def _check_prefactor(exponent: int, n: int, shift: int, genus: int, doubling: in
         )
 
 
-def count_even(genus: int, n: int, ell: int) -> CountReport:
-    """Count for even rank 2n >= 4, invariant ell, at the extremal degree:
-    n_tilde at e_0 with constant integrand, doubled when ell is even, from
-    one exact orbit trace, divided once.
+def count(genus: int, rank: int, ell: int) -> CountReport:
+    """Count for rank >= 3, invariant ell, at the extremal degree e_0, from
+    one exact orbit trace, divided once.  Even rank 2n: n_tilde at e_0 with
+    constant integrand, doubled when ell is even.  Odd rank 2n+1 (ell even):
+    half the even-rank count one rank up, whose extremal degree is
+    e_0 + ell/2, so the companion's sum with one power of two less.  Parity
+    failures come back as a report with applicable = False instead of an
+    exception.
 
     What is checked: the power-of-two prefactor against its closed form
-    (_check_prefactor), that the count is a nonnegative integer (the orbit
-    sum is a trace, rational by construction), and the catalogued closed
-    forms (a note on the report).  Each staircase factor 2^m * P~_rho = +-r
-    has its sign read mod a prime p at every representative: the square is
-    checked mod p, not proved, and the decomposition names p
-    (quantum.sign_check_prime).  Outside this call, `--mode float` re-sums
-    the same plan over all 2^(n-1) points in complex doubles, with the sign
-    from a complex Pfaffian, and `verify`'s trivial-bundle bridge compares
-    n_tilde with Gromov-Witten invariants (whose exact sum reads P~_rho's
-    sign mod the same p).
+    (_check_prefactor), the companion's extremal degree, that the count is a
+    nonnegative integer (the orbit sum is a trace, rational by construction;
+    at odd rank this is that the companion count is even), and the
+    catalogued closed forms (a note on the report).  Each staircase factor
+    2^m * P~_rho = +-r has its sign read mod a prime p at every
+    representative: the square is checked mod p, not proved, and the
+    decomposition names p (quantum.sign_check_prime).  Outside this call,
+    `--mode float` re-sums the same plan over all 2^(n-1) points in complex
+    doubles, with the sign from a complex Pfaffian, and `verify`'s
+    trivial-bundle bridge compares n_tilde with Gromov-Witten invariants
+    (whose exact sum reads P~_rho's sign mod the same p).
     """
-    if n < 2:
-        raise UnsupportedRankError(f"even rank needs n >= 2, got n = {n}")
-    e0, exponent, rho_power = _count_even_plan(genus, n, ell)
+    try:
+        e0, n, exponent, rho_power, route_keys = _count_plan(genus, rank, ell)
+    except NotApplicableError as exc:
+        return CountReport(genus=genus, rank=rank, ell=ell, e0=None, applicable=False,
+                           reason=f"not applicable: {exc}")
+    except NotCoveredError as exc:
+        return CountReport(genus=genus, rank=rank, ell=ell, e0=exc.e0, applicable=False,
+                           reason=f"not covered: {exc}",
+                           required_w2=None if exc.e0 is None else exc.e0 % 2)
     value = quantum.as_count(*_scaled_sum(True, n, genus, rho_power, exponent), "count")
-    report = CountReport(
-        genus=genus,
-        rank=2 * n,
-        ell=ell,
-        e0=e0,
-        applicable=True,
-        value=value,
-        required_w2=e0 % 2,
-        decomposition={
-            "route": "even_e0" if e0 % 2 == 0 else "odd_e0_odd_n",
-            "prefactor_log2": exponent,
-            "staircase_power": rho_power,
-            "doubled": ell % 2 == 0,
-            "orbits": quantum.orbit_count(n),
-            "points": 2 ** (n - 1),
-        },
-    )
+    report = CountReport(genus=genus, rank=rank, ell=ell, e0=e0, applicable=True, value=value,
+                         required_w2=e0 % 2, decomposition={
+                             **route_keys, "orbits": quantum.orbit_count(n), "points": 2 ** (n - 1)})
     if (prime := quantum.sign_check_prime(n, (partitions.rho(n - 1),) * rho_power)) is not None:
         report.decomposition["sign_check_prime"] = prime
     _catalog_note(report)
     return report
 
 
-def count_odd(genus: int, n: int, ell: int) -> CountReport:
-    """Count for odd rank 2n+1 >= 3: half the even-rank count one rank up.
-
-    The invariant ell must be even; the companion rank-(2n+2) query sits at
-    extremal degree e_0 + ell/2, its count is twice this one, and its
-    sign_check_prime, if any, is this one's."""
-    if n < 1:
-        raise UnsupportedRankError(f"odd rank needs n >= 1, got n = {n}")
-    if ell % 2:
-        raise OddEllUnsupportedError(f"odd rank supports even ell only, got {ell}")
-    e0 = max_iso_degree(2 * n + 1, genus, ell)
-    try:
-        partner = count_even(genus, n + 1, ell)
-    except NotCoveredError as exc:
-        raise NotCoveredError(
-            f"rank {2 * n + 1}: companion even-rank query is not covered ({exc})",
-            e0=e0,
-        ) from exc
-    if partner.e0 != e0 + ell // 2:
-        raise NonIntegralResultError(
-            f"rank {2 * n + 1}: companion extremal degree {partner.e0} "
-            f"is not e0 + ell/2 = {e0 + ell // 2}"
-        )
-    half = quantum.as_count(partner.value, 2, "odd-rank halving")
-    report = CountReport(
-        genus=genus,
-        rank=2 * n + 1,
-        ell=ell,
-        e0=e0,
-        applicable=True,
-        value=half,
-        required_w2=e0 % 2,
-        decomposition={
-            "route": "odd_rank_halving",
-            "companion_rank": 2 * n + 2,
-            "companion_e0": partner.e0,
-            **{key: partner.decomposition[key] for key in ("orbits", "points", "sign_check_prime")
-               if key in partner.decomposition},
-        },
-    )
-    _catalog_note(report)
-    return report
-
-
-def count(genus: int, rank: int, ell: int) -> CountReport:
-    """Dispatch on rank parity; parity failures come back as a report with
-    applicable = False instead of an exception."""
-    if rank < 3:
-        raise UnsupportedRankError(f"rank must be >= 3, got {rank}")
-    try:
-        if rank % 2 == 0:
-            return count_even(genus, rank // 2, ell)
-        return count_odd(genus, (rank - 1) // 2, ell)
-    except NotApplicableError as exc:
-        return CountReport(
-            genus=genus, rank=rank, ell=ell, e0=None, applicable=False,
-            reason=f"not applicable: {exc}",
-        )
-    except NotCoveredError as exc:
-        return CountReport(
-            genus=genus, rank=rank, ell=ell, e0=exc.e0, applicable=False,
-            reason=f"not covered: {exc}",
-            required_w2=None if exc.e0 is None else exc.e0 % 2,
-        )
-
-
 def count_float(genus: int, rank: int, ell: int) -> float:
-    """Float fast path mirroring count(); raises the same parity errors, and
-    OverflowError when the count is past the range of a double."""
-    if rank < 3:
-        raise UnsupportedRankError(f"rank must be >= 3, got {rank}")
-    if rank % 2 == 0:
-        n = rank // 2
-        _e0, exponent, rho_power = _count_even_plan(genus, n, ell)
-        return _scaled_sum(False, n, genus, rho_power, exponent)
-    if ell % 2:
-        raise OddEllUnsupportedError(f"odd rank supports even ell only, got {ell}")
-    max_iso_degree(rank, genus, ell)
-    return count_float(genus, rank + 1, ell) / 2.0
+    """Float fast path of count(): the same plan summed in doubles; raises
+    the parity verdicts as exceptions, and OverflowError when the count is
+    past the range of a double."""
+    _e0, n, exponent, rho_power, _keys = _count_plan(genus, rank, ell)
+    return _scaled_sum(False, n, genus, rho_power, exponent)
 
 
 # (rank, ell): hypotheses, their test on g, the closed form and its name.

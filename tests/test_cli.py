@@ -184,13 +184,13 @@ def test_count_json_names_the_orbits_and_the_points(capsys):
 def test_an_off_weight_orbit_sum_exits_1_as_a_failed_proof(monkeypatch, capsys):
     # a plan with one staircase insertion too many puts the orbit sum off the
     # weight condition: that is a failed proof, not bad input
-    real = counting._count_even_plan
+    real = counting._count_plan
 
-    def off_by_one(genus, n, ell):
-        e0, exponent, rho_power = real(genus, n, ell)
-        return e0, exponent, rho_power + 1
+    def off_by_one(genus, rank, ell):
+        e0, n, exponent, rho_power, route_keys = real(genus, rank, ell)
+        return e0, n, exponent, rho_power + 1, route_keys
 
-    monkeypatch.setattr(counting, "_count_even_plan", off_by_one)
+    monkeypatch.setattr(counting, "_count_plan", off_by_one)
     code, out, err = run(["count", "--g", "3", "--rank", "4", "--ell", "0"], capsys)
     assert code == 1
     assert out == ""
@@ -274,7 +274,7 @@ def test_count_not_applicable_exits_3(capsys):
 def test_count_odd_rank_odd_ell_exits_2(capsys):
     code, _, err = run(["count", "--g", "3", "--rank", "3", "--ell", "1"], capsys)
     assert code == 2
-    assert json.loads(err)["error"] == "invalid_input"
+    assert json.loads(err) == {"error": "invalid_input", "reason": "odd rank supports even ell only, got 1"}
 
 
 def test_table_writes_cache(tmp_path, capsys):

@@ -20,9 +20,7 @@ from ogq.counting import (
     OddDegreeUnsupportedError,
     OddEllUnsupportedError,
     count,
-    count_even,
     count_float,
-    count_odd,
     expected_dim,
     expected_dim_t,
     max_iso_degree,
@@ -75,7 +73,7 @@ def test_max_iso_degree_not_applicable():
         max_iso_degree(6, 4, 0)
     with pytest.raises(NotApplicableError):
         max_iso_degree(5, 4, 0)
-    with pytest.raises(NotApplicableError):
+    with pytest.raises(OddEllUnsupportedError):
         max_iso_degree(3, 3, 1)
 
 
@@ -183,27 +181,27 @@ def test_headline_counts(genus, rank, ell, want):
 
 
 def test_count_even_report_details():
-    report = count_even(3, 2, 0)
+    report = count(3, 4, 0)
     assert report.rank == 4 and report.e0 == -2
     assert report.value == 16
     assert report.decomposition["route"] == "even_e0"
     assert report.decomposition["doubled"] is True
     assert report.decomposition["prefactor_log2"] == 3
     assert report.decomposition["staircase_power"] == 0
-    odd_route = count_even(3, 3, 0)
+    odd_route = count(3, 6, 0)
     assert odd_route.value == 128
     assert odd_route.decomposition["route"] == "odd_e0_odd_n"
 
 
 def test_count_even_hand_derived_values():
     # rank 4, g = 2, ell = 1: e0 = 0 and N = 2^4 * (1/8 + 1/8) = 4
-    report = count_even(2, 2, 1)
+    report = count(2, 4, 1)
     assert report.value == 4
     assert report.e0 == 0
     assert report.required_w2 == 0
     assert report.decomposition["doubled"] is False
     # negative ell: rank 4, g = 3, ell = -2 gives e0 = -4 and N = 16
-    report = count_even(3, 2, -2)
+    report = count(3, 4, -2)
     assert report.value == 16
     assert report.e0 == -4
     assert report.decomposition["prefactor_log2"] == 5
@@ -223,9 +221,18 @@ def test_count_odd_halves_the_companion():
 
 def test_count_odd_requires_even_ell():
     with pytest.raises(OddEllUnsupportedError):
-        count_odd(3, 1, 1)
+        counting._count_plan(3, 3, 1)
     with pytest.raises(OddEllUnsupportedError):
         count(3, 3, 1)
+
+
+def test_odd_rank_with_odd_ell_has_one_verdict():
+    # the degree rule itself refuses it, so count and count_float share it
+    with pytest.raises(OddEllUnsupportedError, match="odd rank supports even ell only, got 1"):
+        max_iso_degree(5, 3, 1)
+    for call in (count, count_float):
+        with pytest.raises(OddEllUnsupportedError):
+            call(3, 5, 1)
 
 
 def test_count_not_covered_reports():
@@ -274,6 +281,27 @@ def test_count_float_tracks_exact():
     for genus, rank, ell, want in HEADLINE_COUNTS:
         approx = count_float(genus, rank, ell)
         assert abs(approx - want) <= 1e-6 * want
+    # every rank 3..14 and every ell the float route answers: the exact
+    # count, or the same verdict raised
+    answered = set()
+    for rank in range(3, 15):
+        for ell in range(4):
+            for genus in range(2, 10):
+                try:
+                    report = count(genus, rank, ell)
+                except OddEllUnsupportedError:
+                    with pytest.raises(OddEllUnsupportedError):
+                        count_float(genus, rank, ell)
+                    continue
+                if not report.applicable:
+                    refusal = NotApplicableError if report.e0 is None else NotCoveredError
+                    with pytest.raises(refusal):
+                        count_float(genus, rank, ell)
+                    continue
+                assert count_float(genus, rank, ell) == pytest.approx(report.value, rel=1e-9)
+                answered.add((rank, ell))
+    assert answered == {(rank, ell) for rank in range(3, 15) for ell in range(4)
+                        if rank % 2 == 0 or ell % 2 == 0}
     with pytest.raises(NotApplicableError):
         count_float(4, 6, 0)
 
@@ -402,7 +430,7 @@ def test_alpha_from_elem_matches_alpha_evaluate():
 def test_float_count_with_no_staircase_insertion_runs_no_pfaffian(monkeypatch):
     # rank 16, ell 0: the plan has staircase power 0, so the float route
     # reads S_rho at every point and never P~_rho nor any other class
-    assert counting._count_even_plan(3, 8, 0)[2] == 0
+    assert counting._count_plan(3, 16, 0)[3] == 0
     tables = (quantum._ptilde_rho, quantum._float_staircase, quantum._tables, quantum._float_tables)
     for cached in tables:
         cached.cache_clear()
@@ -433,7 +461,7 @@ def test_counting_sums_never_build_the_full_tables(monkeypatch):
     # Only the n_tilde with an integrand reads the elementary values (a
     # two-argument key); the rest read S_rho.
     exact = count(3, 14, 0).value
-    assert counting._count_even_plan(3, 4, 1)[2] == 3 and count(3, 8, 1).value > 0
+    assert counting._count_plan(3, 8, 1)[3] == 3 and count(3, 8, 1).value > 0
     assert n_tilde(NQuery(2, 3, 0, -4, 0, ptilde_alpha((2,), 2) * ptilde_alpha((2, 1), 2))) == 16
     assert n_tilde(NQuery(300, 4, 0, -598)) > 0
     assert quantum._tables.cache_info().currsize == 0
@@ -455,16 +483,16 @@ def test_prefactor_mismatch_raises_with_a_reason():
 
 
 def test_odd_rank_companion_degree_is_checked(monkeypatch):
-    real = counting.count_even
+    # the odd-rank plan reads its companion's through the module name
+    real = counting._count_plan
 
-    def shifted(genus, n, ell):
-        report = real(genus, n, ell)
-        report.e0 += 2
-        return report
+    def shifted(genus, rank, ell):
+        e0, *rest = real(genus, rank, ell)
+        return (e0 + 2 if rank % 2 == 0 else e0, *rest)
 
-    monkeypatch.setattr(counting, "count_even", shifted)
+    monkeypatch.setattr(counting, "_count_plan", shifted)
     with pytest.raises(NonIntegralResultError, match="companion extremal degree"):
-        count_odd(3, 1, 0)
+        count(3, 3, 0)
 
 
 def test_decimal_string_matches_str_past_the_digit_limit():
@@ -499,7 +527,7 @@ def test_every_count_is_the_full_point_sum(rank):
             report = count(genus, rank, ell)
             if not report.applicable:
                 continue
-            _e0, exponent, rho_power = counting._count_even_plan(genus, n, ell)
+            _e0, _n, exponent, rho_power, _keys = counting._count_plan(genus, 2 * n, ell)
             total = quantum.evaluation_sum(n, genus, (rho(n - 1),) * rho_power)
             full = Fraction(2) ** exponent * total.as_rational()
             assert report.value * (1 if rank % 2 == 0 else 2) == full, (genus, ell)
@@ -620,7 +648,7 @@ def test_even_staircase_powers_run_the_sign_route_and_no_pfaffian_recursion(monk
     # rank 30 and rank 22 at ell 0 have staircase power 2: the exact route
     # reads each factor by its sign, one Pfaffian mod p per representative,
     # and the float route a complex Pfaffian per point, never the recursion
-    assert counting._count_even_plan(3, 15, 0)[2] == counting._count_even_plan(3, 11, 0)[2] == 2
+    assert counting._count_plan(3, 30, 0)[3] == counting._count_plan(3, 22, 0)[3] == 2
     for cached in (quantum._ptilde_rho, quantum._float_staircase, quantum._tables, quantum.orbit_trace):
         cached.cache_clear()
     for module in (symfunc, quantum):
@@ -647,7 +675,7 @@ def test_a_wrong_staircase_root_is_a_failed_proof(monkeypatch, capsys):
 def test_odd_staircase_powers_run_no_pfaffian_recursion(monkeypatch):
     # genus 2: rank 14 at ell 1 needs n(g - 1 - ell) even, and g = 3 is not applicable
     assert not count(3, 14, 1).applicable
-    assert counting._count_even_plan(2, 7, 1)[2] == 3
+    assert counting._count_plan(2, 14, 1)[3] == 3
     for cached in (quantum._ptilde_rho, quantum._float_staircase, quantum._tables, quantum.orbit_trace):
         cached.cache_clear()
     for module in (symfunc, quantum):
@@ -661,7 +689,7 @@ def test_odd_staircase_powers_run_no_pfaffian_recursion(monkeypatch):
 def test_the_float_route_reads_the_same_staircase_sign(n):
     # staircase power 3: one P~_rho factor, exact by its sign mod p, float by
     # a complex Pfaffian
-    assert counting._count_even_plan(2, n, 1)[2] == 3
+    assert counting._count_plan(2, 2 * n, 1)[3] == 3
     exact = count(2, 2 * n, 1).value
     assert count_float(2, 2 * n, 1) == pytest.approx(exact, rel=1e-8)
 
@@ -669,7 +697,7 @@ def test_the_float_route_reads_the_same_staircase_sign(n):
 def test_a_wrong_staircase_root_fails_an_even_power_count(monkeypatch, capsys):
     # rank 14 at ell 0 has staircase power 2: each factor is read by its sign,
     # so a wrong r is caught here too, and the CLI exits 1
-    assert counting._count_even_plan(3, 7, 0)[2] == 2
+    assert counting._count_plan(3, 14, 0)[3] == 2
     real = quantum._staircase_root
     monkeypatch.setattr(quantum, "_staircase_root", lambda m, unit: [3 * c for c in real(m, unit)])
     for cached in (quantum._ptilde_rho, quantum.orbit_trace):
@@ -697,7 +725,7 @@ def test_an_odd_rank_count_names_its_companions_check_prime():
 def test_one_power_of_s_rho_serves_every_ell_at_an_n_and_genus(monkeypatch):
     # rank 16 at genus 4 has staircase powers 0, 3, 2, 1 for ell 0..3, and all
     # four read S_rho^3 at the representatives from one cache key
-    assert [counting._count_even_plan(4, 8, ell)[2] for ell in range(4)] == [0, 3, 2, 1]
+    assert [counting._count_plan(4, 16, ell)[3] for ell in range(4)] == [0, 3, 2, 1]
     quantum.orbit_trace.cache_clear()
     count(4, 16, 0)
     calls = []

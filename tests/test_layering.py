@@ -5,9 +5,9 @@ other ogq modules: a helper one of them needs belongs in that module's
 public API.
 No module holds an assert statement, so every invariant survives `python -O`.
 The size budgets are one policy: only quantum defines a *_MAX_N cap or
-raises SizeBudgetError.  One function in counting reaches the sums, and one
-function in the package raises OverflowError, so no second copy of either
-creeps back."""
+raises SizeBudgetError.  One function in counting reaches the sums, one
+plans a count, and one function in the package raises OverflowError, so no
+second copy of any creeps back."""
 
 import ast
 from pathlib import Path
@@ -177,6 +177,61 @@ def raises_overflow(node) -> bool:
 
 def test_counting_reaches_the_sums_in_one_function():
     assert functions_holding(SRC / "counting.py", names_a_sum) == {"_scaled_sum"}
+
+
+def calls_named(*names):
+    def hit(node) -> bool:
+        return isinstance(node, ast.Call) and getattr(
+            node.func, "id", getattr(node.func, "attr", None)) in names
+    return hit
+
+
+def calls_of(path: Path) -> dict[str, set[str]]:
+    # per top-level function of one module, the names it calls
+    return {node.name: {getattr(call.func, "id", getattr(call.func, "attr", None))
+                        for call in ast.walk(node) if isinstance(call, ast.Call)}
+            for node in ast.parse(path.read_text()).body if isinstance(node, ast.FunctionDef)}
+
+
+def routes_into(graph: dict[str, set[str]], caller: str, targets: set[str]) -> set[str]:
+    # the names caller calls that are targets or reach one through the module's functions
+    def reaches(name, seen):
+        if name in targets:
+            return True
+        if name in seen or name not in graph:
+            return False
+        seen.add(name)
+        return any(reaches(callee, seen) for callee in graph[name])
+
+    return {name for name in graph[caller] if reaches(name, set())}
+
+
+PLANS_AND_SUMS = {"max_iso_degree", "_plan", "orbit_trace", "evaluation_sum"}
+
+
+def test_counting_plans_a_count_in_one_function():
+    path = SRC / "counting.py"
+    assert functions_holding(path, calls_named("max_iso_degree")) == {"_count_plan"}
+    graph = calls_of(path)
+    for caller in ("count", "count_float"):
+        assert routes_into(graph, caller, PLANS_AND_SUMS) == {"_count_plan", "_scaled_sum"}
+
+
+def test_the_plan_guards_fire(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "def _count_plan(g):\n"
+        "    return max_iso_degree(g), _count_plan(g - 1)\n"
+        "def _scaled_sum(n):\n"
+        "    return quantum.orbit_trace(n)\n"
+        "def _helper(n):\n"
+        "    return _plan(n)\n"
+        "def count(g):\n"
+        "    return _scaled_sum(*_count_plan(g)), _helper(g), max_iso_degree(g), len(g)\n"
+    )
+    assert functions_holding(probe, calls_named("max_iso_degree")) == {"_count_plan", "count"}
+    assert routes_into(calls_of(probe), "count", PLANS_AND_SUMS) == {
+        "_scaled_sum", "_count_plan", "_helper", "max_iso_degree"}
 
 
 def test_one_function_in_the_package_raises_overflow_error():
