@@ -15,8 +15,8 @@ medians, the metric's bound from the parent's BENCHMARK.json, one verdict
 (see verdict): "worse past the bound", "unresolved" or "within the bound",
 and whether the change shows a gain on it (see gain).  A note follows when
 the two sides' median `workers.untraced` differ: a worker's `peak_rss_mb`
-then follows the peak of the driver that started it, which grows with the
-number of workers, not the change.
+then follows the peak of the perfbench/run.py process that started it,
+which grows with the number of workers, not the change.
 
 Standard library only; it imports nothing from ogq and writes nothing in
 either checkout beyond what perfbench/run.py itself does.
@@ -64,7 +64,8 @@ def gain(parent: list[float], change: list[float], lower: bool) -> bool:
     every 10 pairs and its median beats the parent's by more than the
     parent's interquartile range."""
     (pm, p1, p3), cm = spread(parent), spread(change)[0]
-    return 10 * wins(parent, change, lower) >= 9 * len(parent) and ((pm - cm) if lower else (cm - pm)) > p3 - p1
+    margin = (pm - cm) if lower else (cm - pm)
+    return 10 * wins(parent, change, lower) >= 9 * len(parent) and margin > p3 - p1
 
 
 def untraced_note(parent: list[int], change: list[int]) -> str | None:
@@ -73,7 +74,7 @@ def untraced_note(parent: list[int], change: list[int]) -> str | None:
     if pm == cm:
         return None
     return (f"note: median workers.untraced differ, parent {pm:g} -> change {cm:g}: "
-            "peak_rss_mb follows the driver's own peak, not the change")
+            "peak_rss_mb follows run.py's own peak, not the change")
 
 
 def verdict(parent: list[float], change: list[float], lower: bool, bound: float) -> tuple[float, str]:

@@ -224,15 +224,11 @@ def test_count_odd_requires_even_ell():
         counting._count_plan(3, 3, 1)
     with pytest.raises(OddEllUnsupportedError):
         count(3, 3, 1)
-
-
-def test_odd_rank_with_odd_ell_has_one_verdict():
-    # the degree rule itself refuses it, so count and count_float share it
+    # one verdict: the degree rule itself refuses it, and count_float shares it
     with pytest.raises(OddEllUnsupportedError, match="odd rank supports even ell only, got 1"):
         max_iso_degree(5, 3, 1)
-    for call in (count, count_float):
-        with pytest.raises(OddEllUnsupportedError):
-            call(3, 5, 1)
+    with pytest.raises(OddEllUnsupportedError):
+        count_float(3, 5, 1)
 
 
 def test_count_not_covered_reports():
