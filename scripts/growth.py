@@ -8,8 +8,9 @@ process that imports ogq from this checkout's src/ and makes one cold call:
 `ogq table` at n = 8 and 9, `ogq qmul` at n = 9, structure_table(9),
 count(3, r, 0) for r = 32..40 even, count(400, 40, 0),
 `count_subbundles.py --max-rank 40`, a cold exact gw of four of the longest
-classes at n = 10 (GW_SUM_MAX_N), the trace route at n = 9, and the tier-1
-tests.  Per figure it records:
+classes at n = 10 (GW_SUM_MAX_N) and its float route, count_float(3, 24, 0)
+at the float route's cap, the trace route at n = 9, and the tier-1 tests.
+Per figure it records:
 
 - `cpu_s`: the median CPU time of the call (time.process_time in the child,
   imports excluded);
@@ -118,6 +119,10 @@ FIGURES: dict[str, dict] = {
                                         "'--max-rank', '40')", "keep_stdout": True, "parts": "[]"},
     "gw_n10_four_long": {"call": f"quantum.gw_invariant(quantum.GWQuery(10, 1, 9, {LONG_10!r}))",
                          "keep_stdout": False, "parts": "[counting.decimal_string(answer)]"},
+    "gw_float_n10_four_long": {"call": f"quantum.gw_invariant_float(quantum.GWQuery(10, 1, 9, {LONG_10!r}))",
+                               "keep_stdout": False, "parts": "[repr(answer)]"},
+    "count_float_3_24_0": {"call": "counting.count_float(3, 24, 0)", "keep_stdout": False,
+                           "parts": "[repr(answer)]"},
     "trace_n9": {"call": f"quantum.trace_invariant(quantum.GWQuery(9, 2, 5, "
                          f"(partitions.rho(8), (8,))))",
                  "keep_stdout": False, "parts": "[counting.decimal_string(answer)]"},

@@ -8,14 +8,14 @@ intersection number), verify (self-check suites).
 Exit codes: 0 success, 1 verification failure (a failed proof,
 cyclotomic.ProofFailure: a result that is not a nonnegative integer, a sum
 off the weight condition, a value that is not rational, a fused dot past its
-slot, a staircase Pfaffian off its square mod p), 2 invalid input (a bad
-argument, or partitions.InvalidInput from the library), 3 not
-applicable, not covered or past a size budget (a refusal, quantum.Refusal:
-the structure table, which table, qmul and gw --trace read, past n = 9; gw
-on the weight condition past n = 10; a count past n = 20), 4 I/O failure,
-5 internal error (any other exception: a fault of the program).  The library
-decides every verdict and refuses past its size budgets, whose caps all live
-in quantum; this module only maps the verdicts to exit codes.
+slot, a staircase Pfaffian off its square mod p, an S_rho that is 0), 2
+invalid input (a bad argument, or partitions.InvalidInput from the library),
+3 not applicable, not covered or past a size budget (a refusal,
+quantum.Refusal: the structure table, which table, qmul and gw --trace read,
+past n = 9; gw on the weight condition past n = 10; a count past n = 20), 4
+I/O failure, 5 internal error (any other exception: a fault of the program).
+The library decides every verdict and refuses past its size budgets, whose
+caps all live in quantum; this module only maps the verdicts to exit codes.
 """
 
 from __future__ import annotations

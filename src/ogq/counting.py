@@ -8,8 +8,8 @@ scaled sum (_scaled_sum) carries every number: a power of two times a sum
 over the evaluation tuples of staircase-Schur powers, staircase P~ powers
 and an integrand.  Its exact value is summed over the affine orbits of the
 tuples (quantum.orbit_trace, a few traces over one denominator), its float
-value over all 2^(n-1) tuples (evaluation_sum), so `--mode float` is an
-independent summation of the same formula.  One plan (_plan) picks the
+value over all 2^(n-1) complex points (evaluation_sum), so `--mode float`
+is an independent summation of the same formula.  One plan (_plan) picks the
 power of two and the staircase power at rank 2n and degree e; n_tilde's
 plan (_n_tilde_plan) and the one count plan (_count_plan), which count and
 count_float share for both rank parities, read it.  The intermediate
@@ -27,8 +27,7 @@ e_0 odd raises NotCoveredError (the two documented low-rank values in that
 regime are quoted in the diagnostic, not computed).  Both are refusals
 (quantum.Refusal), as is a query past a size budget (the caps EXACT_MAX_N
 and FLOAT_MAX_N live in quantum, and the scaled sum checks its route's cap
-before anything is enumerated) and an integrand the float route does not
-evaluate, one whose terms on the expected weight are not a constant.
+before anything is enumerated).
 """
 
 from __future__ import annotations
@@ -159,8 +158,7 @@ def _scaled_sum(exact: bool, n: int, genus: int, staircases: int, exponent: int,
     # * P~_rho^staircases * the integrand (None: 1), under the route's cap,
     # checked before the staircase is built: exact as (numerator,
     # denominator) from the orbit trace, else a double from the full float
-    # sum, which takes a constant integrand only.  Every count and n_tilde
-    # is this sum.
+    # sum.  Every count and n_tilde is this sum.
     quantum.check_budget(n, "exact" if exact else "float")
     if integrand is not None and not integrand:  # no term: nothing to sum
         return (0, 1) if exact else 0.0
@@ -168,10 +166,12 @@ def _scaled_sum(exact: bool, n: int, genus: int, staircases: int, exponent: int,
     if exact:
         num, den = quantum.orbit_trace(n, genus, insertions, q_poly=integrand)
         return (num << exponent, den) if exponent >= 0 else (num, den << -exponent)
-    if integrand is not None and integrand.weighted_degree():
-        raise Refusal("the float route evaluates only the constant integrand")
-    total = quantum.evaluation_sum(n, genus, insertions, exact=False)
-    return quantum.scaled_double(total if integrand is None else total * float(integrand.terms[0][1]), exponent)
+    # the float sum reads Q term by term at a_i = e_i/2 = P~_(i), as more
+    # insertions; a term with an a_i past m is 0
+    terms = (((), 1),) if integrand is None else integrand.terms
+    return quantum.scaled_double(sum(float(c) * quantum.evaluation_sum(
+        n, genus, insertions + tuple((i,) for i, p in enumerate(exps, 1) for _ in range(p)), exact=False)
+        for exps, c in terms if len(exps) < n), exponent)
 
 
 def _n_tilde_plan(query: NQuery) -> tuple[int, int, int, int, AlphaPolynomial | None]:
@@ -206,9 +206,8 @@ def n_tilde_sign_prime(query: NQuery) -> int | None:
 
 
 def n_tilde_float(query: NQuery) -> float:
-    """Float fast path of n_tilde, where the integrand's terms on the expected
-    weight are a constant (0.0 with none), else a Refusal; raises
-    OverflowError when the value is past the range of a double."""
+    """Float fast path of n_tilde, for any integrand (0.0 with no term on the
+    expected weight); raises OverflowError past the range of a double."""
     return _scaled_sum(False, *_n_tilde_plan(query))
 
 
@@ -329,7 +328,7 @@ def count(genus: int, rank: int, ell: int) -> CountReport:
     representative: the square is checked mod p, not proved, and the
     decomposition names p (quantum.sign_check_prime).  Outside this call,
     `--mode float` re-sums the same plan over all 2^(n-1) points in complex
-    doubles, with the sign from a complex Pfaffian, and `verify`'s
+    doubles from the complex points, with no prime, and `verify`'s
     trivial-bundle bridge compares n_tilde with Gromov-Witten invariants
     (whose exact sum reads P~_rho's sign mod the same p).
     """

@@ -39,16 +39,16 @@ TableEntry objects from them on each call.
 
 evaluation_sum keeps the sum over all 2^m points, exact (products in Z[w],
 P~_rho by the same sign route mod p, then one CycloNum product by the S_rho
-power) or through the complex embedding (P~_rho from a complex Pfaffian,
-with no prime), building only the classes it reads.  It carries the
-invariants here (gw_invariant, hence three_point) and every float route, an
-independent summation that cross-checks the orbit route.  The table rows
-yield one cached quantum ring, at q = 1 on integers (_product_lookup): per
-class, multiplication rows over the basis positions.  The graded quantum
-product reads each degree back from the weights, as the table fixes it; the
-quantum Euler class and an independent trace-formula route to every
-positive-genus invariant (_mult_trace_weights) multiply in the same rows,
-cross-checking the direct sum.
+power) or in complex doubles from the complex points alone (every P~ by
+_pair_pfaffian, the evaluator that also gives P~_rho's sign mod p), building
+only the classes it reads.  It carries gw_invariant (hence three_point) and
+every float route, which shares only the residues and the formula with the
+exact routes.  The table rows yield one cached quantum ring, at q = 1 on
+integers (_product_lookup): per class, multiplication rows over the basis
+positions.  The graded quantum product reads each degree back from the
+weights, as the table fixes it; the quantum Euler class and an independent
+trace-formula route to every positive-genus invariant (_mult_trace_weights)
+multiply in the same rows, cross-checking the direct sum.
 
 The size budgets live here, four caps and one checker (check_budget) called
 where each route starts.  A verdict is a library type: a Refusal (not
@@ -315,12 +315,15 @@ def _point_table(n: int, orbits: bool, elem: bool = True) -> tuple[tuple[int, li
     # unless elem; readers of e call with two arguments) and S_rho, at every
     # point in eval_points order (weight 1) or, with orbits, at the orbit
     # representatives (weight |O|), all from the residues.  The rows with e
-    # take S_rho from the rows without.
+    # take S_rho from the rows without, which check once that it is nonzero.
     order = session_order(n)
     if elem:
         return tuple((w, _elementary(residues, order), s)
                      for (residues, _), (w, _e, s) in zip(_rows(n, orbits), _point_table(n, orbits, False)))
-    return tuple((size, None, _staircase_schur(residues, order)) for residues, size in _rows(n, orbits))
+    rows = tuple((size, None, _staircase_schur(residues, order)) for residues, size in _rows(n, orbits))
+    if zero := [residues for (residues, _), (_w, _e, s) in zip(_rows(n, orbits), rows) if not any(s)]:
+        raise ProofFailure(f"S_rho is 0 at the residues {zero[0]} of n = {n}, where no two coordinates are antipodal")
+    return rows
 
 
 @lru_cache(maxsize=None)
@@ -350,29 +353,30 @@ def _staircase_root(m: int, unit: int) -> list[int]:
     return _reduce(root, 4 * m)
 
 
-def _staircase_pfaffian(xs: list, inverse, norm):
-    # 2^m * P~_rho at the point x_1..x_m of any field (norm maps into it): the
-    # Pfaffian of the pair matrix over rho's parts, 4 * P~_(a,b) = e_a e_b +
-    # 2 sum_k (-1)^k e_(a+k) e_(b-k), k = 1..b, with a 0 part appended for odd
-    # m, whose column is e_a.  With f_j = (-1)^j e_j the sum is (-1)^a
-    # conv_a(a + b), conv_a(s) = sum over j > a of f_j e_(s-j), grown as a
-    # falls: O(m^2).
+def _pair_pfaffian(parts: Partition, xs: list, inverse, norm):
+    # 2^len * P~_parts, parts strict and at most m, at the point x_1..x_m of
+    # any field (norm maps into it): the Pfaffian of the pair matrix, 4 *
+    # P~_(a,b) = e_a e_b + 2 sum_k (-1)^k e_(a+k) e_(b-k), k = 1..b, with a 0
+    # part appended for odd length, whose column is e_a.  With f_j = (-1)^j e_j
+    # the sum is (-1)^a conv_a(a + b), conv_a(s) = sum over j > a of f_j
+    # e_(s-j), grown over every j as a falls: O(m^2).
     m = len(xs)
     e = [1] + [0] * m
     for i, x in enumerate(xs, 1):
         for k in range(i, 0, -1):
             e[k] = norm(e[k] + x * e[k - 1])
-    parts = list(range(m, 0, -1)) + [0] * (m % 2)
+    parts = list(parts) + [0] * (len(parts) % 2)
     rows = [[0] * len(parts) for _ in parts]
     conv = [0] * (2 * m + 1)
-    for i, a in enumerate(parts):
+    for i, a in enumerate(parts[:-1]):  # the last row is filled by antisymmetry
+        for j in range(parts[i - 1] if i else m, a, -1):
+            f = -e[j] if j % 2 else e[j]
+            for k in range(m + 1):
+                conv[j + k] = norm(conv[j + k] + f * e[k])
         sign = -2 if a % 2 else 2
         for j in range(i + 1, len(parts)):
             value = norm(e[a] * e[parts[j]] + sign * conv[a + parts[j]])
             rows[i][j], rows[j][i] = value, norm(-value)
-        f = -e[a] if a % 2 else e[a]
-        for k in range(m + 1):
-            conv[a + k] = norm(conv[a + k] + f * e[k])
     # Elimination, O(m^3): with A_0j row 0's largest entry, clear the rest of
     # row and column 0 by the congruence row_i -= c_i row_j, col_i -= c_i
     # col_j, c_i = A_0i / A_0j; then Pf(A) = (-1)^(j-1) A_0j Pf(A') on the
@@ -412,7 +416,7 @@ def _ptilde_rho(n: int, orbits: bool) -> tuple[list[int], ...]:
     for residues, _size in _rows(n, orbits):
         # e_m = w^(sum t) = +-1: the base exponents sum to 0, each upper antipode adds 2m
         unit = -1 if sum(residues) % order else 1
-        value = _staircase_pfaffian([powers[t] for t in residues], inverse, norm)
+        value = _pair_pfaffian(partitions.rho(m), [powers[t] for t in residues], inverse, norm)
         if value not in (images[unit], -images[unit] % p):
             raise StaircaseSignError(f"2^m * P~_rho at the residues {residues} of n = {n} is {value} mod {p}, "
                                      f"neither r nor -r: the staircase square fails")
@@ -591,39 +595,33 @@ def _float_tables(n: int) -> tuple[dict[Partition, complex], ...]:
     return tuple({} for _ in range(1 << n - 1))
 
 
+def _complex_points(n: int) -> list[list[complex]]:
+    # x_k = exp(i pi t_k / 2m) in complex doubles at every point, from the residues
+    roots = [cmath.exp(1j * math.pi * t / (2 * n - 2)) for t in range(session_order(n))]
+    return [[roots[t] for t in residues] for residues, _w in _rows(n, False)]
+
+
 def _column(n: int, lam: Partition, exact: bool) -> list:
-    # 2^len * P~_lam in Z[w] (exact), else P~_lam = sum c_k w^k / 2^len in
-    # complex doubles (Horner), at every point; built into the tables on the
-    # first read, in point order, so a build cut short misses the last point.
+    # 2^len * P~_lam at every point in Z[w] (exact), else P~_lam in complex
+    # doubles by _pair_pfaffian at the complex points, with nothing from the
+    # exact route; built into the tables on the first read, in point order,
+    # so a build cut short misses the last point.
     tables = _tables(n) if exact else _float_tables(n)
     if lam not in tables[-1]:
-        order = session_order(n)
         if exact:
             for (_w, elem, _s), memo in zip(_point_table(n, False), tables):
-                _int_ptilde(lam, elem, order, memo)
+                _int_ptilde(lam, elem, session_order(n), memo)
         else:
-            root, den = cmath.exp(2j * math.pi / order), 2 ** len(lam)
-            for value, slot in zip(_column(n, lam, True), tables):
-                slot[lam] = reduce(lambda acc, c: acc * root + c, reversed(value), 0j) / den
+            for xs, slot in zip(_complex_points(n), tables):
+                slot[lam] = _pair_pfaffian(lam, xs, (1 + 0j).__truediv__, operator.pos) / 2 ** len(lam)
     return [table[lam] for table in tables]
 
 
 @lru_cache(maxsize=None)
 def _float_schur(n: int) -> tuple[complex, ...]:
-    # Complex-double image of S_rho at every point, for the float path, by
-    # Horner's rule on the integers as in _column.
-    root = cmath.exp(2j * math.pi / session_order(n))
-    return tuple(reduce(lambda acc, c: acc * root + c, reversed(s), 0j)
-                 for _w, _e, s in _point_table(n, False, False))
-
-
-@lru_cache(maxsize=None)
-def _float_staircase(n: int) -> tuple[complex, ...]:
-    # P~_rho at every point by a complex Pfaffian of the complex pair matrix,
-    # O(m^3) per point with no prime: the float route's own P~_rho, square and sign.
-    return tuple(_staircase_pfaffian([cmath.exp(1j * math.pi * t / (2 * n - 2)) for t in residues],
-                                     (1 + 0j).__truediv__, complex) / 2 ** (n - 1)
-                 for residues, _w in _rows(n, False))
+    # S_rho = e_m * prod_{i<j} (x_i + x_j) at every complex point, for the float route
+    return tuple(math.prod(xs) * math.prod(x + y for x, y in itertools.combinations(xs, 2))
+                 for xs in _complex_points(n))
 
 
 def evaluation_sum(n: int, genus: int, insertions: tuple[Partition, ...] = (), *,
@@ -631,15 +629,15 @@ def evaluation_sum(n: int, genus: int, insertions: tuple[Partition, ...] = (), *
     """The closed formula's sum over the evaluation points of OG(n)_0:
     S_rho^(genus-1) * prod of P~_lam over the insertions.
 
-    A CycloNum when exact, otherwise its complex-double image.  An exact
-    point multiplies 2^len * P~_lam in Z[w] (P~_rho by its sign mod p), then
-    once in CycloNum, over 2^(sum of lengths), by S_rho^(genus-1).
+    A CycloNum when exact: a point multiplies 2^len * P~_lam in Z[w] (P~_rho
+    by its sign mod p), then once in CycloNum, over 2^(sum of lengths), by
+    S_rho^(genus-1).  Otherwise a complex double from the complex points
+    alone, every class (P~_rho too) a complex Pfaffian.
     """
     if n < 2:
         raise UnsupportedRankError(f"n must be >= 2, got {n}")
     order, staircase = session_order(n), partitions.rho(n - 1)
-    columns = [(_ptilde_rho(n, False) if exact else _float_staircase(n)) if lam == staircase
-               else _column(n, lam, exact) for lam in insertions]
+    columns = [_ptilde_rho(n, False) if exact and lam == staircase else _column(n, lam, exact) for lam in insertions]
     if not exact:
         spows = [s ** (genus - 1) for s in _float_schur(n)]
         return sum((reduce(operator.mul, row) for row in zip(*columns, spows)), 0j)
@@ -669,7 +667,7 @@ def gw_invariant(query: GWQuery) -> int:
 
 
 def gw_invariant_float(query: GWQuery) -> float:
-    """Float fast path for the same sum, via the complex embedding, under the
+    """Float fast path for the same sum, from the complex points, under the
     same budget; raises OverflowError when the result is not a finite double."""
     if not degree_ok(query):
         return 0.0

@@ -1,6 +1,8 @@
 """The command line, run in process through cli.main."""
 
+import itertools
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -566,18 +568,19 @@ def test_ntilde_float_mode_reports_an_unrepresentable_value(capsys):
     assert out.splitlines() == [doc["value"], f"float route: {doc['float_note']}"]
 
 
-def test_ntilde_float_mode_reports_a_non_constant_integrand(capsys):
-    # the float route evaluates only Q = 1: it says so, as for a value past the doubles
+def test_ntilde_float_mode_checks_a_non_constant_integrand(capsys):
+    # the float route evaluates Q = a1^2 from the complex e's, and agrees
     argv = ["ntilde", "--g", "3", "--n", "2", "--ell", "0", "--e", "-4", "--Q", "a1^2", "--mode", "float"]
     code, out, _ = run(argv + ["--format", "json"], capsys)
     assert code == 0
     doc = json.loads(out)
-    assert doc["float_value"] is None
-    assert doc["float_note"] == "the float route evaluates only the constant integrand"
-    assert "float_agrees" not in doc
+    assert doc["value"] == "8"
+    assert doc["float_value"] == pytest.approx(8.0, rel=1e-9)
+    assert doc["float_agrees"] is True
+    assert "float_note" not in doc
     code, out, _ = run(argv, capsys)
     assert code == 0
-    assert out.splitlines() == [doc["value"], f"float route: {doc['float_note']}"]
+    assert out.splitlines() == [doc["value"], f"float route: {doc['float_value']!r} (agree)"]
 
 
 def test_ntilde_not_covered_exits_3(capsys):
@@ -657,12 +660,12 @@ def test_every_bare_input_check_raises_the_input_type(call):
         call()
 
 
-def test_an_integrand_the_float_route_cannot_evaluate_is_a_refusal():
-    # not bad input: the exact route answers the same query
+def test_the_float_route_evaluates_every_integrand():
+    # the exact and the float route answer the same query; only its a1^2
+    # term is on the expected weight
     query = counting.NQuery(3, 2, 0, -4, 0, symfunc.parse_alpha_poly("a1^2 + a1"))
     assert counting.n_tilde(query) == 8
-    with pytest.raises(quantum.Refusal, match="only the constant integrand"):
-        counting.n_tilde_float(query)
+    assert counting.n_tilde_float(query) == pytest.approx(8.0, rel=1e-9)
 
 
 def test_a_plain_value_error_in_gw_is_a_fault_not_bad_input(monkeypatch, capsys):
@@ -687,3 +690,83 @@ def test_verify_failure_exits_1(monkeypatch, capsys):
     code, out, _ = run(["verify", "--suite", "counts"], capsys)
     assert code == 1
     assert "FAIL" in out and "boom" in out
+
+
+@pytest.fixture
+def cold_caches():
+    # quantum's caches empty before the test and after it, so that no value
+    # built under a patched function outlives the patch
+    def clear():
+        for value in vars(quantum).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+
+    clear()
+    yield
+    clear()
+
+
+def _schur_rotated_off_by_two(residues, order):
+    # quantum._staircase_schur with each rotation by t - s made by t - s + 2
+    schur = [1] + [0] * (order // 2 - 1)
+    for s, t in itertools.combinations(residues, 2):
+        schur = list(map(operator.add, schur, quantum._turn(schur, t - s + 2)))
+    m = len(residues)
+    return quantum._reduce(quantum._turn(schur, sum((m - i) * t for i, t in enumerate(residues))), order)
+
+
+def test_a_wrong_exact_schur_row_does_not_move_the_float_count(monkeypatch, capsys, cold_caches):
+    # with the exact S_rho rows rotated off by two, the rank-10 count would
+    # read 0; the float route computes S_rho from the complex points and
+    # still reads 49152, and the CLI exits 1 (the zero rows are caught first)
+    monkeypatch.setattr(quantum, "_staircase_schur", _schur_rotated_off_by_two)
+    assert counting.count_float(3, 10, 0) == pytest.approx(49152, rel=1e-9)
+    with pytest.raises(cyclotomic.ProofFailure, match="S_rho is 0"):
+        counting.count(3, 10, 0)
+    code, out, err = run(["count", "--g", "3", "--rank", "10", "--ell", "0", "--mode", "float",
+                          "--format", "json"], capsys)
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "verification_failure"
+
+
+def test_a_wrong_exact_pair_value_does_not_move_the_float_gw(monkeypatch, capsys, cold_caches):
+    # _int_ptilde's two-row form with +1 for +2 (the k = 2 term counted once):
+    # the exact genus-0 invariant reads 4, the float route, its own complex
+    # Pfaffians, still 6, and the CLI exits 1 with float_agrees false
+    real = symfunc._int_ptilde
+
+    def mutant(parts, evals, order, memo):
+        if len(parts) == 2 and parts[1] >= 2 and parts not in memo:
+            a, b = parts
+            e = [*evals, *[[0] * len(evals[0])] * 3]
+            value = real(parts, evals, order, memo)
+            memo[parts] = [v - t for v, t in zip(value, cyclotomic.int_mul(e[a + 2], e[b - 2], order))]
+        return real(parts, evals, order, memo)
+
+    for module in (symfunc, quantum):
+        monkeypatch.setattr(module, "_int_ptilde", mutant)
+    query = quantum.GWQuery(6, 0, 2, ((3,), (5, 3), (5, 4, 1), (5, 4, 3, 2)))
+    assert quantum.gw_invariant(query) == 4
+    assert quantum.gw_invariant_float(query) == pytest.approx(6, rel=1e-9)
+    code, out, _ = run(["gw", "--n", "6", "--g", "0", "--d", "2", "--insertions", "3;5,3;5,4,1;5,4,3,2",
+                        "--mode", "float", "--format", "json"], capsys)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["value"] == "4" and doc["float_agrees"] is False
+    assert doc["float_value"] == pytest.approx(6, rel=1e-9)
+
+
+def test_a_zero_staircase_schur_row_is_a_failed_proof(monkeypatch, capsys, tmp_path, cold_caches):
+    # S_rho = e_m * prod (x_i + x_j) is nonzero at every point, as no two
+    # coordinates are antipodal: a zero row fails the proof (exit 1) before
+    # any inverse of it is taken (exit 5), in the table and in a genus-0 sum
+    real, first = quantum._staircase_schur, quantum._residues(2, 0)
+    monkeypatch.setattr(quantum, "_staircase_schur", lambda residues, order: (
+        [0] * len(real(residues, order)) if residues == first else real(residues, order)))
+    for argv in (["table", "--n", "3", "--cache-dir", str(tmp_path)],
+                 ["gw", "--n", "3", "--g", "0", "--d", "0", "--insertions", "1;2"]):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (1, ""), argv
+        doc = json.loads(err)
+        assert doc["error"] == "verification_failure"
+        assert doc["reason"].startswith(f"S_rho is 0 at the residues {first} of n = 3")

@@ -2,6 +2,7 @@
 intersection numbers, and the subbundle counts."""
 
 import hashlib
+import itertools
 import json
 import random
 import sys
@@ -149,6 +150,16 @@ def test_n_tilde_float_matches_exact():
     q = NQuery(3, 2, 0, -2)
     assert abs(n_tilde_float(q) - 8.0) <= 1e-6 * 8.0
     assert n_tilde_float(NQuery(3, 2, 0, -2, 0, parse_alpha_poly("a1"))) == 0.0
+    # any integrand: the float route evaluates Q at a_i = e_i/2 from the
+    # complex e's; the zeros come back up to rounding
+    nonzero = 0
+    for text in ("a1", "a1^2 + a1 + 3", "a2^2 - a1^4 + a1"):
+        for n, e, u in itertools.product(range(2, 6), (-2, -4, -6), range(3)):
+            query = NQuery(3, n, 0, e, u, parse_alpha_poly(text))
+            exact = n_tilde(query)
+            assert n_tilde_float(query) == pytest.approx(exact, rel=1e-9, abs=1e-9), (text, n, e, u)
+            nonzero += exact != 0
+    assert nonzero == 12
 
 
 HEADLINE_COUNTS = [
@@ -224,6 +235,8 @@ def test_count_odd_requires_even_ell():
         counting._count_plan(3, 3, 1)
     with pytest.raises(OddEllUnsupportedError):
         count(3, 3, 1)
+    with pytest.raises(OddEllUnsupportedError):
+        count(3, 5, 1)
     # one verdict: the degree rule itself refuses it, and count_float shares it
     with pytest.raises(OddEllUnsupportedError, match="odd rank supports even ell only, got 1"):
         max_iso_degree(5, 3, 1)
@@ -427,17 +440,18 @@ def test_float_count_with_no_staircase_insertion_runs_no_pfaffian(monkeypatch):
     # rank 16, ell 0: the plan has staircase power 0, so the float route
     # reads S_rho at every point and never P~_rho nor any other class
     assert counting._count_plan(3, 16, 0)[3] == 0
-    tables = (quantum._ptilde_rho, quantum._float_staircase, quantum._tables, quantum._float_tables)
+    tables = (quantum._ptilde_rho, quantum._tables, quantum._float_tables)
     for cached in tables:
         cached.cache_clear()
 
     def refuse(*args):
-        raise AssertionError("the Pfaffian recursion ran")
+        raise AssertionError("a Pfaffian ran")
 
     for module in (symfunc, quantum):
         monkeypatch.setattr(module, "_int_ptilde", refuse)
+    monkeypatch.setattr(quantum, "_pair_pfaffian", refuse)
     assert count_float(3, 16, 0) == pytest.approx(count(3, 16, 0).value, rel=1e-9)
-    assert [cached.cache_info().currsize for cached in tables] == [0, 0, 0, 0]
+    assert [cached.cache_info().currsize for cached in tables] == [0, 0, 0]
 
 
 def test_counting_sums_never_build_the_full_tables(monkeypatch):
@@ -645,7 +659,7 @@ def test_even_staircase_powers_run_the_sign_route_and_no_pfaffian_recursion(monk
     # reads each factor by its sign, one Pfaffian mod p per representative,
     # and the float route a complex Pfaffian per point, never the recursion
     assert counting._count_plan(3, 30, 0)[3] == counting._count_plan(3, 22, 0)[3] == 2
-    for cached in (quantum._ptilde_rho, quantum._float_staircase, quantum._tables, quantum.orbit_trace):
+    for cached in (quantum._ptilde_rho, quantum._float_tables, quantum._tables, quantum.orbit_trace):
         cached.cache_clear()
     for module in (symfunc, quantum):
         monkeypatch.setattr(module, "_int_ptilde", _refuse)
@@ -672,13 +686,25 @@ def test_odd_staircase_powers_run_no_pfaffian_recursion(monkeypatch):
     # genus 2: rank 14 at ell 1 needs n(g - 1 - ell) even, and g = 3 is not applicable
     assert not count(3, 14, 1).applicable
     assert counting._count_plan(2, 14, 1)[3] == 3
-    for cached in (quantum._ptilde_rho, quantum._float_staircase, quantum._tables, quantum.orbit_trace):
+    for cached in (quantum._ptilde_rho, quantum._float_tables, quantum._tables, quantum.orbit_trace):
         cached.cache_clear()
     for module in (symfunc, quantum):
         monkeypatch.setattr(module, "_int_ptilde", _refuse)
     assert count(2, 14, 1).value == 54272
     assert count_float(2, 14, 1) == pytest.approx(54272, rel=1e-9)
     assert quantum._tables.cache_info().currsize == 0
+
+
+def test_a_cold_float_count_and_n_tilde_read_nothing_of_the_exact_route():
+    # the independence guard for the counts: the float sums, a staircase
+    # factor and an integrand included, build no exact row, table, staircase
+    # sign or S_rho power
+    exact_caches = (quantum._point_table, quantum._tables, quantum._ptilde_rho, quantum._schur_powers)
+    for cached in exact_caches:
+        cached.cache_clear()
+    assert count_float(2, 14, 1) == pytest.approx(54272, rel=1e-9)
+    assert n_tilde_float(NQuery(3, 3, 0, -6, 2, parse_alpha_poly("a1^2 + a1 + 3"))) == pytest.approx(192, rel=1e-9)
+    assert [cached.cache_info().currsize for cached in exact_caches] == [0] * 4
 
 
 @pytest.mark.parametrize("n", range(2, 13))

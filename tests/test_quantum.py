@@ -584,13 +584,20 @@ def test_gw_float_path_tracks_exact_values():
         assert abs(approx - exact) <= 1e-6 * max(1.0, abs(exact))
 
 
+def _close(z, want):
+    # a complex double of the float route against the exact value's image,
+    # up to rounding
+    want = complex(want)
+    return abs(z - want) <= 1e-12 * max(1.0, abs(want))
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_staircase_table_matches_full_tables(n):
     staircase = rho(n - 1)
     order = session_order(n)
     basis = all_strict(n - 1)
     rows = quantum._point_table(n, False)
-    ptildes, ptildes_c = quantum._ptilde_rho(n, False), quantum._float_staircase(n)
+    ptildes, ptildes_c = quantum._ptilde_rho(n, False), quantum._column(n, staircase, False)
     schurs_c = quantum._float_schur(n)
     # every class read on demand, exact and complex, at every point
     ints = {lam: quantum._column(n, lam, True) for lam in basis}
@@ -606,14 +613,15 @@ def test_staircase_table_matches_full_tables(n):
         assert schur_rho == schur_value(staircase, ep.point)
         want = ptilde_value(staircase, ep.point)
         assert CycloNum.from_ints(order, ptilde, 2 ** (n - 1)) == want
-        assert schur_c == schur_rho.embed_complex()
-        # the float P~_rho is a Pfaffian in complex doubles of its own, so it
+        # the float route computes from the complex points, in complex
+        # doubles of its own (S_rho as a product, every P~ a Pfaffian), so it
         # agrees up to rounding
-        assert ptilde_c == pytest.approx(want.embed_complex(), abs=1e-12)
+        assert _close(schur_c, schur_rho.embed_complex())
+        assert _close(ptilde_c, want.embed_complex())
         for lam in basis:
             value = CycloNum.from_ints(order, ints[lam][k], 2 ** len(lam))
             assert value == ptilde_value(lam, ep.point)
-            assert floats[lam][k] == value.embed_complex()
+            assert _close(floats[lam][k], value.embed_complex())
     # the memo holds only strict partitions of the basis, the same at every point
     assert all(table.keys() == set(basis) for table in quantum._tables(n))
     assert all(table.keys() == set(basis) for table in quantum._float_tables(n))
@@ -663,18 +671,22 @@ def test_a_cold_sum_reads_only_the_classes_it_needs(exact):
     n, classes = 10, ((9, 5, 3, 2, 1), (8, 6, 2), (7, 4), (6, 5, 4, 1))
     query = GWQuery(n, 1, 6, classes + (rho(9),))
     assert degree_ok(query)
-    quantum._tables.cache_clear()
-    quantum._float_tables.cache_clear()
+    exact_caches = (quantum._point_table, quantum._tables, quantum._ptilde_rho, quantum._schur_powers)
+    for cached in exact_caches + (quantum._float_tables,):
+        cached.cache_clear()
     value = gw_invariant(query) if exact else gw_invariant_float(query)
-    assert value == pytest.approx(4 ** 6 * Fraction(*quantum.orbit_trace(n, 1, query.insertions)), rel=1e-9)
-    # the staircase is read by its sign, never into the tables
-    needed = set().union(*map(_sub_pfaffians, classes))
-    assert len(needed) < 2 ** 9 and rho(9) not in needed
-    assert [set(table) for table in quantum._tables(n)] == [needed] * 2 ** 9
     if exact:
+        # the staircase is read by its sign, never into the tables
+        needed = set().union(*map(_sub_pfaffians, classes))
+        assert len(needed) < 2 ** 9 and rho(9) not in needed
+        assert [set(table) for table in quantum._tables(n)] == [needed] * 2 ** 9
         assert quantum._float_tables.cache_info().currsize == 0
     else:
-        assert [set(table) for table in quantum._float_tables(n)] == [set(classes)] * 2 ** 9
+        # the independence guard: a cold float sum reads nothing the exact
+        # route builds, and its tables hold the classes, the staircase too
+        assert [cached.cache_info().currsize for cached in exact_caches] == [0] * 4
+        assert [set(table) for table in quantum._float_tables(n)] == [set(query.insertions)] * 2 ** 9
+    assert value == pytest.approx(4 ** 6 * Fraction(*quantum.orbit_trace(n, 1, query.insertions)), rel=1e-9)
 
 
 @pytest.mark.parametrize("n", range(7, 11))
@@ -749,12 +761,13 @@ def test_the_sign_route_is_the_pfaffian_memo_at_the_representatives(n):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_both_staircase_columns_are_the_pfaffian_memo_at_every_point(n):
     # the exact column by its sign mod p, the complex one by a complex
-    # Pfaffian, and the on-demand table's own P~_rho by the recursion
+    # Pfaffian at the complex points, and the on-demand table's own P~_rho by
+    # the recursion
     m, order = n - 1, session_order(n)
     memo = [_int_ptilde(rho(m), elem, order, {}) for _w, elem, _s in quantum._point_table(n, False)]
     assert list(quantum._ptilde_rho(n, False)) == memo == quantum._column(n, rho(m), True)
-    for value, z in zip(memo, quantum._float_staircase(n)):
-        assert z == pytest.approx(CycloNum.from_ints(order, value, 2 ** m).embed_complex(), abs=1e-12)
+    for value, z in zip(memo, quantum._column(n, rho(m), False)):
+        assert _close(z, CycloNum.from_ints(order, value, 2 ** m).embed_complex())
 
 
 @pytest.mark.parametrize("n", range(2, 9))
