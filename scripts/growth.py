@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Record how the costly routes grow, in BENCH_<pr>.json at the repo root.
 
-    python3 scripts/growth.py PR
+    python3 scripts/growth.py PR [--parent PATH]
 
-Runs each figure of FIGURES at least RUNS times, each run in a fresh Python
-process that imports ogq from this checkout's src/ and makes one cold call:
+Runs each figure of FIGURES RUNS times, each run in a fresh Python process
+that imports ogq from this checkout's src/ and makes one cold call:
 `ogq table` at n = 8 and 9, `ogq qmul` at n = 9, structure_table(9),
 count(3, r, 0) for r = 32..40 even, count(400, 40, 0),
 `count_subbundles.py --max-rank 40`, a cold exact gw of four of the longest
@@ -21,6 +21,14 @@ Per figure it records:
   the count's JSON, the outcome counts of the tests), the same in every run;
   where REFERENCES pins a prefix, it must match, so a fast wrong run fails.
 
+With --parent PATH, a checkout of the parent commit, each figure also runs
+RUNS times there, from PATH's src/ with PATH as the working directory (so
+its scripts and its tier-1 tests), and the two sides' runs alternate,
+the side that goes first switching each run, as scripts/bench_pairs.py
+does: a drift of the host's speed then falls on both sides alike.  The
+file records the parent's figures under "parent", next to its commit
+(git describe there; null in a copy without git).
+
 A figure whose runs fail or disagree is recorded with its error, and the
 script exits 1.  It sets no bound on time or memory.  The file also names
 the machine, Python and commit.  Standard library only; the tier-1 child
@@ -29,6 +37,7 @@ imports pytest.
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import platform
@@ -115,8 +124,8 @@ FIGURES: dict[str, dict] = {
                            "parts": "map(repr, answer)"},
     **{f"count_3_{rank}_0": _count(3, rank) for rank in range(32, 41, 2)},
     "count_400_40_0": _count(400, 40),
-    "count_subbundles_rank40": {"call": f"run_script({str(ROOT / 'scripts' / 'count_subbundles.py')!r}, "
-                                        "'--max-rank', '40')", "keep_stdout": True, "parts": "[]"},
+    "count_subbundles_rank40": {"call": "run_script('scripts/count_subbundles.py', '--max-rank', '40')",
+                                "keep_stdout": True, "parts": "[]"},
     "gw_n10_four_long": {"call": f"quantum.gw_invariant(quantum.GWQuery(10, 1, 9, {LONG_10!r}))",
                          "keep_stdout": False, "parts": "[counting.decimal_string(answer)]"},
     "gw_float_n10_four_long": {"call": f"quantum.gw_invariant_float(quantum.GWQuery(10, 1, 9, {LONG_10!r}))",
@@ -136,9 +145,10 @@ FIGURES: dict[str, dict] = {
 REFERENCES = {"table_n9": "0e01ff89"}
 
 
-def run_child(spec: dict) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-c", CHILD % spec], cwd=ROOT, env=env,
+def run_child(spec: dict, root: Path = ROOT) -> dict:
+    # one run in the checkout at root: its src/ imported, root the working directory
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", CHILD % spec], cwd=root, env=env,
                           capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -146,8 +156,18 @@ def run_child(spec: dict) -> dict:
     return json.loads(lines[-1])
 
 
-def measure(name: str, spec: dict) -> dict:
-    runs = [run_child(spec) for _ in range(RUNS)]
+def measure(name: str, spec: dict, roots: dict[str, Path]) -> dict[str, dict]:
+    # RUNS runs per side of roots; with two sides they alternate, the side
+    # that goes first switching each run
+    runs: dict[str, list[dict]] = {side: [] for side in roots}
+    for k in range(RUNS):
+        for side in list(roots) if k % 2 == 0 else list(roots)[::-1]:
+            runs[side].append(run_child(spec, roots[side]))
+    return {side: summary(name, side_runs) for side, side_runs in runs.items()}
+
+
+def summary(name: str, runs: list[dict]) -> dict:
+    # the figure from one side's runs: medians, every run, the answer's hash
     errors = [run["error"] for run in runs if "error" in run]
     if errors:
         return {"error": errors[0]}
@@ -164,33 +184,41 @@ def measure(name: str, spec: dict) -> dict:
     return figure
 
 
+def commit(root: Path) -> str | None:
+    # "-dirty" when the figures were taken on uncommitted changes over that commit
+    described = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=12"], cwd=root,
+                               capture_output=True, text=True)
+    return described.stdout.strip() or None
+
+
 def machine() -> dict:
     model = None
     if Path("/proc/cpuinfo").exists():
         model = next((line.split(":", 1)[1].strip() for line in Path("/proc/cpuinfo").read_text().splitlines()
                       if line.startswith("model name")), None)
-    # "-dirty" when the figures were taken on uncommitted changes over that commit
-    commit = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=12"], cwd=ROOT,
-                            capture_output=True, text=True)
     return {"cpu": model, "cpus": os.cpu_count(), "platform": platform.platform(),
-            "python": platform.python_version(), "commit": commit.stdout.strip() or None}
+            "python": platform.python_version(), "commit": commit(ROOT)}
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 1 or not argv[0].isdigit():
-        print(__doc__, file=sys.stderr)
-        return 2
-    figures = {}
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("pr", type=int, help="the number in BENCH_<pr>.json")
+    parser.add_argument("--parent", type=Path, help="a checkout of the parent commit, run alternately")
+    args = parser.parse_args(argv)
+    roots = {"change": ROOT} if args.parent is None else {"parent": args.parent.resolve(), "change": ROOT}
+    figures: dict[str, dict[str, dict]] = {side: {} for side in roots}
     for name, spec in FIGURES.items():
-        figures[name] = measure(name, spec)
-        got = figures[name]
-        line = got.get("error") or f"cpu {got['cpu_s']:.3f} s, VmHWM {got['vmhwm_mb']:.1f} MB, {got['sha256'][:8]}"
-        print(f"{name}: {line}", flush=True)
-    path = ROOT / f"BENCH_{argv[0]}.json"
-    path.write_text(json.dumps({"pr": int(argv[0]), "runs": RUNS, "machine": machine(),
-                                "figures": figures}, indent=2) + "\n")
+        for side, got in measure(name, spec, roots).items():
+            figures[side][name] = got
+            line = got.get("error") or f"cpu {got['cpu_s']:.3f} s, VmHWM {got['vmhwm_mb']:.1f} MB, {got['sha256'][:8]}"
+            print(f"{name} ({side}): {line}", flush=True)
+    doc = {"pr": args.pr, "runs": RUNS, "machine": machine(), "figures": figures["change"]}
+    if args.parent is not None:
+        doc["parent"] = {"commit": commit(roots["parent"]), "figures": figures["parent"]}
+    path = ROOT / f"BENCH_{args.pr}.json"
+    path.write_text(json.dumps(doc, indent=2) + "\n")
     print(f"wrote {path}")
-    return 1 if any("error" in figure for figure in figures.values()) else 0
+    return 1 if any("error" in got for side in figures.values() for got in side.values()) else 0
 
 
 if __name__ == "__main__":

@@ -14,8 +14,9 @@ power of two and the staircase power at rank 2n and degree e; n_tilde's
 plan (_n_tilde_plan) and the one count plan (_count_plan), which count and
 count_float share for both rank parities, read it.  The intermediate
 quantity n_tilde covers arbitrary degree e and an arbitrary polynomial
-integrand in the halved elementary classes a_i, read term by term: only the
-terms on the expected weight are summed, the others integrate to 0.  An
+integrand in the halved elementary classes a_i = P~_(i), each term on the
+expected weight read as single-row insertions on both routes
+(_integrand_terms), the others integrating to 0.  An
 even-rank count is n_tilde's sum at e_0 with the integrand 1, doubled for
 even ell; an odd-rank count is half the even-rank count one rank up, the
 same sum with one power of two less.  The trivial-bundle case is literally
@@ -33,6 +34,7 @@ before anything is enumerated).
 from __future__ import annotations
 
 import dataclasses
+import math
 import sys
 from fractions import Fraction
 
@@ -152,34 +154,48 @@ def _plan(n: int, ell: int, e: int) -> tuple[int, int]:
     )
 
 
+def _integrand_terms(n: int, staircases: int,
+                     integrand: AlphaPolynomial | None) -> list[tuple[Fraction | int, tuple]]:
+    # The one integrand rule: a_i = e_i/2 = P~_(i), so a term c * a_1^k1 *
+    # a_2^k2 ... is c times the sum with k_i more single-row insertions (i,),
+    # after the staircases; a term with an a_i past m = n - 1 is 0 and dropped.
+    # None, a count's, is the one term 1.
+    staircase = (partitions.rho(n - 1),) * staircases
+    if integrand is None:
+        return [(1, staircase)]
+    return [(c, staircase + tuple((i,) for i, k in enumerate(exps, 1) for _ in range(k)))
+            for exps, c in integrand.terms if len(exps) < n]
+
+
 def _scaled_sum(exact: bool, n: int, genus: int, staircases: int, exponent: int,
                 integrand: AlphaPolynomial | None = None) -> tuple[int, int] | float:
     # 2^exponent times the sum over the evaluation points of S_rho^(genus-1)
     # * P~_rho^staircases * the integrand (None: 1), under the route's cap,
     # checked before the staircase is built: exact as (numerator,
-    # denominator) from the orbit trace, else a double from the full float
-    # sum.  Every count and n_tilde is this sum.
+    # denominator) over the terms' orbit traces, else a double from their
+    # full float sums.  Every count and n_tilde is this sum.
     quantum.check_budget(n, "exact" if exact else "float")
-    if integrand is not None and not integrand:  # no term: nothing to sum
+    terms = _integrand_terms(n, staircases, integrand)
+    if not terms:  # nothing to sum
         return (0, 1) if exact else 0.0
-    insertions = (partitions.rho(n - 1),) * staircases
-    if exact:
-        num, den = quantum.orbit_trace(n, genus, insertions, q_poly=integrand)
-        return (num << exponent, den) if exponent >= 0 else (num, den << -exponent)
-    # the float sum reads Q term by term at a_i = e_i/2 = P~_(i), as more
-    # insertions; a term with an a_i past m is 0
-    terms = (((), 1),) if integrand is None else integrand.terms
-    return quantum.scaled_double(sum(float(c) * quantum.evaluation_sum(
-        n, genus, insertions + tuple((i,) for i, p in enumerate(exps, 1) for _ in range(p)), exact=False)
-        for exps, c in terms if len(exps) < n), exponent)
+    if not exact:
+        return quantum.scaled_double(sum(float(c) * quantum.evaluation_sum(n, genus, insertions, exact=False)
+                                         for c, insertions in terms), exponent)
+    num, den = 0, 1
+    for c, insertions in terms:  # c * t / d over the lcm of the denominators so far
+        t, d = quantum.orbit_trace(n, genus, insertions)
+        d *= c.denominator
+        common = math.lcm(den, d)
+        num, den = num * (common // den) + c.numerator * t * (common // d), common
+    return (num << exponent, den) if exponent >= 0 else (num, den << -exponent)
 
 
-def _n_tilde_plan(query: NQuery) -> tuple[int, int, int, int, AlphaPolynomial | None]:
+def _n_tilde_plan(query: NQuery) -> tuple[int, int, int, int, AlphaPolynomial]:
     # _scaled_sum's arguments for n_tilde: the integrand's terms on the
-    # expected weight, None for the constant 1; every other term integrates to 0.
+    # expected weight; every other term integrates to 0.
     exponent, rho_power = _plan(query.n, query.ell, query.e)
     kept = query.q_poly.part_of_weight(expected_dim_t(query.n, query.ell, query.e, query.genus, query.u))
-    return query.n, query.genus, rho_power + query.u, exponent, None if kept == AlphaPolynomial.one() else kept
+    return query.n, query.genus, rho_power + query.u, exponent, kept
 
 
 def n_tilde(query: NQuery) -> Fraction:
@@ -187,22 +203,22 @@ def n_tilde(query: NQuery) -> Fraction:
     bundle of rank 2n, invariant ell and isotropic degree e.
 
     Linear in the integrand: its terms off the expected weight integrate to
-    0.  Raises NotCoveredError when n is even and e is odd.  Each staircase
-    factor reads P~_rho by its sign, checked mod a prime, not proved
-    (n_tilde_sign_prime).
+    0, and a term c * a_1^k1 * ... on it is c times the sum with k_i more
+    insertions (i,), a_i = P~_(i).  Raises NotCoveredError when n is even and
+    e is odd.  Each staircase factor reads P~_rho by its sign, checked mod a
+    prime, not proved (n_tilde_sign_prime).
     """
     return Fraction(*_scaled_sum(True, *_n_tilde_plan(query)))
 
 
 def n_tilde_sign_prime(query: NQuery) -> int | None:
     """The prime p mod which n_tilde(query) checked the staircase square, or
-    None: a staircase power summed with a nonzero integrand reads each factor
-    P~_rho by its sign (quantum.sign_check_prime), a check mod p, not a proof."""
+    None: a term whose insertions hold P~_rho (a staircase, or a_1 at n = 2)
+    reads it by its sign (quantum.sign_check_prime), a check mod p, not a proof."""
     n, _genus, staircases, _exponent, integrand = _n_tilde_plan(query)
     quantum.check_budget(n, "exact")  # before the staircase is built
-    if integrand is not None and not integrand:
-        return None
-    return quantum.sign_check_prime(n, (partitions.rho(n - 1),) * staircases)
+    return next(filter(None, (quantum.sign_check_prime(n, insertions)
+                              for _c, insertions in _integrand_terms(n, staircases, integrand))), None)
 
 
 def n_tilde_float(query: NQuery) -> float:

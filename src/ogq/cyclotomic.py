@@ -27,6 +27,7 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import math
+import operator
 from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import lru_cache
@@ -209,9 +210,9 @@ def trace_dual(coeffs: Sequence, order: int) -> list:
     >>> trace_dual([0, 1], 4)
     [0, -2]
     """
-    sums = _ramanujan_sums(order)
-    return [sum(c * sums[(k + l) % order] for l, c in enumerate(coeffs) if c)
-            for k in range(field_degree(order))]
+    size = len(coeffs)
+    ring = _ramanujan_sums(order) * (2 + size // order)  # past phi(order) + size
+    return [sum(map(operator.mul, coeffs, ring[k:k + size])) for k in range(field_degree(order))]
 
 
 def int_inverse(a: Sequence[int], order: int) -> tuple[list[int], int]:

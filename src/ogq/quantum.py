@@ -27,9 +27,10 @@ by zeta^(b/2 * degree) = 1.  So the sum over all 2^m points equals
 (1/phi(4m)) * sum over the orbits O of |O| * Tr(summand at a representative
 of O), a few traces where there are 2^m points (4 orbits for 64 points at
 n = 7; _orbits walks the residue sets as bit masks).  orbit_trace carries
-that exact route for the counts and n_tilde, over one denominator.  It
-caches, per insertions and integrand, the trace dual of the genus-free
-factors at each representative (_orbit_duals), and per (n, genus)
+that exact route for the counts and n_tilde, over one denominator, on
+insertions only (an integrand arrives as single-row insertions).  It
+caches, per insertions, the trace dual of the genus-free factors at each
+representative (_orbit_duals), and per (n, genus)
 S_rho^(genus-1) (_orbit_powers) from the squares S_rho^(2^k) (_schur_ladder),
 so a call at a seen (n, genus) takes one inner product per representative.
 The structure table's genus-0 three-point numbers are each the integer trace
@@ -72,7 +73,7 @@ from . import partitions
 from .cyclotomic import (CycloNum, ProofFailure, _reduce, field_degree, fused_dot, int_inverse, int_mul,
                          int_pow, root_of_unity, trace_dual, zero)
 from .partitions import InvalidInput, Partition
-from .symfunc import AlphaPolynomial, _int_alpha, _int_ptilde
+from .symfunc import _int_ptilde
 
 
 class Refusal(ValueError):
@@ -431,29 +432,25 @@ def sign_check_prime(n: int, insertions) -> int | None:
 
 
 @lru_cache(maxsize=256)
-def _orbit_duals(n: int, insertions: tuple[Partition, ...],
-                 q_poly: AlphaPolynomial | None) -> tuple[tuple[list[int], ...], int]:
+def _orbit_duals(n: int, insertions: tuple[Partition, ...]) -> tuple[tuple[list[int], ...], int]:
     # orbit_trace's genus-free part, per sorted insertions: at each representative
-    # the trace dual of |O| * prod of 2^len * P~_lam * Q's numerator, and their
-    # one denominator.  Each key holds a dual per representative, hence the bound.
-    # A staircase factor is +-r (_ptilde_rho), multiplied in like any class; the
-    # elementary values are built only for another class or an integrand.
+    # the trace dual of |O| * prod of 2^len * P~_lam, and their one denominator.
+    # Each key holds a dual per representative, hence the bound.  A staircase
+    # factor is +-r (_ptilde_rho), multiplied in like any class; the elementary
+    # values are built only for another class.
     m, order = n - 1, session_order(n)
     staircase = partitions.rho(m)
     rho_values = _ptilde_rho(n, True) if staircase in insertions else None
-    elems = ([e for _w, e, _s in _point_table(n, True)] if set(insertions) - {staircase} or q_poly is not None
+    elems = ([e for _w, e, _s in _point_table(n, True)] if set(insertions) - {staircase}
              else itertools.repeat(None))
-    den, duals = 1 << sum(map(len, insertions)), []
+    duals = []
     for k, ((_residues, size), elem) in enumerate(zip(_orbits(m), elems)):
         memo = {}
         factors = [rho_values[k] if lam == staircase else _int_ptilde(lam, elem, order, memo)
                    for lam in insertions]
-        if q_poly is not None:
-            integrand, qden = _int_alpha(q_poly, elem, order)
-            factors.append(integrand)
         value = reduce(lambda a, b: int_mul(a, b, order), factors) if factors else [1]
         duals.append([size * t for t in trace_dual(value, order)])
-    return tuple(duals), den if q_poly is None else den * qden
+    return tuple(duals), 1 << sum(map(len, insertions))
 
 
 # The coefficient bits _orbit_powers keeps, its powers and the ladders' rungs
@@ -528,18 +525,16 @@ def _orbit_powers(n: int, exponent: int) -> tuple[tuple[list[int], ...], int]:
 _orbit_powers.cache_clear = lambda: (_kept_powers.clear(), _kept_bits.clear())
 
 
-def orbit_trace(n: int, genus: int, insertions: tuple[Partition, ...] = (),
-                q_poly: AlphaPolynomial | None = None) -> tuple[int, int]:
+def orbit_trace(n: int, genus: int, insertions: tuple[Partition, ...] = ()) -> tuple[int, int]:
     """(numerator, denominator), not in lowest terms, of the closed formula's
-    exact sum over all evaluation points (with no integrand, evaluation_sum's
-    value), summed over their affine orbits:
-    (1/phi(4m)) * sum over the orbits O of |O| times the trace of
-    S_rho^(genus-1) * prod of P~_lam * Q(a_i = e_i/2) at O's representative.
+    exact sum over all evaluation points (evaluation_sum's value), summed
+    over their affine orbits: (1/phi(4m)) * sum over the orbits O of |O|
+    times the trace of S_rho^(genus-1) * prod of P~_lam at O's representative.
 
     A term is the inner product of S_rho^(genus-1), cached per (n, genus)
     (b / den at genus 0), with the cached trace dual of the rest; the terms
     share one denominator, so a caller divides once.  Raises
-    WeightConditionError when a term's total degree is not divisible by 2m,
+    WeightConditionError when the total degree is not divisible by 2m,
     where the orbit formula does not hold (the full sum is 0 there).
     """
     if n < 2:
@@ -549,14 +544,11 @@ def orbit_trace(n: int, genus: int, insertions: tuple[Partition, ...] = (),
     m = n - 1
     order = session_order(n)
     weight = (genus - 1) * m * (m + 1) // 2 + sum(partitions.weight(lam) for lam in insertions)
-    weights = {weight} if q_poly is None else {
-        weight + AlphaPolynomial.term_weight(exps) for exps, _c in q_poly.terms}
-    off = sorted(w for w in weights if w % (2 * m))
-    if off:
+    if weight % (2 * m):
         raise WeightConditionError(
-            f"summand of total degree {off[0]} at n = {n}: not divisible by 2m = {2 * m}, "
+            f"summand of total degree {weight} at n = {n}: not divisible by 2m = {2 * m}, "
             "so the orbit sum does not apply")
-    duals, den = _orbit_duals(n, tuple(sorted(insertions)), q_poly)
+    duals, den = _orbit_duals(n, tuple(sorted(insertions)))
     factors, common = _orbit_powers(n, genus - 1)
     total = sum(sum(map(operator.mul, v, dual)) for v, dual in zip(factors, duals))
     return total, common * den * field_degree(order)

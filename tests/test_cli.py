@@ -45,7 +45,8 @@ def test_gw_json(capsys):
 
 def test_gw_and_ntilde_json_name_the_sign_check_prime_where_the_sign_route_ran(capsys):
     # exact gw reads P~_rho by its sign mod p for any staircase insertion,
-    # ntilde for an odd staircase power on the expected weight
+    # ntilde for a term whose insertions hold P~_rho: an odd staircase power
+    # on the expected weight, or a_1 = P~_(1) = P~_rho at n = 2
     def doc(argv):
         code, out, _ = run(argv + ["--format", "json"], capsys)
         assert code == 0
@@ -60,6 +61,11 @@ def test_gw_and_ntilde_json_name_the_sign_check_prime_where_the_sign_route_ran(c
                            "sign_check_prime": 73}
     assert "sign_check_prime" not in doc(ntilde + ["--Q", "a1"])
     assert "sign_check_prime" not in doc(["ntilde", "--g", "3", "--n", "2", "--ell", "0", "--e", "-2"])
+    a1_squared = doc(["ntilde", "--g", "3", "--n", "2", "--ell", "0", "--e", "-4", "--Q", "a1^2"])
+    assert a1_squared["value"] == "8" and a1_squared["sign_check_prime"] == quantum.sign_check_field(2)[0]
+    # every term on the expected weight has an a_i past m: no term is summed
+    dead = doc(["ntilde", "--g", "9", "--n", "2", "--ell", "1", "--e", "-12", "--u", "2", "--Q", "2*a3"])
+    assert dead["value"] == "0" and "sign_check_prime" not in dead
 
 
 def test_gw_trace_route(capsys):

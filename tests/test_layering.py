@@ -7,7 +7,9 @@ No module holds an assert statement, so every invariant survives `python -O`.
 The size budgets are one policy: only quantum defines a *_MAX_N cap or
 raises SizeBudgetError.  One function in counting reaches the sums, one
 plans a count, and one function in the package raises OverflowError, so no
-second copy of any creeps back."""
+second copy of any creeps back.  An integrand belongs to counting alone:
+quantum's sums take insertions only, symfunc evaluates no integrand on
+integers, and counting expands one in one function."""
 
 import ast
 from pathlib import Path
@@ -256,3 +258,37 @@ def test_the_one_function_guards_fire(tmp_path):
     )
     assert functions_holding(probe, names_a_sum) == {"f", "h"}
     assert functions_holding(probe, raises_overflow) == {"g", "h", None}
+
+
+def names_the_integrand(node) -> bool:
+    # a reference to AlphaPolynomial, as a name or inside a string annotation
+    return (getattr(node, "id", None) == "AlphaPolynomial"
+            or isinstance(node, ast.Constant) and isinstance(node.value, str) and "AlphaPolynomial" in node.value)
+
+
+def reads_terms(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "terms"
+
+
+def test_the_integrand_belongs_to_counting_alone():
+    text = (SRC / "quantum.py").read_text()
+    assert [name for name in ("AlphaPolynomial", "q_poly", "_int_alpha") if name in text] == []
+    symfunc = SRC / "symfunc.py"
+    integer_evaluators = functions_holding(symfunc, calls_named("int_mul", "int_pow"))
+    assert functions_holding(symfunc, names_the_integrand) & integer_evaluators == set()
+    assert functions_holding(SRC / "counting.py", reads_terms) == {"_integrand_terms"}
+
+
+def test_the_integrand_guards_fire(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "def _int_q(poly: 'AlphaPolynomial', evals, order):\n"
+        "    return [int_mul(evals[i], evals[i], order) for exps, c in poly.terms for i in exps]\n"
+        "def parse(text) -> AlphaPolynomial:\n"
+        "    return AlphaPolynomial.one()\n"
+        "def power(x, k, order):\n"
+        "    return int_pow(x, k, order)\n"
+    )
+    assert functions_holding(probe, names_the_integrand) == {"_int_q", "parse"}
+    assert functions_holding(probe, calls_named("int_mul", "int_pow")) == {"_int_q", "power"}
+    assert functions_holding(probe, reads_terms) == {"_int_q"}

@@ -2,7 +2,9 @@
 every point and at the orbit representatives, and the exact orbit sum, against
 the sum over all 2^m points (quantum.evaluation_sum, and the symfunc oracle
 for integrands) and against the orbit formula taken one representative at a
-time."""
+time.  An integrand reaches the orbit sum only through counting._scaled_sum,
+as single-row insertions; the per-representative reference here evaluates it
+on its own, in Z[w] over one denominator."""
 
 import math
 import random
@@ -10,11 +12,11 @@ from fractions import Fraction
 
 import pytest
 
-from ogq import quantum
+from ogq import counting, quantum
 from ogq.cyclotomic import field_degree, int_inverse, int_mul, int_pow, trace
 from ogq.partitions import all_strict, rho, weight
 from ogq.quantum import WeightConditionError, eval_points, orbit_count, orbit_trace
-from ogq.symfunc import AlphaPolynomial, _int_alpha, _int_ptilde, ptilde_alpha
+from ogq.symfunc import AlphaPolynomial, _int_ptilde, parse_alpha_poly, ptilde_alpha
 
 ORBIT_COUNTS = {1: 1, 2: 1, 3: 2, 4: 1, 5: 3, 6: 4, 7: 5, 8: 3, 9: 11, 10: 13, 11: 15, 12: 31,
                 13: 37, 14: 65, 15: 184}
@@ -100,8 +102,27 @@ def test_orbit_sum_with_a_ptilde_integrand_equals_the_point_sum(n, full_point_su
         if not q_poly or not _admissible(n, genus, insertions + tuple(factors)):
             continue
         full = full_point_sum(n, genus, insertions, q_poly).as_rational()
-        assert Fraction(*orbit_trace(n, genus, insertions, q_poly)) == full, (genus, insertions, factors)
+        exact = counting._scaled_sum(True, n, genus, len(insertions), 0, q_poly)
+        assert Fraction(*exact) == full, (genus, insertions, factors)
         checked += 1
+
+
+@pytest.mark.parametrize("n, genus, staircases, text", [
+    (3, 1, 0, "5/3*a1^4 - 7/2*a2^2 + 1/4*a1^2*a2"),  # Fraction coefficients
+    (3, 1, 0, "a4 + 2*a1*a3"),  # every term in a variable past m = 2: 0
+    (3, 1, 0, "-4/3"),  # a constant term
+    (4, 2, 1, "1/6*a3^2 - a1^2*a4 + 3*a2^3 + 3"),  # one term past m = 3 among live ones
+])
+def test_the_integrand_rule_on_fractions_dead_variables_and_constants(n, genus, staircases, text, full_point_sum):
+    # each term is its coefficient times more single-row insertions, on the
+    # exact and the float route alike; a term past m is 0 on both
+    q_poly = parse_alpha_poly(text)
+    full = full_point_sum(n, genus, (rho(n - 1),) * staircases, q_poly).as_rational()
+    exact = counting._scaled_sum(True, n, genus, staircases, 0, q_poly)
+    assert Fraction(*exact) == full
+    assert counting._scaled_sum(False, n, genus, staircases, 0, q_poly) == pytest.approx(float(full), abs=1e-9)
+    if all(len(exps) >= n for exps, _c in q_poly.terms):
+        assert full == 0 and exact == (0, 1)
 
 
 def test_orbit_sum_refuses_an_off_weight_summand():
@@ -111,14 +132,14 @@ def test_orbit_sum_refuses_an_off_weight_summand():
     with pytest.raises(WeightConditionError, match="not divisible by 2m = 4"):
         orbit_trace(3, 1, ((1,),))
     with pytest.raises(WeightConditionError):
-        orbit_trace(3, 1, (), ptilde_alpha((1,), 2))
+        counting._scaled_sum(True, 3, 1, 0, 0, ptilde_alpha((1,), 2))
     # a weight error is a failed proof (exit 1), never an input error (exit 2)
     assert issubclass(WeightConditionError, ArithmeticError)
     assert not issubclass(WeightConditionError, ValueError)
 
 
 def test_orbit_sum_of_the_zero_integrand_is_zero():
-    assert Fraction(*orbit_trace(3, 1, (), AlphaPolynomial(()))) == 0
+    assert Fraction(*counting._scaled_sum(True, 3, 1, 0, 0, AlphaPolynomial(()))) == 0
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -142,6 +163,23 @@ def test_orbit_rows_are_the_full_rows_at_the_representatives(n):
 GENERA = tuple(range(13)) + (64, 200, 401)
 
 
+def _integrand_at(q_poly, evals, order):
+    # (num, den) with num / den the integrand at a_i = e_i/2, from the
+    # elementary values [e_0, ..., e_m] in Z[w]; variables beyond m are zero
+    phi = len(evals[0])
+    den = math.lcm(1, *(c.denominator << sum(exps) for exps, c in q_poly.terms))
+    num = [0] * phi
+    for exps, coeff in q_poly.terms:
+        if any(k and i >= len(evals) for i, k in enumerate(exps, 1)):
+            continue
+        term = [int(coeff * den) >> sum(exps)] + [0] * (phi - 1)
+        for i, k in enumerate(exps, 1):
+            if k:
+                term = int_mul(term, int_pow(evals[i], k, order), order)
+        num = [a + b for a, b in zip(num, term)]
+    return num, den
+
+
 def _per_representative(n, genus, insertions=(), q_poly=None):
     # The orbit formula one representative at a time: the product of the
     # insertions and the integrand, times S_rho^(genus-1) by square and
@@ -155,7 +193,7 @@ def _per_representative(n, genus, insertions=(), q_poly=None):
             value = int_mul(value, _int_ptilde(lam, elem, order, memo), order)
             den <<= len(lam)
         if q_poly is not None:
-            integrand, qden = _int_alpha(q_poly, elem, order)
+            integrand, qden = _integrand_at(q_poly, elem, order)
             value = int_mul(value, integrand, order)
             den *= qden
         if genus == 0:
@@ -205,8 +243,11 @@ def test_the_engine_equals_the_point_sum_and_the_per_representative_formula(n, f
             assert value == quantum.evaluation_sum(n, genus, insertions).as_rational()
 
     def ask(calls):
-        for case in calls:
-            assert Fraction(*orbit_trace(n, *case)) == expected[case], case
+        # an integrand's cases go through counting, which reads it as insertions
+        for genus, insertions, q_poly in calls:
+            got = (orbit_trace(n, genus, insertions) if q_poly is None
+                   else counting._scaled_sum(True, n, genus, len(insertions), 0, q_poly))
+            assert Fraction(*got) == expected[genus, insertions, q_poly], (genus, insertions, q_poly)
 
     # descending first grows the ladder to the top bit at once and ascending
     # reads it; after a clear, ascending grows it one bit at a time
