@@ -323,10 +323,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_q(argv: list[str]) -> list[str]:
+    # argparse reads a token that starts with "-" as an option unless it is a
+    # number or holds a space, so "--Q -3*a1^2" would leave --Q without its
+    # value; a token after --Q that is no option (all but -h start with "--")
+    # is joined to it, as "--Q=-3*a1^2" spells it
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] == "--Q" and token.startswith("-") and not token.startswith("--") and token != "-h":
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_q(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else BAD_INPUT
     try:

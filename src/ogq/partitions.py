@@ -24,10 +24,13 @@ class InvalidPartitionError(InvalidInput):
 
 
 def is_valid(parts: Partition, m: int) -> bool:
-    """True when parts are strictly decreasing and contained in {1..m}."""
-    if any(not isinstance(p, int) or p < 1 or p > m for p in parts):
-        return False
-    return all(a > b for a, b in zip(parts, parts[1:]))
+    """True when parts are ints, strictly decreasing and contained in {1..m}."""
+    previous = m + 1
+    for p in parts:
+        if not isinstance(p, int) or not 0 < p < previous:
+            return False
+        previous = p
+    return True
 
 
 def validate(parts, m: int) -> Partition:

@@ -30,9 +30,10 @@ n = 7; _orbits walks the residue sets as bit masks).  orbit_trace carries
 that exact route for the counts and n_tilde, over one denominator, on
 insertions only (an integrand arrives as single-row insertions).  It
 caches, per insertions, the trace dual of the genus-free factors at each
-representative (_orbit_duals), and per (n, genus)
-S_rho^(genus-1) (_orbit_powers) from the squares S_rho^(2^k) (_schur_ladder),
-so a call at a seen (n, genus) takes one inner product per representative.
+representative (_orbit_duals), and reads S_rho^(genus-1) from the one store
+of S_rho^k, squares and powers, at the representatives and at the points
+(_schur_power), so a call at a seen (n, genus) takes one inner product per
+representative.
 The structure table's genus-0 three-point numbers are each the integer trace
 of one fused dot, one per unordered index triple of admissible weight; it is
 kept once, as index rows (table_rows), and structure_table builds its
@@ -40,13 +41,13 @@ TableEntry objects from them on each call.
 
 evaluation_sum keeps the sum over all 2^m points, exact (products in Z[w],
 P~_rho by the same sign route mod p, then one CycloNum product by the S_rho
-power) or in complex doubles from the complex points alone (every P~ by
-_pair_pfaffian, the evaluator that also gives P~_rho's sign mod p), building
-only the classes it reads.  It carries gw_invariant (hence three_point) and
-every float route, which shares only the residues and the formula with the
-exact routes.  The table rows yield one cached quantum ring, at q = 1 on
-integers (_product_lookup): per class, multiplication rows over the basis
-positions.  The graded quantum product reads each degree back from the
+power from the same store) or in complex doubles from the complex points
+alone (every P~ by _pair_pfaffian, the evaluator that also gives P~_rho's
+sign mod p), building only the classes it reads.  It carries gw_invariant
+(hence three_point) and every float route, which shares only the residues
+and the formula with the exact routes.  The table rows yield one cached
+quantum ring, at q = 1 on integers (_product_lookup): per class,
+multiplication rows over the basis positions.  The graded quantum product reads each degree back from the
 weights, as the table fixes it; the quantum Euler class and an independent
 trace-formula route to every positive-genus invariant (_mult_trace_weights)
 multiply in the same rows, cross-checking the direct sum.
@@ -71,7 +72,7 @@ from functools import lru_cache, partial, reduce
 
 from . import partitions
 from .cyclotomic import (CycloNum, ProofFailure, _reduce, field_degree, fused_dot, int_inverse, int_mul,
-                         int_pow, root_of_unity, trace_dual, zero)
+                         root_of_unity, trace_dual, zero)
 from .partitions import InvalidInput, Partition
 from .symfunc import _int_ptilde
 
@@ -453,76 +454,82 @@ def _orbit_duals(n: int, insertions: tuple[Partition, ...]) -> tuple[tuple[list[
     return tuple(duals), 1 << sum(map(len, insertions))
 
 
-# The coefficient bits _orbit_powers keeps, its powers and the ladders' rungs
-# together, and the keys of its powers: a power past the bits is not kept; the
-# ladders go first, as a kept power answers its (n, genus) with no multiply and
-# a ladder saves only squarings, then the least recently used powers.  At n = 20
-# and genus near 400 one power is about 30 MB, at n = 18 and genus 399 the
-# ladder about 9 MB, at n <= 7 each a few kB.
+# The one store of S_rho^k, k != 0, squares and powers alike: per (n, orbits,
+# k) its rows as (vectors b, denominators den) and their bits, least recently
+# used first, in one order under one bit total (_held_bits).  A power past
+# POWER_CACHE_BITS is used and not kept.  At n = 20 and genus near 400 one
+# power is about 30 MB, at n <= 7 each a few kB.
 POWER_CACHE_BITS, POWER_CACHE_KEYS = 1 << 25, 256
-_kept_powers: dict[tuple[int, int], tuple[tuple[list[int], ...], int]] = {}  # least recently used first
-_kept_bits: dict[tuple[int, int], int] = {}
-_ladders: dict[int, tuple[list[list[int]], ...]] = {}  # least recently used first
-_ladder_bits: dict[int, int] = {}
+_Power = tuple[tuple[list[int], ...], tuple[int, ...]]
+_powers: dict[tuple[int, bool, int], tuple[_Power, int]] = {}
+_held_bits = 0
 
 
-def _bits(vectors) -> int:
-    return sum(map(int.bit_length, itertools.chain.from_iterable(vectors)))
+def _stored(key: tuple[int, bool, int]) -> _Power | None:
+    # the power kept under key, now the most recently used, or None
+    if key in _powers:
+        _powers[key] = entry = _powers.pop(key)
+        return entry[0]
 
 
-def _schur_ladder(n: int) -> tuple[list[list[int]], ...]:
-    # S_rho^(2^k), k = 0, 1, ..., per representative; _orbit_powers adds the
-    # rungs past S_rho, the point table's own, and counts their bits.
-    ladder = _ladders.pop(n, None)
-    if ladder is None:
-        ladder, _ladder_bits[n] = tuple([s] for _w, _e, s in _point_table(n, True, False)), 0
-    _ladders[n] = ladder  # the most recently used
-    return ladder
-
-
-_schur_ladder.cache_clear = lambda: (_ladders.clear(), _ladder_bits.clear())
-
-
-def _orbit_powers(n: int, exponent: int) -> tuple[tuple[list[int], ...], int]:
-    # S_rho^exponent per representative over one denominator, exponent =
-    # genus - 1 >= -1: the product of the ladder's squares at exponent's bits,
-    # grown to its top bit, or at -1 the b / den with S_rho * b = den
-    # (int_inverse) over their lcm.  Every ell at one (n, genus), the odd-rank
-    # companion and n_tilde there share it.
-    key = n, exponent
-    if key in _kept_powers:
-        _kept_powers[key] = power = _kept_powers.pop(key)
-        return power
-    order, out = session_order(n), []
-    if exponent < 0:
-        inverses = [int_inverse(s, order) for _w, _e, s in _point_table(n, True, False)]
-        common = math.lcm(*(den for _b, den in inverses))
-        out = [[c * (common // den) for c in b] for b, den in inverses]
-    else:
-        common = 1
-        for rungs in _schur_ladder(n):
-            while len(rungs) < exponent.bit_length():
-                rungs.append(int_mul(rungs[-1], rungs[-1], order))
-                _ladder_bits[n] += _bits(rungs[-1:])
-            # [1] is S_rho^0: the inner product reads its one nonzero coefficient
-            chosen = [rung for k, rung in enumerate(rungs) if exponent >> k & 1] or [[1]]
-            out.append(reduce(lambda a, b: int_mul(a, b, order), chosen))
-    power, bits = (tuple(out), common), _bits(out)
+def _keep(key: tuple[int, bool, int], power: _Power) -> None:
+    global _held_bits
+    vectors, dens = power
+    bits = sum(map(int.bit_length, itertools.chain(dens, *vectors)))
     if bits <= POWER_CACHE_BITS:
-        _kept_powers[key], _kept_bits[key] = power, bits
-    held = sum(_kept_bits.values()) + sum(_ladder_bits.values())
-    while _ladders and held > POWER_CACHE_BITS:
-        oldest = next(iter(_ladders))
-        del _ladders[oldest]
-        held -= _ladder_bits.pop(oldest)
-    while len(_kept_bits) > POWER_CACHE_KEYS or held > POWER_CACHE_BITS:
-        oldest = next(iter(_kept_powers))
-        del _kept_powers[oldest]
-        held -= _kept_bits.pop(oldest)
+        _powers[key] = power, bits
+        _held_bits += bits
+        while len(_powers) > POWER_CACHE_KEYS or _held_bits > POWER_CACHE_BITS:
+            _held_bits -= _powers.pop(next(iter(_powers)))[1]
+
+
+def _schur_power(n: int, orbits: bool, k: int) -> _Power:
+    # S_rho^k per row of _point_table(n, orbits), as b / den row by row: the
+    # product of the squares S_rho^(+-2^j) at |k|'s bits, each the square of
+    # the one below it; for k < 0 the squares of b / den with S_rho * b = den
+    # (int_inverse).  Every ell at one (n, genus), the odd-rank companion and
+    # n_tilde there share one entry.
+    if (power := _stored((n, orbits, k))) is not None:
+        return power
+    order, rows = session_order(n), _point_table(n, orbits, False)
+    if k == 0:
+        return ([1] + [0] * (field_degree(order) - 1),) * len(rows), (1,) * len(rows)
+    size, sign, squares = abs(k), 1 if k > 0 else -1, {}
+    # the squares this call reads, from the top bit down: one at each of |k|'s
+    # bits and one below each square not kept; held here, so that one the
+    # store drops within the call is not built again
+    for j in range(size.bit_length() - 1, -1, -1):
+        if size >> j & 1 or j + 1 in squares and squares[j + 1] is None:
+            squares[j] = _stored((n, orbits, sign << j)) if j or sign < 0 else None
+    for j in reversed(squares):
+        if squares[j] is None and j:
+            vectors, dens = squares[j - 1]
+            dens = dens if sign > 0 else tuple(d * d for d in dens)
+            squares[j] = tuple(int_mul(b, b, order) for b in vectors), dens
+            _keep((n, orbits, sign << j), squares[j])
+        elif squares[j] is None and sign < 0:
+            squares[j] = tuple(zip(*(int_inverse(s, order) for _w, _e, s in rows)))
+            _keep((n, orbits, -1), squares[j])
+        elif squares[j] is None:  # S_rho itself, the point table's own, is not kept
+            squares[j] = tuple(s for _w, _e, s in rows), (1,) * len(rows)
+    chosen = [squares[j] for j in range(size.bit_length()) if size >> j & 1]
+    if len(chosen) == 1:
+        return chosen[0]
+    # row by row, so that no second power's worth of partial products is held;
+    # a positive power keeps its squares' denominators, all 1
+    power = (tuple(reduce(lambda x, y: int_mul(x, y, order), row) for row in zip(*(v for v, _d in chosen))),
+             chosen[0][1] if sign > 0 else tuple(map(math.prod, zip(*(d for _v, d in chosen)))))
+    _keep((n, orbits, k), power)
     return power
 
 
-_orbit_powers.cache_clear = lambda: (_kept_powers.clear(), _kept_bits.clear())
+def _forget_powers() -> None:
+    global _held_bits
+    _powers.clear()
+    _held_bits = 0
+
+
+_schur_power.cache_clear = _forget_powers
 
 
 def orbit_trace(n: int, genus: int, insertions: tuple[Partition, ...] = ()) -> tuple[int, int]:
@@ -531,7 +538,7 @@ def orbit_trace(n: int, genus: int, insertions: tuple[Partition, ...] = ()) -> t
     over their affine orbits: (1/phi(4m)) * sum over the orbits O of |O|
     times the trace of S_rho^(genus-1) * prod of P~_lam at O's representative.
 
-    A term is the inner product of S_rho^(genus-1), cached per (n, genus)
+    A term is the inner product of S_rho^(genus-1) from the power store
     (b / den at genus 0), with the cached trace dual of the rest; the terms
     share one denominator, so a caller divides once.  Raises
     WeightConditionError when the total degree is not divisible by 2m,
@@ -549,12 +556,14 @@ def orbit_trace(n: int, genus: int, insertions: tuple[Partition, ...] = ()) -> t
             f"summand of total degree {weight} at n = {n}: not divisible by 2m = {2 * m}, "
             "so the orbit sum does not apply")
     duals, den = _orbit_duals(n, tuple(sorted(insertions)))
-    factors, common = _orbit_powers(n, genus - 1)
-    total = sum(sum(map(operator.mul, v, dual)) for v, dual in zip(factors, duals))
+    powers, dens = _schur_power(n, True, genus - 1)
+    if (common := 1 if genus else math.lcm(*dens)) > 1:  # genus 0: the terms over one denominator
+        duals = [[c * (common // d) for c in dual] for d, dual in zip(dens, duals)]
+    total = sum(sum(map(operator.mul, b, dual)) for b, dual in zip(powers, duals))
     return total, common * den * field_degree(order)
 
 
-orbit_trace.cache_clear = lambda: [f.cache_clear() for f in (_orbit_duals, _schur_ladder, _orbit_powers)]
+orbit_trace.cache_clear = lambda: [f.cache_clear() for f in (_orbit_duals, _schur_power)]
 
 
 @lru_cache(maxsize=None)
@@ -566,19 +575,10 @@ def _tables(n: int) -> tuple[dict[Partition, list[int]], ...]:
 
 @lru_cache(maxsize=64)
 def _schur_powers(n: int, exponent: int) -> tuple[CycloNum, ...]:
-    # S_rho lies in Z[w], so every power is taken on integers: S_rho^k for
-    # k >= 0, and b^|k| / den^|k| for k < 0, where S_rho * b = den
-    # (int_inverse).  High powers are large, so a long-lived process keeps
-    # only the 64 most recently used (n, exponent) keys.
+    # S_rho^exponent at every point as CycloNum, for the exact full sum: a
+    # view of the power store at the points, which builds nothing itself
     order = session_order(n)
-    out = []
-    for _w, _e, base in _point_table(n, False, False):
-        den = 1
-        if exponent < 0:
-            base, den = int_inverse(base, order)
-        out.append(CycloNum.from_ints(order, int_pow(base, abs(exponent), order),
-                                      den ** abs(exponent)))
-    return tuple(out)
+    return tuple(CycloNum.from_ints(order, b, den) for b, den in zip(*_schur_power(n, False, exponent)))
 
 
 @lru_cache(maxsize=None)
@@ -623,8 +623,9 @@ def evaluation_sum(n: int, genus: int, insertions: tuple[Partition, ...] = (), *
 
     A CycloNum when exact: a point multiplies 2^len * P~_lam in Z[w] (P~_rho
     by its sign mod p), then once in CycloNum, over 2^(sum of lengths), by
-    S_rho^(genus-1).  Otherwise a complex double from the complex points
-    alone, every class (P~_rho too) a complex Pfaffian.
+    S_rho^(genus-1) from the power store at the points (_schur_powers).
+    Otherwise a complex double from the complex points alone, every class
+    (P~_rho too) a complex Pfaffian.
     """
     if n < 2:
         raise UnsupportedRankError(f"n must be >= 2, got {n}")
@@ -724,8 +725,8 @@ def _structure_table(n: int) -> tuple[tuple[int, int, int, int, int], ...]:
     order = session_order(n)
     basis = partitions.all_strict(m)
     vectors: list[list[list[int]]] = [[] for _ in range(len(basis) + 1)]
-    inverses, (values, den) = [], _orbit_powers(n, -1)
-    for (size, elem, _s), inv in zip(_point_table(n, True), values):
+    inverses = []
+    for (size, elem, _s), inv, den in zip(_point_table(n, True), *_schur_power(n, True, -1)):
         # lowest terms keep the common denominator, hence the slot, small
         g = math.gcd(den, *(size * c for c in inv))
         inverses.append(([size * c // g for c in inv], den // g))

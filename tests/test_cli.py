@@ -589,6 +589,23 @@ def test_ntilde_float_mode_checks_a_non_constant_integrand(capsys):
     assert out.splitlines() == [doc["value"], f"float route: {doc['float_value']!r} (agree)"]
 
 
+@pytest.mark.parametrize("q", ["-3*a1^2", "-a1^2"])
+def test_ntilde_takes_an_integrand_with_a_leading_minus_in_either_spelling(q, capsys):
+    # argparse alone reads "--Q -3*a1^2" as an option with no value; both
+    # spellings give the same output
+    argv = ["ntilde", "--g", "3", "--n", "3", "--ell", "0", "--e", "-4"]
+    spaced, joined = run(argv + ["--Q", q], capsys), run(argv + [f"--Q={q}"], capsys)
+    assert spaced == joined and spaced[0] == 0 and spaced[1].strip().lstrip("-").isdigit()
+    code, out, _ = run(argv + ["--Q", q, "--format", "json"], capsys)
+    assert code == 0 and json.loads(out)["value"] == spaced[1].strip()
+
+
+def test_ntilde_refuses_a_trailing_q_with_no_value(capsys):
+    code, out, err = run(["ntilde", "--g", "3", "--n", "3", "--ell", "0", "--e", "-4", "--Q"], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "bad_arguments" and "--Q" in json.loads(err)["reason"]
+
+
 def test_ntilde_not_covered_exits_3(capsys):
     code, _, err = run(
         ["ntilde", "--g", "3", "--n", "2", "--ell", "0", "--e", "-1"], capsys

@@ -698,13 +698,14 @@ def test_odd_staircase_powers_run_no_pfaffian_recursion(monkeypatch):
 def test_a_cold_float_count_and_n_tilde_read_nothing_of_the_exact_route():
     # the independence guard for the counts: the float sums, a staircase
     # factor and an integrand included, build no exact row, table, staircase
-    # sign or S_rho power
+    # sign or S_rho power, at the points or at the orbits
     exact_caches = (quantum._point_table, quantum._tables, quantum._ptilde_rho, quantum._schur_powers)
-    for cached in exact_caches:
+    for cached in exact_caches + (quantum._schur_power,):
         cached.cache_clear()
     assert count_float(2, 14, 1) == pytest.approx(54272, rel=1e-9)
     assert n_tilde_float(NQuery(3, 3, 0, -6, 2, parse_alpha_poly("a1^2 + a1 + 3"))) == pytest.approx(192, rel=1e-9)
     assert [cached.cache_info().currsize for cached in exact_caches] == [0] * 4
+    assert not quantum._powers
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -746,64 +747,82 @@ def test_an_odd_rank_count_names_its_companions_check_prime():
 
 def test_one_power_of_s_rho_serves_every_ell_at_an_n_and_genus(monkeypatch):
     # rank 16 at genus 4 has staircase powers 0, 3, 2, 1 for ell 0..3, and all
-    # four read S_rho^3 at the representatives from one cache key
+    # four read S_rho^3 at the representatives from one store entry
     assert [counting._count_plan(4, 16, ell)[3] for ell in range(4)] == [0, 3, 2, 1]
     quantum.orbit_trace.cache_clear()
     count(4, 16, 0)
+    assert list(quantum._powers) == [(8, True, 2), (8, True, 3)]
     calls = []
     real = quantum.int_mul
     monkeypatch.setattr(quantum, "int_mul", lambda *args: calls.append(args) or real(*args))
     values = [count(4, 16, ell).value for ell in (1, 2, 3)]
     # only the duals multiply, each staircase factor like any class: 2, 1 and
     # 0 products per representative for 3, 2 and 1 factors
-    assert len(calls) == 3 * quantum.orbit_count(8) and len(quantum._kept_powers) == 1
-    # rebuilt from the ladder, S_rho^3 is one multiply per representative
+    assert len(calls) == 3 * quantum.orbit_count(8) and list(quantum._powers) == [(8, True, 2), (8, True, 3)]
+    # from the kept square S_rho^2 alone, S_rho^3 is one multiply per representative
+    quantum._schur_power.cache_clear()
+    quantum.orbit_trace(8, 3)
+    assert list(quantum._powers) == [(8, True, 2)]
     calls.clear()
-    quantum._orbit_powers.cache_clear()
     assert count(4, 16, 2).value == values[1]
     assert len(calls) == quantum.orbit_count(8)
     quantum.orbit_trace.cache_clear()
-    assert len(quantum._kept_powers) == quantum._orbit_duals.cache_info().currsize == 0
+    assert not quantum._powers and quantum._held_bits == quantum._orbit_duals.cache_info().currsize == 0
 
 
-def test_the_schur_ladder_counts_against_the_power_budget(monkeypatch):
-    # the squares S_rho^(2^k) past S_rho are held within the same
-    # POWER_CACHE_BITS as the kept powers, and go before any power
+def test_the_squares_count_against_the_power_budget(monkeypatch):
+    # the squares S_rho^(2^k) past S_rho are entries of the one power store:
+    # held within the same POWER_CACHE_BITS and in the same least recently
+    # used order as every other power, so a tight bound drops the oldest
+    # entry, a square or not (the squares no longer go first as a whole);
+    # and a square dropped within a call is not built again in it
     quantum.orbit_trace.cache_clear()
+    calls = []
+    real = quantum.int_mul
+    monkeypatch.setattr(quantum, "int_mul", lambda *args: calls.append(args) or real(*args))
     large = count(399, 14, 0).value
-    rungs = quantum._schur_ladder(7)
-    ladder, power = quantum._ladder_bits[7], quantum._kept_bits[7, 398]
-    assert all(len(r) == 9 for r in rungs)
-    assert ladder == sum(c.bit_length() for r in rungs for rung in r[1:] for c in rung) > power
-    for bound, ladders in ((power + ladder, {7: ladder}), (power + ladder - 1, {}), (ladder - 1, {})):
+    # 398 has 9 bits, 5 of them set: one dual product, 8 squares and 4
+    # products per representative
+    assert len(calls) == (1 + 8 + 4) * quantum.orbit_count(7)
+    power, squares = (7, True, 398), [(7, True, 1 << j) for j in range(1, 9)]
+    assert list(quantum._powers) == squares + [power]
+    bits = {key: kept for key, (_rows, kept) in quantum._powers.items()}
+    # an entry counts its coefficients' and its denominators' bits
+    assert all(kept == sum(map(int.bit_length, dens)) + sum(c.bit_length() for b in vectors for c in b)
+               for (vectors, dens), kept in quantum._powers.values())
+    total = quantum._held_bits
+    assert total == sum(bits.values()) and sum(bits[key] for key in squares) > bits[power]
+    for bound, kept in ((total, squares + [power]), (total - 1, squares[1:] + [power]), (bits[power], [power])):
         quantum.orbit_trace.cache_clear()
+        calls.clear()
         monkeypatch.setattr(quantum, "POWER_CACHE_BITS", bound)
         assert count(399, 14, 0).value == large
-        assert list(quantum._kept_powers) == [(7, 398)] and quantum._ladder_bits == ladders
-        assert list(quantum._ladders) == list(ladders)
+        assert len(calls) == 13 * quantum.orbit_count(7)
+        assert list(quantum._powers) == kept and quantum._held_bits == sum(bits[key] for key in kept)
 
 
 def test_the_kept_powers_are_bounded_by_their_bits(monkeypatch):
-    # a power past POWER_CACHE_BITS is used and not kept, and drops no other;
-    # kept ones past the bound together go least recently used first
+    # a power past POWER_CACHE_BITS is used and not kept, and evicts nothing;
+    # past POWER_CACHE_KEYS the least recently used go, a hit making an entry
+    # the most recently used; cache_clear empties the store
     quantum.orbit_trace.cache_clear()
-    small, large = count(3, 14, 0).value, count(399, 14, 0).value
-    bits = dict(quantum._kept_bits)
-    assert list(quantum._kept_powers) == list(bits) == [(7, 2), (7, 398)] and bits[7, 2] < bits[7, 398]
+    large = count(399, 14, 0).value
+    monkeypatch.setattr(quantum, "POWER_CACHE_BITS", quantum._powers[7, True, 398][1] - 1)
     quantum.orbit_trace.cache_clear()
-    monkeypatch.setattr(quantum, "POWER_CACHE_BITS", bits[7, 398] - 1)
-    assert count(3, 14, 0).value == small and count(399, 14, 0).value == large
-    assert list(quantum._kept_powers) == list(quantum._kept_bits) == [(7, 2)]
+    # the squares to S_rho^256 alone, built and kept as count(399, 14, 0) builds them
+    quantum.orbit_trace(7, 257)
+    squares, held = dict(quantum._powers), quantum._held_bits
+    assert squares and held <= quantum.POWER_CACHE_BITS
     quantum.orbit_trace.cache_clear()
-    monkeypatch.setattr(quantum, "POWER_CACHE_BITS", bits[7, 398] + bits[7, 2] - 1)
-    assert count(3, 14, 0).value == small and list(quantum._kept_powers) == [(7, 2)]
-    monkeypatch.setattr(quantum, "POWER_CACHE_BITS", bits[7, 398])
-    assert count(399, 14, 0).value == large and list(quantum._kept_powers) == [(7, 398)]
-    # by keys: a hit makes a power the most recently used
+    assert count(399, 14, 0).value == large
+    assert list(quantum._powers.items()) == list(squares.items()) and quantum._held_bits == held
+    # by keys: rank 14, 12 and 10 at genus 3 each read one square, S_rho^2 at
+    # n = 7, 6 and 5; the hit at n = 7 saves it from the eviction at n = 5
     monkeypatch.setattr(quantum, "POWER_CACHE_BITS", 1 << 25)
     monkeypatch.setattr(quantum, "POWER_CACHE_KEYS", 2)
     quantum.orbit_trace.cache_clear()
-    count(3, 14, 0), count(5, 14, 0), count(3, 14, 2), count(399, 14, 0)
-    assert list(quantum._kept_powers) == list(quantum._kept_bits) == [(7, 2), (7, 398)]
+    count(3, 14, 0), count(3, 12, 0), count(3, 14, 0), count(3, 10, 0)
+    assert list(quantum._powers) == [(7, True, 2), (5, True, 2)]
+    assert quantum._held_bits == sum(kept for _rows, kept in quantum._powers.values())
     quantum.orbit_trace.cache_clear()
-    assert not quantum._kept_powers and not quantum._kept_bits
+    assert not quantum._powers and quantum._held_bits == 0

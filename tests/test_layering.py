@@ -5,7 +5,8 @@ other ogq modules: a helper one of them needs belongs in that module's
 public API.
 No module holds an assert statement, so every invariant survives `python -O`.
 The size budgets are one policy: only quantum defines a *_MAX_N cap or
-raises SizeBudgetError.  One function in counting reaches the sums, one
+raises SizeBudgetError.  S_rho's powers have one store in quantum: no
+ladder or second power cache, and no int_pow.  One function in counting reaches the sums, one
 plans a count, and one function in the package raises OverflowError, so no
 second copy of any creeps back.  An integrand belongs to counting alone:
 quantum's sums take insertions only, symfunc evaluates no integrand on
@@ -292,3 +293,39 @@ def test_the_integrand_guards_fire(tmp_path):
     assert functions_holding(probe, names_the_integrand) == {"_int_q", "parse"}
     assert functions_holding(probe, calls_named("int_mul", "int_pow")) == {"_int_q", "power"}
     assert functions_holding(probe, reads_terms) == {"_int_q"}
+
+
+def module_names(path: Path) -> set[str]:
+    # the names one module binds at its top level: functions, classes,
+    # assignments and imports
+    found = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                found |= {name.id for name in ast.walk(target) if isinstance(name, ast.Name)}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+    return found
+
+
+SECOND_POWER_CACHES = {"_schur_ladder", "_ladders", "_ladder_bits", "_kept_powers", "_kept_bits", "int_pow"}
+
+
+def test_quantum_keeps_one_store_of_s_rho_powers():
+    assert module_names(SRC / "quantum.py") & SECOND_POWER_CACHES == set()
+
+
+def test_the_power_store_guard_fires(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from .cyclotomic import int_mul, int_pow as int_pow\n"
+        "_kept_powers: dict = {}\n"
+        "_ladders, _ladder_bits = {}, {}\n"
+        "def _schur_ladder(n):\n"
+        "    _kept_bits = {}\n"
+        "    return _kept_bits\n"
+    )
+    assert module_names(probe) & SECOND_POWER_CACHES == {
+        "_schur_ladder", "_ladders", "_ladder_bits", "_kept_powers", "int_pow"}

@@ -249,24 +249,26 @@ def test_the_engine_equals_the_point_sum_and_the_per_representative_formula(n, f
                    else counting._scaled_sum(True, n, genus, len(insertions), 0, q_poly))
             assert Fraction(*got) == expected[genus, insertions, q_poly], (genus, insertions, q_poly)
 
-    # descending first grows the ladder to the top bit at once and ascending
-    # reads it; after a clear, ascending grows it one bit at a time
+    # descending first builds the squares to the top bit at once and
+    # ascending reads them; after a clear, ascending adds one square at a time
     descending = sorted(cases, key=lambda case: -case[0])
     quantum.orbit_trace.cache_clear()
     ask(descending)
     ask(descending[::-1])
     quantum.orbit_trace.cache_clear()
     ask(descending[::-1])
+    # each kept square is the square of the one below it, S_rho^2 of the point table's S_rho
     order = quantum.session_order(n)
-    for rungs in quantum._schur_ladder(n):
-        assert len(rungs) == (401 - 1).bit_length()
-        assert all(b == int_mul(a, a, order) for a, b in zip(rungs, rungs[1:]))
+    squares = [quantum._powers[n, True, 1 << j][0] for j in range(1, (401 - 1).bit_length())]
+    below = [tuple(s for _w, _e, s in quantum._point_table(n, True, False))] + [v for v, _dens in squares]
+    for lower, (upper, dens) in zip(below, squares):
+        assert upper == tuple(int_mul(b, b, order) for b in lower) and set(dens) == {1}
 
 
 def test_a_warm_orbit_sum_multiplies_once_per_extra_bit(monkeypatch):
-    # with the duals and the ladder warm, S_rho^(g-1) costs popcount(g-1) - 1
-    # multiplies per representative, and nothing else multiplies; the power
-    # is then kept per (n, genus), so the same call again multiplies nothing
+    # with the duals and the squares to S_rho^256 warm, S_rho^(g-1) costs
+    # popcount(g-1) - 1 multiplies per representative, and nothing else
+    # multiplies; the power is then kept, so the same call again multiplies nothing
     n = 5
     reps = orbit_count(n)
     cases = [(genus, ()) for genus in (401, 257, 65, 13, 5, 1)] + [(0, (rho(4),))]
@@ -276,7 +278,9 @@ def test_a_warm_orbit_sum_multiplies_once_per_extra_bit(monkeypatch):
     real = quantum.int_mul
     monkeypatch.setattr(quantum, "int_mul", lambda *args: calls.append(args) or real(*args))
     for genus, insertions in cases:
-        quantum._orbit_powers.cache_clear()
+        quantum._schur_power.cache_clear()
+        orbit_trace(n, 257)
+        assert list(quantum._powers) == [(n, True, 1 << j) for j in range(1, 9)]
         calls.clear()
         assert Fraction(*orbit_trace(n, genus, insertions)) == _per_representative(n, genus, insertions)
         assert len(calls) == reps * max(bin(genus - 1).count("1") - 1, 0), genus

@@ -67,6 +67,10 @@ def test_is_valid_rejects_bad_shapes():
     assert not is_valid((3, 1), 2)
     assert not is_valid((1, 2), 3)
     assert not is_valid((0,), 3)
+    assert not is_valid((2.0, 1), 3)
+    assert not is_valid((2, "1"), 3)
+    assert not is_valid((-1,), 3)
+    assert not is_valid((2, -1), 3)
     assert is_valid((2, 1), 2)
     assert is_valid((), 5)
 

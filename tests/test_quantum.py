@@ -672,7 +672,7 @@ def test_a_cold_sum_reads_only_the_classes_it_needs(exact):
     query = GWQuery(n, 1, 6, classes + (rho(9),))
     assert degree_ok(query)
     exact_caches = (quantum._point_table, quantum._tables, quantum._ptilde_rho, quantum._schur_powers)
-    for cached in exact_caches + (quantum._float_tables,):
+    for cached in exact_caches + (quantum._float_tables, quantum._schur_power):
         cached.cache_clear()
     value = gw_invariant(query) if exact else gw_invariant_float(query)
     if exact:
@@ -683,8 +683,10 @@ def test_a_cold_sum_reads_only_the_classes_it_needs(exact):
         assert quantum._float_tables.cache_info().currsize == 0
     else:
         # the independence guard: a cold float sum reads nothing the exact
-        # route builds, and its tables hold the classes, the staircase too
+        # route builds, no S_rho power included, and its tables hold the
+        # classes, the staircase too
         assert [cached.cache_info().currsize for cached in exact_caches] == [0] * 4
+        assert not quantum._powers
         assert [set(table) for table in quantum._float_tables(n)] == [set(query.insertions)] * 2 ** 9
     assert value == pytest.approx(4 ** 6 * Fraction(*quantum.orbit_trace(n, 1, query.insertions)), rel=1e-9)
 
