@@ -4,8 +4,9 @@
 Runs `ogq table --n k` for each k and prints one summary line per table
 instead of the entries, so the files are the CLI's own.  The default range
 n = 2..7 takes under half a second from a cold start; n = 8 alone takes
-about 0.5 s and n = 9 about 4 s, most of it the structure-constant sum over
-the orbit representatives of the evaluation points.  `ogq table` refuses
+0.33 s and n = 9 2.66 s of CPU on a 2-CPU x86-64 VM (BENCH_33.json's table_n8
+and table_n9), most of it the structure-constant sum over the orbit
+representatives of the evaluation points.  `ogq table` refuses
 n > 9 (its basis budget), and so does this script.
 """
 

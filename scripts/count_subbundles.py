@@ -7,14 +7,15 @@ powers of two in the applicable rows are the headline pattern.  Each count
 is an exact sum over the affine orbits of the evaluation points, and the
 per-rank tables are kept for the rest of the scan.  With --max-rank 40
 (genus 2..9, ell 0..2) the whole scan answers every applicable count in
-about 4-5 s of CPU and 43 MB peak on a 2-CPU x86-64 VM with Python 3.11:
-the first count of rank 40 about 1 s (the orbit walk and S_rho at the 805
-representatives of n = 20), a staircase power one Pfaffian mod p per
-representative on top, and a count whose rank was already seen a few
-milliseconds.  Those times hold for genus 2-9; the S_rho power grows with
-the genus, and the first count(400, 40, 0) took 31.7 s in process, nearly
-all of it the S_rho powers at the 805 representatives, whose coefficients
-reach about 8,000 bits, so a large-genus rank-40 row is slow, not hung.
+3.14 s of CPU and 43.7 MB peak on a 2-CPU x86-64 VM with Python 3.11
+(BENCH_33.json's count_subbundles_rank40): the first count of rank 40 about
+0.7 s (the orbit walk and S_rho at the 805 representatives of n = 20), a
+staircase power one Pfaffian mod p per representative on top, and a count
+whose rank was already seen a few milliseconds.  Those times hold for genus
+2-9; the S_rho power grows with the genus, and the first count(400, 40, 0)
+took 19.7 s in process (BENCH_33.json's count_400_40_0), nearly all of it
+the S_rho powers at the 805 representatives, whose coefficients reach about
+8,000 bits, so a large-genus rank-40 row is slow, not hung.
 Every staircase factor's sign rests on a check mod a prime, not a proof.
 Counts run to rank 40; past it a count is refused before any work and its
 row says so.

@@ -12,10 +12,11 @@ slot, a staircase Pfaffian off its square mod p, an S_rho that is 0), 2
 invalid input (a bad argument, or partitions.InvalidInput from the library),
 3 not applicable, not covered or past a size budget (a refusal,
 quantum.Refusal: the structure table, which table, qmul and gw --trace read,
-past n = 9; gw on the weight condition past n = 10; a count past n = 20), 4
-I/O failure, 5 internal error (any other exception: a fault of the program).
-The library decides every verdict and refuses past its size budgets, whose
-caps all live in quantum; this module only maps the verdicts to exit codes.
+past n = 9; gw on the weight condition past n = 10; a count or an ntilde
+past n = 20), 4 I/O failure, 5 internal error (any other exception: a fault
+of the program).  The library decides every verdict and refuses past its
+size budgets, whose caps all live in quantum; this module only maps the
+verdicts to exit codes.
 """
 
 from __future__ import annotations
@@ -70,26 +71,28 @@ def _float_agrees(exact, approx: float) -> bool:
                                       <= Fraction(FLOAT_RTOL) * max(1, abs(exact)))
 
 
-def _float_check(doc: dict, exact, approx_of, note: str) -> bool:
-    # Fills float_value and float_agrees in doc, or float_value None and a
-    # float_note when the float route leaves the double range or refuses the
-    # query; returns False only on a disagreement.
-    try:
-        approx = approx_of()
-    except (OverflowError, Refusal) as exc:
-        # the exact value stands; only the float route could not answer
-        doc["float_value"] = None
-        doc["float_note"] = str(exc) if isinstance(exc, Refusal) else note
-        return True
-    doc["float_value"] = approx
-    doc["float_agrees"] = _float_agrees(exact, approx)
-    return doc["float_agrees"]
+def _emit(args, doc: dict, lines: list[str]) -> None:
+    # every answer but table's leaves the program here: the document, or the text lines
+    print(json.dumps(doc, indent=2) if args.format == "json" else "\n".join(lines))
 
 
-def _float_line(doc: dict) -> str:
-    if doc["float_value"] is None:
-        return f"float route: {doc['float_note']}"
-    return f"float route: {doc['float_value']!r} ({'agree' if doc['float_agrees'] else 'DISAGREE'})"
+def _answer(args, doc: dict, lines: list[str], exact, approx_of, note: str) -> int:
+    # The one tail of gw, count and ntilde.  Under --mode float the float route
+    # re-sums the answer into float_value and float_agrees; where it leaves the
+    # double range (note) or refuses the query, float_value is None beside a
+    # float_note, and the exact value stands.  A disagreement of either
+    # cross-check, the float route or gw --trace, exits 1.
+    if args.mode == "float":
+        try:
+            doc["float_value"] = approx_of()
+        except (OverflowError, Refusal) as exc:
+            doc["float_value"], doc["float_note"] = None, str(exc) if isinstance(exc, Refusal) else note
+            lines.append(f"float route: {doc['float_note']}")
+        else:
+            doc["float_agrees"] = _float_agrees(exact, doc["float_value"])
+            lines.append(f"float route: {doc['float_value']!r} ({'agree' if doc['float_agrees'] else 'DISAGREE'})")
+    _emit(args, doc, lines)
+    return VERIFY_FAIL if False in (doc.get("trace_agrees"), doc.get("float_agrees")) else OK
 
 
 def cmd_gw(args) -> int:
@@ -106,50 +109,24 @@ def cmd_gw(args) -> int:
     }
     if quantum.degree_ok(query) and (prime := quantum.sign_check_prime(args.n, query.insertions)) is not None:
         doc["sign_check_prime"] = prime
-    status = OK
+    lines = [doc["value"]]
     if args.trace:
-        doc["trace_value"] = decimal_string(trace)
-        doc["trace_agrees"] = trace == value
-        if not doc["trace_agrees"]:
-            status = VERIFY_FAIL
-    if args.mode == "float" and not _float_check(
-        doc, value, lambda: quantum.gw_invariant_float(query),
-        f"4^{args.d} times the float sum cannot be represented as a double",
-    ):
-        status = VERIFY_FAIL
-    if args.format == "json":
-        print(json.dumps(doc, indent=2))
-    else:
-        print(doc["value"])
-        if args.trace:
-            print(f"trace route: {doc['trace_value']} ({'agree' if doc['trace_agrees'] else 'DISAGREE'})")
-        if "float_value" in doc:
-            print(_float_line(doc))
-    return status
+        doc["trace_value"], doc["trace_agrees"] = decimal_string(trace), trace == value
+        lines.append(f"trace route: {doc['trace_value']} ({'agree' if doc['trace_agrees'] else 'DISAGREE'})")
+    return _answer(args, doc, lines, value, lambda: quantum.gw_invariant_float(query),
+                   f"4^{args.d} times the float sum cannot be represented as a double")
 
 
 def cmd_count(args) -> int:
     report = counting.count(args.g, args.rank, args.ell)
     doc = report.to_json_dict()
-    status = OK if report.applicable else NOT_APPLICABLE
-    if report.applicable and args.mode == "float" and not _float_check(
-        doc, report.value, lambda: counting.count_float(args.g, args.rank, args.ell),
-        f"N has {len(doc['N'])} digits and cannot be represented as a double",
-    ):
-        status = VERIFY_FAIL
-    if args.format == "json":
-        print(json.dumps(doc, indent=2))
-    else:
-        if report.applicable:
-            print(doc["N"])
-            print(f"e0 = {report.e0}, required w2 = {report.required_w2} (mod 2)")
-            for note in report.notes:
-                print(f"note: {note}")
-            if "float_value" in doc:
-                print(_float_line(doc))
-        else:
-            print(report.reason)
-    return status
+    if not report.applicable:
+        _emit(args, doc, [report.reason])
+        return NOT_APPLICABLE
+    lines = [doc["N"], f"e0 = {report.e0}, required w2 = {report.required_w2} (mod 2)",
+             *(f"note: {note}" for note in report.notes)]
+    return _answer(args, doc, lines, report.value, lambda: counting.count_float(args.g, args.rank, args.ell),
+                   f"N has {len(doc['N'])} digits and cannot be represented as a double")
 
 
 def _resolve_cache_dir(arg: str | None) -> Path:
@@ -203,14 +180,11 @@ def cmd_qmul(args) -> int:
     product = quantum.quantum_product(
         args.n, QuantumElement.basis(lam), QuantumElement.basis(mu)
     )
-    if args.format == "json":
-        terms = [
-            {"nu": partitions.format_partition(nu), "d": d, "c": str(c)}
-            for (nu, d), c in sorted(product.terms.items(), key=lambda kv: (kv[0][1], kv[0][0]))
-        ]
-        print(json.dumps({"n": args.n, "a": args.a, "b": args.b, "terms": terms}, indent=2))
-    else:
-        print(product)
+    terms = [
+        {"nu": partitions.format_partition(nu), "d": d, "c": str(c)}
+        for (nu, d), c in sorted(product.terms.items(), key=lambda kv: (kv[0][1], kv[0][0]))
+    ]
+    _emit(args, {"n": args.n, "a": args.a, "b": args.b, "terms": terms}, [str(product)])
     return OK
 
 
@@ -229,43 +203,17 @@ def cmd_ntilde(args) -> int:
     }
     if (prime := counting.n_tilde_sign_prime(query)) is not None:
         doc["sign_check_prime"] = prime
-    status = OK
-    if args.mode == "float" and not _float_check(
-        doc, value, lambda: counting.n_tilde_float(query),
-        f"the value has {len(doc['value'])} digits and cannot be represented as a double",
-    ):
-        status = VERIFY_FAIL
-    if args.format == "json":
-        print(json.dumps(doc, indent=2))
-    else:
-        print(doc["value"])
-        if "float_value" in doc:
-            print(_float_line(doc))
-    return status
+    return _answer(args, doc, [doc["value"]], value, lambda: counting.n_tilde_float(query),
+                   f"the value has {len(doc['value'])} digits and cannot be represented as a double")
 
 
 def cmd_verify(args) -> int:
     results = verify.run_suite(args.suite)
     failures = [r for r in results if not r.ok]
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "suite": args.suite,
-                    "checks": [dataclasses.asdict(r) for r in results],
-                    "failures": len(failures),
-                },
-                indent=2,
-            )
-        )
-    else:
-        for r in results:
-            mark = "ok  " if r.ok else "FAIL"
-            line = f"{mark} [{r.suite}] {r.name}"
-            if r.detail and not r.ok:
-                line += f" :: {r.detail}"
-            print(line)
-        print(f"{len(results) - len(failures)}/{len(results)} checks passed")
+    lines = [f"{'ok  ' if r.ok else 'FAIL'} [{r.suite}] {r.name}" + (f" :: {r.detail}" if r.detail and not r.ok else "")
+             for r in results]
+    _emit(args, {"suite": args.suite, "checks": [dataclasses.asdict(r) for r in results], "failures": len(failures)},
+          [*lines, f"{len(results) - len(failures)}/{len(results)} checks passed"])
     return OK if not failures else VERIFY_FAIL
 
 

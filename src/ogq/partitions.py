@@ -44,10 +44,6 @@ def weight(parts: Partition) -> int:
     return sum(parts)
 
 
-def length(parts: Partition) -> int:
-    return len(parts)
-
-
 def rho(k: int) -> Partition:
     """The staircase (k, k-1, ..., 1); rho(0) is empty.
 

@@ -115,9 +115,11 @@ class WeightConditionError(ProofFailure):
 
 # The size budgets, the largest n per route (check_budget).  The table grows
 # as the cube of its 2^(n-1) classes.  gw's sums run over all 2^(n-1) points
-# for any classes: a cold exact sum of four of the longest takes about 3 s at
-# n = 10 and 13 s at n = 11.  The exact counts walk the 2^(n-1) residue sets
-# once (n = 20, rank 40: about 1.4 s); the float counts sum all 2^(n-1) points.
+# for any classes: a cold exact sum of four of the longest takes 1.22 s at
+# n = 10 (BENCH_33.json's gw_n10_four_long, CPU on a 2-CPU x86-64 VM) and
+# about 13 s at n = 11 (not re-measured).  The exact counts walk the 2^(n-1)
+# residue sets once (n = 20, rank 40: 0.73 s, BENCH_33.json's count_3_40_0);
+# the float counts sum all 2^(n-1) points.
 TABLE_MAX_N, GW_SUM_MAX_N, EXACT_MAX_N, FLOAT_MAX_N = 9, 10, 20, 12
 _CAPS = {"table": TABLE_MAX_N, "gw": GW_SUM_MAX_N, "exact": EXACT_MAX_N, "float": FLOAT_MAX_N}
 

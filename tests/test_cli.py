@@ -77,6 +77,28 @@ def test_gw_trace_route(capsys):
     assert out == "2\ntrace route: 2 (agree)\n"
 
 
+def test_a_trace_disagreement_exits_1_and_the_float_line_follows_the_trace_line(monkeypatch, capsys):
+    # the trace route patched one off: the verdict reaches the text, the JSON
+    # and the exit code, and under --mode float the float route still runs
+    real = quantum.trace_invariant
+    monkeypatch.setattr(quantum, "trace_invariant", lambda query: real(query) + 1)
+    argv = ["gw", "--n", "2", "--g", "1", "--d", "1", "--insertions", "1;1", "--trace"]
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (1, "")
+    assert out.splitlines() == ["2", "trace route: 3 (DISAGREE)"]
+    code, out, _ = run(argv + ["--format", "json"], capsys)
+    doc = json.loads(out)
+    assert code == 1 and (doc["value"], doc["trace_value"], doc["trace_agrees"]) == ("2", "3", False)
+    code, out, _ = run(argv + ["--mode", "float"], capsys)
+    lines = out.splitlines()
+    assert code == 1 and lines[:2] == ["2", "trace route: 3 (DISAGREE)"]
+    assert len(lines) == 3 and lines[2].startswith("float route: ") and lines[2].endswith(" (agree)")
+    code, out, _ = run(argv + ["--mode", "float", "--format", "json"], capsys)
+    doc = json.loads(out)
+    assert code == 1 and doc["trace_agrees"] is False and doc["float_agrees"] is True
+    assert list(doc)[-4:] == ["trace_value", "trace_agrees", "float_value", "float_agrees"]
+
+
 def test_gw_float_mode(capsys):
     code, out, _ = run(
         ["gw", "--n", "2", "--g", "3", "--d", "1", "--mode", "float",
@@ -777,6 +799,10 @@ def test_a_wrong_exact_pair_value_does_not_move_the_float_gw(monkeypatch, capsys
     doc = json.loads(out)
     assert doc["value"] == "4" and doc["float_agrees"] is False
     assert doc["float_value"] == pytest.approx(6, rel=1e-9)
+    code, out, _ = run(["gw", "--n", "6", "--g", "0", "--d", "2", "--insertions", "3;5,3;5,4,1;5,4,3,2",
+                        "--mode", "float"], capsys)
+    assert code == 1
+    assert out.splitlines() == ["4", f"float route: {doc['float_value']!r} (DISAGREE)"]
 
 
 def test_a_zero_staircase_schur_row_is_a_failed_proof(monkeypatch, capsys, tmp_path, cold_caches):

@@ -10,7 +10,9 @@ ladder or second power cache, and no int_pow.  One function in counting reaches 
 plans a count, and one function in the package raises OverflowError, so no
 second copy of any creeps back.  An integrand belongs to counting alone:
 quantum's sums take insertions only, symfunc evaluates no integrand on
-integers, and counting expands one in one function."""
+integers, and counting expands one in one function.  The CLI has one answer
+path: one tail for the cross-checks of gw, count and ntilde, and one
+indented JSON print, the emitter every subcommand but table prints through."""
 
 import ast
 from pathlib import Path
@@ -329,3 +331,31 @@ def test_the_power_store_guard_fires(tmp_path):
     )
     assert module_names(probe) & SECOND_POWER_CACHES == {
         "_schur_ladder", "_ladders", "_ladder_bits", "_kept_powers", "int_pow"}
+
+
+def indented_dumps(path: Path) -> list[int]:
+    # the line numbers of the json.dumps(..., indent=2) calls of one module
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+            if calls_named("dumps")(node)
+            and any(k.arg == "indent" and getattr(k.value, "value", None) == 2 for k in node.keywords)]
+
+
+def test_the_cli_has_one_answer_path():
+    cli = SRC / "cli.py"
+    assert module_names(cli) & {"_float_check", "_float_line"} == set()
+    assert len(indented_dumps(cli)) == 1
+
+
+def test_the_answer_path_guard_fires(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import json\n"
+        "# json.dumps(doc, indent=2) in a comment is no call\n"
+        "def _float_line(doc):\n"
+        "    return json.dumps(doc, indent=2)\n"
+        "def emit(doc):\n"
+        "    print(json.dumps(doc), 'indent=2', json.dumps(doc, indent=4))\n"
+        "    print(json.dumps(doc, sort_keys=True, indent=2))\n"
+    )
+    assert indented_dumps(probe) == [4, 7]
+    assert "_float_line" in module_names(probe)

@@ -9,7 +9,6 @@ from ogq.partitions import (
     dual,
     format_partition,
     is_valid,
-    length,
     parse_partition,
     rho,
     validate,
@@ -32,10 +31,10 @@ def test_all_strict_count_is_two_to_the_m(m):
     assert all(is_valid(lam, m) for lam in parts)
 
 
-def test_weight_and_length():
-    assert weight(()) == 0 and length(()) == 0
-    assert weight((2, 1)) == 3 and length((2, 1)) == 2
-    assert weight(rho(4)) == 10 and length(rho(4)) == 4
+def test_weight():
+    assert weight(()) == 0
+    assert weight((2, 1)) == 3
+    assert weight(rho(4)) == 10
 
 
 def test_rho_examples():
