@@ -14,6 +14,9 @@ Per figure it records:
 
 - `cpu_s`: the median CPU time of the call (time.process_time in the child,
   imports excluded);
+- `import_s`: the median of the child's time.process_time when its imports
+  are done: the CPU of interpreter start-up and of importing ogq, its CLI
+  included, which every `ogq` command pays before it runs;
 - `vmhwm_mb`: the median of the child's own peak resident memory, VmHWM in
   /proc/self/status; ru_maxrss would also count the parent's peak, which
   Linux carries across exec;
@@ -55,6 +58,7 @@ RUNS = 3
 CHILD = r"""
 import contextlib, hashlib, io, json, runpy, shutil, sys, tempfile, time
 from ogq import cli, counting, partitions, quantum
+imports = time.process_time()
 
 
 class Sink(io.TextIOBase):
@@ -96,7 +100,7 @@ for part in %(parts)s:
     sink.write(part)
 with open("/proc/self/status") as fh:
     hwm_kb = int(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
-print(json.dumps({"cpu_s": cpu, "vmhwm_mb": hwm_kb / 1024, "sha256": sink.hash.hexdigest(),
+print(json.dumps({"cpu_s": cpu, "import_s": imports, "vmhwm_mb": hwm_kb / 1024, "sha256": sink.hash.hexdigest(),
                   "answer": sink.text}), file=out)
 """
 
@@ -173,8 +177,10 @@ def summary(name: str, runs: list[dict]) -> dict:
         return {"error": errors[0]}
     hashes = {run["sha256"] for run in runs}
     figure = {"cpu_s": statistics.median(run["cpu_s"] for run in runs),
+              "import_s": statistics.median(run["import_s"] for run in runs),
               "vmhwm_mb": statistics.median(run["vmhwm_mb"] for run in runs),
               "cpu_s_runs": [run["cpu_s"] for run in runs],
+              "import_s_runs": [run["import_s"] for run in runs],
               "vmhwm_mb_runs": [run["vmhwm_mb"] for run in runs],
               "sha256": runs[0]["sha256"], "answer": runs[0]["answer"]}
     if len(hashes) > 1:
@@ -210,7 +216,8 @@ def main(argv: list[str]) -> int:
     for name, spec in FIGURES.items():
         for side, got in measure(name, spec, roots).items():
             figures[side][name] = got
-            line = got.get("error") or f"cpu {got['cpu_s']:.3f} s, VmHWM {got['vmhwm_mb']:.1f} MB, {got['sha256'][:8]}"
+            line = got.get("error") or (f"cpu {got['cpu_s']:.3f} s, imports {got['import_s']:.3f} s, "
+                                        f"VmHWM {got['vmhwm_mb']:.1f} MB, {got['sha256'][:8]}")
             print(f"{name} ({side}): {line}", flush=True)
     doc = {"pr": args.pr, "runs": RUNS, "machine": machine(), "figures": figures["change"]}
     if args.parent is not None:

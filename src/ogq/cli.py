@@ -22,17 +22,15 @@ verdicts to exit codes.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
 import sys
-import traceback
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
-from . import counting, partitions, quantum, verify
+from . import counting, partitions, quantum
 from .counting import NQuery, decimal_string
 from .cyclotomic import ProofFailure
 from .partitions import InvalidInput
@@ -208,6 +206,11 @@ def cmd_ntilde(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # imported here, as only this subcommand reads them: every other command starts without them
+    import dataclasses
+
+    from . import verify
+
     results = verify.run_suite(args.suite)
     failures = [r for r in results if not r.ok]
     lines = [f"{'ok  ' if r.ok else 'FAIL'} [{r.suite}] {r.name}" + (f" :: {r.detail}" if r.detail and not r.ok else "")
@@ -306,6 +309,8 @@ def main(argv=None) -> int:
         _emit_error("io_error", str(exc))
         return IO_ERROR
     except Exception as exc:  # a fault of the program: report it with where it arose
+        import traceback
+
         _emit_error("internal_error", f"{type(exc).__name__}: {exc}", traceback.format_exc())
         return INTERNAL_ERROR
 

@@ -33,9 +33,9 @@ before anything is enumerated).
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import sys
+from collections import namedtuple
 from fractions import Fraction
 
 from . import partitions, quantum
@@ -114,26 +114,23 @@ def max_iso_degree(rank: int, genus: int, ell: int) -> int:
     return -(n + 1) * (genus - 1) // 2 + n * ell // 2
 
 
-@dataclasses.dataclass(frozen=True)
-class NQuery:
+class NQuery(namedtuple("NQuery", "genus n ell e u q_poly")):
     """Arbitrary-bundle intersection query: genus, n (half the rank), the
     invariant ell, subbundle degree e, u staircase insertions, and the
     integrand Q as a polynomial in a_1..a_{n-1}."""
 
-    genus: int
-    n: int
-    ell: int
-    e: int
-    u: int = 0
-    q_poly: AlphaPolynomial = dataclasses.field(default_factory=AlphaPolynomial.one)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 2:
-            raise UnsupportedRankError(f"n must be >= 2, got {self.n}")
-        if self.genus < 0:
-            raise InvalidInput(f"genus must be >= 0, got {self.genus}")
-        if self.u < 0:
-            raise InvalidInput(f"u must be >= 0, got {self.u}")
+    # the default integrand is one shared AlphaPolynomial, a value no call can change
+    def __new__(cls, genus: int, n: int, ell: int, e: int, u: int = 0,
+                q_poly: AlphaPolynomial = AlphaPolynomial.one()):
+        if n < 2:
+            raise UnsupportedRankError(f"n must be >= 2, got {n}")
+        if genus < 0:
+            raise InvalidInput(f"genus must be >= 0, got {genus}")
+        if u < 0:
+            raise InvalidInput(f"u must be >= 0, got {u}")
+        return super().__new__(cls, genus, n, ell, e, u, q_poly)
 
 
 def _plan(n: int, ell: int, e: int) -> tuple[int, int]:
@@ -248,20 +245,29 @@ def decimal_string(value: int | Fraction) -> str:
     return decimal_string(high) + decimal_string(low).zfill(low_digits)
 
 
-@dataclasses.dataclass
 class CountReport:
-    """Outcome of a maximal-isotropic-subbundle count."""
+    """Outcome of a maximal-isotropic-subbundle count.  Reports compare by
+    their fields and are unhashable; each starts with its own notes list."""
 
-    genus: int
-    rank: int
-    ell: int
-    e0: int | None
-    applicable: bool
-    value: int | None = None
-    required_w2: int | None = None
-    reason: str | None = None
-    decomposition: dict | None = None
-    notes: list[str] = dataclasses.field(default_factory=list)
+    __slots__ = ("genus", "rank", "ell", "e0", "applicable", "value", "required_w2", "reason",
+                 "decomposition", "notes")
+    __hash__ = None
+
+    def __init__(self, genus: int, rank: int, ell: int, e0: int | None, applicable: bool,
+                 value: int | None = None, required_w2: int | None = None, reason: str | None = None,
+                 decomposition: dict | None = None, notes: list[str] | None = None):
+        self.genus, self.rank, self.ell, self.e0, self.applicable = genus, rank, ell, e0, applicable
+        self.value, self.required_w2, self.reason = value, required_w2, reason
+        self.decomposition, self.notes = decomposition, [] if notes is None else notes
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, key) for key in self.__slots__)
+
+    def __eq__(self, other):
+        return self._astuple() == other._astuple() if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self) -> str:
+        return "CountReport(" + ", ".join(f"{key}={getattr(self, key)!r}" for key in self.__slots__) + ")"
 
     def to_json_dict(self) -> dict:
         out = {

@@ -25,7 +25,6 @@ Fraction(2, 1)
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import math
 import operator
 from collections.abc import Callable, Sequence
@@ -242,16 +241,20 @@ def int_inverse(a: Sequence[int], order: int) -> tuple[list[int], int]:
     return b, abs(norm)
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
 class CycloNum:
     """An element of Q(w) for w a fixed primitive root of unity.
 
     `coeffs` always has length phi(order).  Mixed arithmetic with int and
     Fraction operands is supported and treats them as rational constants.
+    Elements are values: nothing assigns to a built one, and the hash relies
+    on that.
     """
 
-    order: int
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("order", "coeffs")
+
+    def __init__(self, order: int, coeffs: tuple[Fraction, ...]):
+        self.order = order
+        self.coeffs = coeffs
 
     def __eq__(self, other) -> bool:
         if isinstance(other, CycloNum):

@@ -63,10 +63,10 @@ from __future__ import annotations
 
 import bisect
 import cmath
-import dataclasses
 import itertools
 import math
 import operator
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 
@@ -163,17 +163,15 @@ def session_order(n: int) -> int:
     return 4 * (n - 1)
 
 
-@dataclasses.dataclass(frozen=True)
-class EvalPoint:
+class EvalPoint(namedtuple("EvalPoint", "doubled point")):
     """One admissible evaluation tuple.
 
     `doubled` holds the strictly increasing doubled exponents 2*j, so the
-    k-th coordinate of `point` is w^(2*j_k) = zeta^(j_k) for w the primitive
-    root of order 4m.
+    k-th coordinate of `point` (a tuple of CycloNum) is w^(2*j_k) = zeta^(j_k)
+    for w the primitive root of order 4m.
     """
 
-    doubled: tuple[int, ...]
-    point: tuple[CycloNum, ...]
+    __slots__ = ()
 
 
 @lru_cache(maxsize=None)
@@ -241,24 +239,21 @@ def orbit_count(n: int) -> int:
     return len(_orbits(n - 1))
 
 
-@dataclasses.dataclass(frozen=True)
-class GWQuery:
-    """A single invariant: rank parameter n, genus, degree, insertions."""
+class GWQuery(namedtuple("GWQuery", "n genus degree insertions")):
+    """A single invariant: rank parameter n, genus, degree, insertions (a
+    tuple of partitions, each validated for OG(n)_0)."""
 
-    n: int
-    genus: int
-    degree: int
-    insertions: tuple[Partition, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 2:
-            raise UnsupportedRankError(f"n must be >= 2, got {self.n}")
-        if self.genus < 0:
-            raise InvalidInput(f"genus must be >= 0, got {self.genus}")
-        if self.degree < 0:
-            raise NegativeDegreeError(f"degree must be >= 0, got {self.degree}")
-        ins = tuple(partitions.validate(lam, self.n - 1) for lam in self.insertions)
-        object.__setattr__(self, "insertions", ins)
+    def __new__(cls, n: int, genus: int, degree: int, insertions):
+        if n < 2:
+            raise UnsupportedRankError(f"n must be >= 2, got {n}")
+        if genus < 0:
+            raise InvalidInput(f"genus must be >= 0, got {genus}")
+        if degree < 0:
+            raise NegativeDegreeError(f"degree must be >= 0, got {degree}")
+        ins = tuple(partitions.validate(lam, n - 1) for lam in insertions)
+        return super().__new__(cls, n, genus, degree, ins)
 
 
 def admissible_degree(n: int, genus: int, insertions) -> int | None:
@@ -682,13 +677,8 @@ def three_point(n: int, lam, mu, nu, d: int) -> int:
     return gw_invariant(GWQuery(n, 0, d, ins))
 
 
-@dataclasses.dataclass(frozen=True)
-class TableEntry:
-    lam: Partition
-    mu: Partition
-    nu: Partition
-    d: int
-    c: int
+class TableEntry(namedtuple("TableEntry", "lam mu nu d c")):
+    __slots__ = ()
 
 
 def structure_table(n: int, max_d: int | None = None) -> tuple[TableEntry, ...]:
@@ -796,21 +786,28 @@ def _product_lookup(n: int) -> tuple[dict[Partition, list[dict[int, int]]], dict
     return dict(zip(basis, mult)), {lam: i for i, lam in enumerate(basis)}, basis
 
 
-@dataclasses.dataclass
 class QuantumElement:
     """A finite combination sum c * q^d * tau_lambda with rational c, an int
-    when integral: a Fraction only after a non-integral scale."""
+    when integral: a Fraction only after a non-integral scale.  `terms` maps
+    (lambda, d) to c; elements compare by their terms and are unhashable."""
 
-    terms: dict[tuple[Partition, int], int | Fraction]
+    __slots__ = ("terms",)
+    __hash__ = None
 
-    def __post_init__(self):
+    def __init__(self, terms: dict[tuple[Partition, int], int | Fraction]):
         clean = {}
-        for (lam, d), c in self.terms.items():
+        for (lam, d), c in terms.items():
             if type(c) is not int and (c := Fraction(c)).denominator == 1:
                 c = c.numerator
             if c:
                 clean[(tuple(lam), d)] = c
         self.terms = clean
+
+    def __eq__(self, other):
+        return self.terms == other.terms if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"QuantumElement(terms={self.terms!r})"
 
     @staticmethod
     def basis(lam, d: int = 0) -> "QuantumElement":

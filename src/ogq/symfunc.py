@@ -18,8 +18,8 @@ how intersection-number integrands are fed in from the outside.
 
 from __future__ import annotations
 
-import dataclasses
 import re
+from collections import namedtuple
 from fractions import Fraction
 
 from .cyclotomic import CycloNum, int_mul
@@ -271,15 +271,15 @@ def _int_ptilde(parts: Partition, evals: list[IntVec], order: int,
 _TERM_FACTOR = re.compile(r"^a(\d+)(?:\^(\d+))?$")
 
 
-@dataclasses.dataclass(frozen=True)
-class AlphaPolynomial:
+class AlphaPolynomial(namedtuple("AlphaPolynomial", "terms")):
     """Polynomial in the halved elementary values a_i = e_i/2.
 
     Terms map trailing-zero-trimmed exponent tuples (k_1, k_2, ...) to
     Fraction coefficients; the weighted degree of a term is sum_i i*k_i.
+    `terms` is a tuple of (exponents, coefficient) pairs.
     """
 
-    terms: tuple[tuple[tuple[int, ...], Fraction], ...]
+    __slots__ = ()
 
     @staticmethod
     def from_dict(data: dict[tuple[int, ...], Fraction]) -> "AlphaPolynomial":

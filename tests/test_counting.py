@@ -129,12 +129,17 @@ def test_n_tilde_not_covered_for_even_n_odd_degree():
 
 
 def test_n_tilde_rejects_bad_queries():
-    with pytest.raises(UnsupportedRankError):
+    with pytest.raises(UnsupportedRankError, match=r"^n must be >= 2, got 1$"):
         NQuery(3, 1, 0, -2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^genus must be >= 0, got -1$"):
         NQuery(-1, 2, 0, -2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^u must be >= 0, got -1$"):
         NQuery(3, 2, 0, -2, -1)
+    # the checks run n, genus, u: the first bad one names the error
+    with pytest.raises(UnsupportedRankError):
+        NQuery(-1, 1, 0, -2, -1)
+    with pytest.raises(ValueError, match="genus"):
+        NQuery(-1, 2, 0, -2, -1)
 
 
 def test_n_tilde_with_staircase_insertions_and_integrand():

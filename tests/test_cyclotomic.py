@@ -157,6 +157,10 @@ def test_rational_values_compare_across_orders():
     assert a == 2
     assert hash(a) == hash(b) == hash(Fraction(2))
     assert root_of_unity(4) != root_of_unity(8)
+    # elements built apart are one value: equal, hash equal, one dict key
+    w, v = root_of_unity(8) ** 3, root_of_unity(8) * root_of_unity(8) ** 2
+    assert w is not v and w == v and hash(w) == hash(v) and {w: 1}[v] == 1
+    assert w != CycloNum(8, w.coeffs[1:] + w.coeffs[:1])
 
 
 def _random_element(rng, order):

@@ -12,9 +12,15 @@ second copy of any creeps back.  An integrand belongs to counting alone:
 quantum's sums take insertions only, symfunc evaluates no integrand on
 integers, and counting expands one in one function.  The CLI has one answer
 path: one tail for the cross-checks of gw, count and ntilde, and one
-indented JSON print, the emitter every subcommand but table prints through."""
+indented JSON print, the emitter every subcommand but table prints through.
+Start-up pays only for what runs: importing the CLI loads neither
+dataclasses (with inspect), typing, traceback nor the verify suites."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -359,3 +365,33 @@ def test_the_answer_path_guard_fires(tmp_path):
     )
     assert indented_dumps(probe) == [4, 7]
     assert "_float_line" in module_names(probe)
+
+
+COLD_START_FREE = ("dataclasses", "inspect", "typing", "traceback", "ogq.verify")
+
+
+def loaded_by_the_cli(src: Path) -> list[str]:
+    # the modules of COLD_START_FREE that a fresh `python -S` holds after
+    # importing ogq.cli from src, without site's own imports
+    probe = f"import json, sys, ogq.cli; print(json.dumps([m for m in {COLD_START_FREE!r} if m in sys.modules]))"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True,
+                          check=True)
+    return json.loads(done.stdout)
+
+
+def test_the_cli_starts_without_unused_modules():
+    assert loaded_by_the_cli(SRC.parent) == []
+
+
+def test_the_cold_start_guard_fires(tmp_path):
+    # the parent's start-up: dataclasses (which loads inspect) for the
+    # records, traceback and verify in the CLI; and typing, which records
+    # built on typing.NamedTuple would load.  The parent's own sources fail
+    # the guard with all of these but typing.
+    package = tmp_path / "ogq"
+    package.mkdir()
+    (package / "__init__.py").write_text("import dataclasses\nimport typing\n")
+    (package / "verify.py").write_text("")
+    (package / "cli.py").write_text("import traceback\nfrom . import verify\n")
+    assert loaded_by_the_cli(tmp_path) == list(COLD_START_FREE)

@@ -126,14 +126,19 @@ def test_closed_higher_genus_value_on_og2():
 
 
 def test_gw_rejects_bad_queries():
-    with pytest.raises(UnsupportedRankError):
+    with pytest.raises(UnsupportedRankError, match=r"^n must be >= 2, got 1$"):
         GWQuery(1, 0, 0, ())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^genus must be >= 0, got -1$"):
         GWQuery(2, -1, 0, ())
-    with pytest.raises(NegativeDegreeError):
+    with pytest.raises(NegativeDegreeError, match=r"^degree must be >= 0, got -1$"):
         GWQuery(2, 0, -1, ())
-    with pytest.raises(InvalidPartitionError):
+    with pytest.raises(InvalidPartitionError, match=r"^\(2,\) is not a strict partition with parts <= 1$"):
         GWQuery(2, 0, 0, ((2,),))
+    # the checks run in field order: the first bad field names the error
+    with pytest.raises(UnsupportedRankError):
+        GWQuery(1, -1, -1, ((9,),))
+    with pytest.raises(NegativeDegreeError):
+        GWQuery(2, 0, -1, ((9,),))
 
 
 PERMUTATION_QUERIES = [
