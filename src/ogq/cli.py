@@ -8,15 +8,18 @@ intersection number), verify (self-check suites).
 Exit codes: 0 success, 1 verification failure (a failed proof,
 cyclotomic.ProofFailure: a result that is not a nonnegative integer, a sum
 off the weight condition, a value that is not rational, a fused dot past its
-slot, a staircase Pfaffian off its square mod p, an S_rho that is 0), 2
-invalid input (a bad argument, or partitions.InvalidInput from the library),
-3 not applicable, not covered or past a size budget (a refusal,
-quantum.Refusal: the structure table, which table, qmul and gw --trace read,
-past n = 9; gw on the weight condition past n = 10; a count or an ntilde
-past n = 20), 4 I/O failure, 5 internal error (any other exception: a fault
-of the program).  The library decides every verdict and refuses past its
-size budgets, whose caps all live in quantum; this module only maps the
-verdicts to exit codes.
+slot, a staircase Pfaffian off its square mod p, an S_rho that is 0, a count
+off a closed form of counting.CATALOG; or a float route or gw --trace that
+disagrees), 2 invalid input (a bad argument, or partitions.InvalidInput from
+the library), 3 not applicable, not covered or past a size budget (a
+refusal, quantum.Refusal: the structure table, which table, qmul and gw
+--trace read, past n = 9; gw on the weight condition past n = 10; a count or
+an ntilde past n = 20), 4 I/O failure, 5 internal error (any other
+exception: a fault of the program).  The library decides every verdict and
+refuses past its size budgets, whose caps all live in quantum; this module
+only maps the verdicts to exit codes, and reads what an answer checked (its
+sign-check prime) from the library's record: quantum.Answer, or count's
+CountReport.
 """
 
 from __future__ import annotations
@@ -97,21 +100,17 @@ def cmd_gw(args) -> int:
     query = GWQuery(args.n, args.g, args.d, _parse_insertions(args.insertions))
     # the trace route first: past the table budget it refuses before the sum builds a point
     trace = quantum.trace_invariant(query) if args.trace else None
-    value = quantum.gw_invariant(query)
-    doc: dict = {
-        "n": args.n,
-        "g": args.g,
-        "d": args.d,
-        "insertions": [partitions.format_partition(lam) for lam in query.insertions],
-        "value": decimal_string(value),
-    }
-    if quantum.degree_ok(query) and (prime := quantum.sign_check_prime(args.n, query.insertions)) is not None:
-        doc["sign_check_prime"] = prime
+    answer = quantum.gw_answer(query)
+    doc: dict = {"n": args.n, "g": args.g, "d": args.d,
+                 "insertions": [partitions.format_partition(lam) for lam in query.insertions],
+                 "value": decimal_string(answer.value)}
+    if answer.sign_check_prime is not None:
+        doc["sign_check_prime"] = answer.sign_check_prime
     lines = [doc["value"]]
     if args.trace:
-        doc["trace_value"], doc["trace_agrees"] = decimal_string(trace), trace == value
+        doc["trace_value"], doc["trace_agrees"] = decimal_string(trace), trace == answer.value
         lines.append(f"trace route: {doc['trace_value']} ({'agree' if doc['trace_agrees'] else 'DISAGREE'})")
-    return _answer(args, doc, lines, value, lambda: quantum.gw_invariant_float(query),
+    return _answer(args, doc, lines, answer.value, lambda: quantum.gw_invariant_float(query),
                    f"4^{args.d} times the float sum cannot be represented as a double")
 
 
@@ -189,19 +188,12 @@ def cmd_qmul(args) -> int:
 def cmd_ntilde(args) -> int:
     q_poly = parse_alpha_poly(args.Q)
     query = NQuery(args.g, args.n, args.ell, args.e, args.u, q_poly)
-    value = counting.n_tilde(query)
-    doc = {
-        "g": args.g,
-        "n": args.n,
-        "ell": args.ell,
-        "e": args.e,
-        "u": args.u,
-        "Q": str(q_poly),
-        "value": decimal_string(value),
-    }
-    if (prime := counting.n_tilde_sign_prime(query)) is not None:
-        doc["sign_check_prime"] = prime
-    return _answer(args, doc, [doc["value"]], value, lambda: counting.n_tilde_float(query),
+    answer = counting.n_tilde_answer(query)
+    doc = {"g": args.g, "n": args.n, "ell": args.ell, "e": args.e, "u": args.u, "Q": str(q_poly),
+           "value": decimal_string(answer.value)}
+    if answer.sign_check_prime is not None:
+        doc["sign_check_prime"] = answer.sign_check_prime
+    return _answer(args, doc, [doc["value"]], answer.value, lambda: counting.n_tilde_float(query),
                    f"the value has {len(doc['value'])} digits and cannot be represented as a double")
 
 

@@ -7,20 +7,23 @@ specializing the evaluation sum behind the Gromov-Witten invariants.  One
 scaled sum (_scaled_sum) carries every number: a power of two times a sum
 over the evaluation tuples of staircase-Schur powers, staircase P~ powers
 and an integrand.  Its exact value is summed over the affine orbits of the
-tuples (quantum.orbit_trace, a few traces over one denominator), its float
-value over all 2^(n-1) complex points (evaluation_sum), so `--mode float`
-is an independent summation of the same formula.  One plan (_plan) picks the
-power of two and the staircase power at rank 2n and degree e; n_tilde's
-plan (_n_tilde_plan) and the one count plan (_count_plan), which count and
-count_float share for both rank parities, read it.  The intermediate
-quantity n_tilde covers arbitrary degree e and an arbitrary polynomial
-integrand in the halved elementary classes a_i = P~_(i), each term on the
-expected weight read as single-row insertions on both routes
-(_integrand_terms), the others integrating to 0.  An
-even-rank count is n_tilde's sum at e_0 with the integrand 1, doubled for
-even ell; an odd-rank count is half the even-rank count one rank up, the
-same sum with one power of two less.  The trivial-bundle case is literally
-a Gromov-Witten invariant, which gives an independent bridge for testing.
+tuples (quantum.orbit_trace, a few traces over one denominator), with the
+prime mod which a term read P~_rho by its sign; its float value over all
+2^(n-1) complex points (evaluation_sum), so `--mode float` is an
+independent summation of the same formula.  One plan (_plan) picks the
+power of two and the staircase power at rank 2n and degree e; n_tilde_answer
+and the one count plan (_count_plan), which count and count_float share for
+both rank parities, read it.  The intermediate quantity n_tilde covers
+arbitrary degree e and an arbitrary polynomial integrand in the halved
+elementary classes a_i = P~_(i), each term on the expected weight read as
+single-row insertions on both routes (_integrand_terms), the others
+integrating to 0; n_tilde_answer plans it once and returns the value with
+that prime (quantum.Answer).  An even-rank count is n_tilde's sum at e_0
+with the integrand 1, doubled for even ell; an odd-rank count is half the
+even-rank count one rank up, the same sum with one power of two less.  A
+count that contradicts a closed form of CATALOG is a failed proof
+(CatalogMismatchError).  The trivial-bundle case is literally a
+Gromov-Witten invariant, which gives an independent bridge for testing.
 
 Parity limits are first-class outcomes: a query whose extremal degree does
 not exist raises NotApplicableError, and the even-rank route with n even but
@@ -39,6 +42,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import partitions, quantum
+from .cyclotomic import ProofFailure
 from .partitions import InvalidInput
 from .symfunc import AlphaPolynomial
 # The routes' caps and their refusal are quantum's, named here for callers of the counts too.
@@ -57,6 +61,10 @@ class NotCoveredError(Refusal):
     def __init__(self, message: str, e0: int | None = None):
         super().__init__(message)
         self.e0 = e0
+
+
+class CatalogMismatchError(ProofFailure):
+    """A count contradicts a closed form of CATALOG whose hypotheses it meets."""
 
 
 class OddEllUnsupportedError(InvalidInput):
@@ -165,63 +173,58 @@ def _integrand_terms(n: int, staircases: int,
 
 
 def _scaled_sum(exact: bool, n: int, genus: int, staircases: int, exponent: int,
-                integrand: AlphaPolynomial | None = None) -> tuple[int, int] | float:
+                integrand: AlphaPolynomial | None = None) -> tuple[int, int, int | None] | float:
     # 2^exponent times the sum over the evaluation points of S_rho^(genus-1)
     # * P~_rho^staircases * the integrand (None: 1), under the route's cap,
     # checked before the staircase is built: exact as (numerator,
-    # denominator) over the terms' orbit traces, else a double from their
-    # full float sums.  Every count and n_tilde is this sum.
+    # denominator, sign-check prime or None) over the terms' orbit traces,
+    # the prime that of the first term to read P~_rho; else a double from
+    # their full float sums.  Every count and n_tilde is this sum.
     quantum.check_budget(n, "exact" if exact else "float")
     terms = _integrand_terms(n, staircases, integrand)
     if not terms:  # nothing to sum
-        return (0, 1) if exact else 0.0
+        return (0, 1, None) if exact else 0.0
     if not exact:
         return quantum.scaled_double(sum(float(c) * quantum.evaluation_sum(n, genus, insertions, exact=False)
                                          for c, insertions in terms), exponent)
-    num, den = 0, 1
+    num, den, prime = 0, 1, None
     for c, insertions in terms:  # c * t / d over the lcm of the denominators so far
         t, d = quantum.orbit_trace(n, genus, insertions)
         d *= c.denominator
         common = math.lcm(den, d)
         num, den = num * (common // den) + c.numerator * t * (common // d), common
-    return (num << exponent, den) if exponent >= 0 else (num, den << -exponent)
+        prime = prime or quantum.sign_check_prime(n, insertions)
+    return (num << exponent, den, prime) if exponent >= 0 else (num, den << -exponent, prime)
 
 
-def _n_tilde_plan(query: NQuery) -> tuple[int, int, int, int, AlphaPolynomial]:
-    # _scaled_sum's arguments for n_tilde: the integrand's terms on the
-    # expected weight; every other term integrates to 0.
-    exponent, rho_power = _plan(query.n, query.ell, query.e)
-    kept = query.q_poly.part_of_weight(expected_dim_t(query.n, query.ell, query.e, query.genus, query.u))
-    return query.n, query.genus, rho_power + query.u, exponent, kept
-
-
-def n_tilde(query: NQuery) -> Fraction:
+def n_tilde_answer(query: NQuery, exact: bool = True) -> quantum.Answer:
     """The intersection number behind the counts, for an arbitrary orthogonal
-    bundle of rank 2n, invariant ell and isotropic degree e.
+    bundle of rank 2n, invariant ell and isotropic degree e, exact (a
+    Fraction) or as a double, planned once.
 
     Linear in the integrand: its terms off the expected weight integrate to
     0, and a term c * a_1^k1 * ... on it is c times the sum with k_i more
     insertions (i,), a_i = P~_(i).  Raises NotCoveredError when n is even and
-    e is odd.  Each staircase factor reads P~_rho by its sign, checked mod a
-    prime, not proved (n_tilde_sign_prime).
+    e is odd.  On the exact route a term whose insertions hold P~_rho (a
+    staircase, or a_1 at n = 2) reads it by its sign, a check mod the
+    answer's sign_check_prime, not a proof; the float route sums any
+    integrand (0.0 with no term on the expected weight) and raises
+    OverflowError past the range of a double.
     """
-    return Fraction(*_scaled_sum(True, *_n_tilde_plan(query)))
+    exponent, rho_power = _plan(query.n, query.ell, query.e)
+    kept = query.q_poly.part_of_weight(expected_dim_t(query.n, query.ell, query.e, query.genus, query.u))
+    total = _scaled_sum(exact, query.n, query.genus, rho_power + query.u, exponent, kept)
+    return quantum.Answer(Fraction(total[0], total[1]), total[2]) if exact else quantum.Answer(total, None)
 
 
-def n_tilde_sign_prime(query: NQuery) -> int | None:
-    """The prime p mod which n_tilde(query) checked the staircase square, or
-    None: a term whose insertions hold P~_rho (a staircase, or a_1 at n = 2)
-    reads it by its sign (quantum.sign_check_prime), a check mod p, not a proof."""
-    n, _genus, staircases, _exponent, integrand = _n_tilde_plan(query)
-    quantum.check_budget(n, "exact")  # before the staircase is built
-    return next(filter(None, (quantum.sign_check_prime(n, insertions)
-                              for _c, insertions in _integrand_terms(n, staircases, integrand))), None)
+def n_tilde(query: NQuery) -> Fraction:
+    """n_tilde_answer's exact value."""
+    return n_tilde_answer(query).value
 
 
 def n_tilde_float(query: NQuery) -> float:
-    """Float fast path of n_tilde, for any integrand (0.0 with no term on the
-    expected weight); raises OverflowError past the range of a double."""
-    return _scaled_sum(False, *_n_tilde_plan(query))
+    """n_tilde_answer's float value, a fast path from the complex points."""
+    return n_tilde_answer(query, exact=False).value
 
 
 def decimal_string(value: int | Fraction) -> str:
@@ -344,13 +347,14 @@ def count(genus: int, rank: int, ell: int) -> CountReport:
     What is checked: the power-of-two prefactor against its closed form
     (_check_prefactor), the companion's extremal degree, that the count is a
     nonnegative integer (the orbit sum is a trace, rational by construction;
-    at odd rank this is that the companion count is even), and the
-    catalogued closed forms (a note on the report).  Each staircase factor
-    2^m * P~_rho = +-r has its sign read mod a prime p at every
-    representative: the square is checked mod p, not proved, and the
-    decomposition names p (quantum.sign_check_prime).  Outside this call,
-    `--mode float` re-sums the same plan over all 2^(n-1) points in complex
-    doubles from the complex points, with no prime, and `verify`'s
+    at odd rank this is that the companion count is even), and the closed
+    forms of CATALOG: a count off one whose hypotheses it meets raises
+    CatalogMismatchError, a ProofFailure; else the report notes whether one
+    applies.  Each staircase factor 2^m * P~_rho = +-r has its sign read mod
+    a prime p at every representative: the square is checked mod p, not
+    proved, and the decomposition names p, from the same sum.  Outside this
+    call, `--mode float` re-sums the same plan over all 2^(n-1) points in
+    complex doubles from the complex points, with no prime, and `verify`'s
     trivial-bundle bridge compares n_tilde with Gromov-Witten invariants
     (whose exact sum reads P~_rho's sign mod the same p).
     """
@@ -363,13 +367,13 @@ def count(genus: int, rank: int, ell: int) -> CountReport:
         return CountReport(genus=genus, rank=rank, ell=ell, e0=exc.e0, applicable=False,
                            reason=f"not covered: {exc}",
                            required_w2=None if exc.e0 is None else exc.e0 % 2)
-    value = quantum.as_count(*_scaled_sum(True, n, genus, rho_power, exponent), "count")
-    report = CountReport(genus=genus, rank=rank, ell=ell, e0=e0, applicable=True, value=value,
-                         required_w2=e0 % 2, decomposition={
+    num, den, prime = _scaled_sum(True, n, genus, rho_power, exponent)
+    report = CountReport(genus=genus, rank=rank, ell=ell, e0=e0, applicable=True,
+                         value=quantum.as_count(num, den, "count"), required_w2=e0 % 2, decomposition={
                              **route_keys, "orbits": quantum.orbit_count(n), "points": 2 ** (n - 1)})
-    if (prime := quantum.sign_check_prime(n, (partitions.rho(n - 1),) * rho_power)) is not None:
+    if prime is not None:
         report.decomposition["sign_check_prime"] = prime
-    _catalog_note(report)
+    _check_catalog(report)
     return report
 
 
@@ -382,8 +386,8 @@ def count_float(genus: int, rank: int, ell: int) -> float:
 
 
 # (rank, ell): hypotheses, their test on g, the closed form and its name.
-# Notes name the form instead of printing its value, which can have more
-# digits than str() accepts.
+# Notes and the mismatch error name the form instead of printing its value,
+# which can have more digits than str() accepts.
 CATALOG = {
     (4, 0): ("g odd", lambda g: g % 2 == 1, lambda g: 2 ** (g + 1), "2^(g+1)"),
     (3, 0): ("g odd", lambda g: g % 2 == 1, lambda g: 2 ** g, "2^g"),
@@ -393,20 +397,19 @@ CATALOG = {
 }
 
 
-def _catalog_note(report: CountReport) -> None:
+def _check_catalog(report: CountReport) -> None:
+    # a note where a catalogued form applies or not; a count off it is a failed proof
     entry = CATALOG.get((report.rank, report.ell))
     if entry is None:
         return
     label, predicate, value_fn, form = entry
-    if predicate(report.genus):
-        if report.value == value_fn(report.genus):
-            report.notes.append(f"matches catalogued closed form {form}")
-        else:
-            report.notes.append(
-                f"MISMATCH against catalogued closed form {form} (hypotheses: {label})"
-            )
-    else:
+    if not predicate(report.genus):
         report.notes.append(f"outside catalogued hypotheses ({label}) for this family")
+    elif report.value != value_fn(report.genus):
+        raise CatalogMismatchError(f"count(g={report.genus}, rank={report.rank}, ell={report.ell}) contradicts "
+                                   f"the catalogued closed form {form} (hypotheses: {label})")
+    else:
+        report.notes.append(f"matches catalogued closed form {form}")
 
 
 def trivial_bundle_number(genus: int, n: int, e: int, u: int, insertions) -> int:

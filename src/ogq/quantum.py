@@ -43,8 +43,8 @@ evaluation_sum keeps the sum over all 2^m points, exact (products in Z[w],
 P~_rho by the same sign route mod p, then one CycloNum product by the S_rho
 power from the same store) or in complex doubles from the complex points
 alone (every P~ by _pair_pfaffian, the evaluator that also gives P~_rho's
-sign mod p), building only the classes it reads.  It carries gw_invariant
-(hence three_point) and every float route, which shares only the residues
+sign mod p), building only the classes it reads.  It carries gw_answer
+(hence gw_invariant and three_point) and every float route, which shares only the residues
 and the formula with the exact routes.  The table rows yield one cached
 quantum ring, at q = 1 on integers (_product_lookup): per class,
 multiplication rows over the basis positions.  The graded quantum product reads each degree back from the
@@ -636,33 +636,46 @@ def evaluation_sum(n: int, genus: int, insertions: tuple[Partition, ...] = (), *
                 for *row, s in zip(*columns, _schur_powers(n, genus - 1))), zero(order))
 
 
-def gw_invariant(query: GWQuery) -> int:
-    """The genus-g degree-d invariant with the given insertions.
+class Answer(namedtuple("Answer", "value sign_check_prime")):
+    """A gw or n_tilde query's value on one route, and the prime mod which its
+    exact sum read P~_rho by its sign: None with no staircase class read, or
+    on the float route, which reads none."""
 
-    Zero when the weight condition fails; otherwise 4^d times evaluation_sum,
-    over all 2^(n-1) evaluation tuples of S_rho^(g-1) times the product of
-    insertion values, refused past n = GW_SUM_MAX_N.  The result is checked
-    to be rational (NotRationalError) and a nonnegative integer.  A staircase
-    insertion takes P~_rho at every point by its sign mod a prime
-    (_ptilde_rho, sign_check_field): that step is checked mod p, not proved.
+    __slots__ = ()
+
+
+def gw_answer(query: GWQuery, exact: bool = True) -> Answer:
+    """The genus-g degree-d invariant with the given insertions, planned once:
+    0 off the weight condition, else 4^d times evaluation_sum over all 2^(n-1)
+    evaluation tuples, refused past n = GW_SUM_MAX_N.  Exact, it is checked to
+    be rational (NotRationalError) and a nonnegative integer, and a staircase
+    insertion takes P~_rho at every point by its sign mod the answer's prime
+    (_ptilde_rho): checked mod p, not proved.  Else a double from the complex
+    points, or OverflowError when that is not finite.
+    """
+    if not degree_ok(query):
+        return Answer(0 if exact else 0.0, None)
+    check_budget(query.n, "gw")
+    total = evaluation_sum(query.n, query.genus, query.insertions, exact=exact)
+    if not exact:
+        return Answer(scaled_double(total, 2 * query.degree), None)
+    total = (total * Fraction(4) ** query.degree).as_rational()
+    return Answer(as_count(total.numerator, total.denominator, f"invariant {query}"),
+                  sign_check_prime(query.n, query.insertions))
+
+
+def gw_invariant(query: GWQuery) -> int:
+    """gw_answer's exact value.
 
     >>> gw_invariant(GWQuery(2, 0, 1, ((1,), (1,), (1,))))
     1
     """
-    if not degree_ok(query):
-        return 0
-    check_budget(query.n, "gw")
-    total = (evaluation_sum(query.n, query.genus, query.insertions) * Fraction(4) ** query.degree).as_rational()
-    return as_count(total.numerator, total.denominator, f"invariant {query}")
+    return gw_answer(query).value
 
 
 def gw_invariant_float(query: GWQuery) -> float:
-    """Float fast path for the same sum, from the complex points, under the
-    same budget; raises OverflowError when the result is not a finite double."""
-    if not degree_ok(query):
-        return 0.0
-    check_budget(query.n, "gw")
-    return scaled_double(evaluation_sum(query.n, query.genus, query.insertions, exact=False), 2 * query.degree)
+    """gw_answer's value in complex doubles, a fast path."""
+    return gw_answer(query, exact=False).value
 
 
 def three_point(n: int, lam, mu, nu, d: int) -> int:

@@ -718,7 +718,7 @@ def test_a_plain_value_error_in_gw_is_a_fault_not_bad_input(monkeypatch, capsys)
     def raising(query):
         raise ValueError("a value error the library did not type")
 
-    monkeypatch.setattr(quantum, "gw_invariant", raising)
+    monkeypatch.setattr(quantum, "gw_answer", raising)
     code, out, err = run(["gw", "--n", "2", "--g", "0", "--d", "1", "--insertions", "1;1;1"], capsys)
     assert (code, out) == (5, "")
     doc = json.loads(err)

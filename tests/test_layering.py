@@ -13,6 +13,8 @@ quantum's sums take insertions only, symfunc evaluates no integrand on
 integers, and counting expands one in one function.  The CLI has one answer
 path: one tail for the cross-checks of gw, count and ntilde, and one
 indented JSON print, the emitter every subcommand but table prints through.
+The CLI reads what an answer checked from the library's record: it calls
+no plan, no degree check and no sign-check prime of its own.
 Start-up pays only for what runs: importing the CLI loads neither
 dataclasses (with inspect), typing, traceback nor the verify suites."""
 
@@ -365,6 +367,33 @@ def test_the_answer_path_guard_fires(tmp_path):
     )
     assert indented_dumps(probe) == [4, 7]
     assert "_float_line" in module_names(probe)
+
+
+RE_DERIVATIONS = ("degree_ok", "sign_check_prime", "_n_tilde_plan", "_count_plan", "_integrand_terms")
+
+
+def test_the_cli_re_derives_nothing_the_library_planned():
+    assert functions_holding(SRC / "cli.py", calls_named(*RE_DERIVATIONS)) == set()
+
+
+def test_the_re_derivation_guard_fires(tmp_path):
+    # the parent's cmd_gw, which checked the degree and looked the prime up
+    # after the sum, and a re-plan of an ntilde query
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "def cmd_gw(args):\n"
+        "    query = GWQuery(args.n, args.g, args.d, _parse_insertions(args.insertions))\n"
+        "    value = quantum.gw_invariant(query)\n"
+        "    doc = {'value': decimal_string(value)}\n"
+        "    if quantum.degree_ok(query) and (prime := quantum.sign_check_prime(args.n, query.insertions)):\n"
+        "        doc['sign_check_prime'] = prime\n"
+        "    return doc\n"
+        "def cmd_ntilde(query):\n"
+        "    return counting._integrand_terms(*counting._n_tilde_plan(query))\n"
+        "def cmd_count(args):\n"
+        "    return counting.count(args.g, args.rank, args.ell)\n"
+    )
+    assert functions_holding(probe, calls_named(*RE_DERIVATIONS)) == {"cmd_gw", "cmd_ntilde"}
 
 
 COLD_START_FREE = ("dataclasses", "inspect", "typing", "traceback", "ogq.verify")

@@ -103,7 +103,7 @@ def test_orbit_sum_with_a_ptilde_integrand_equals_the_point_sum(n, full_point_su
             continue
         full = full_point_sum(n, genus, insertions, q_poly).as_rational()
         exact = counting._scaled_sum(True, n, genus, len(insertions), 0, q_poly)
-        assert Fraction(*exact) == full, (genus, insertions, factors)
+        assert Fraction(*exact[:2]) == full, (genus, insertions, factors)
         checked += 1
 
 
@@ -119,10 +119,10 @@ def test_the_integrand_rule_on_fractions_dead_variables_and_constants(n, genus, 
     q_poly = parse_alpha_poly(text)
     full = full_point_sum(n, genus, (rho(n - 1),) * staircases, q_poly).as_rational()
     exact = counting._scaled_sum(True, n, genus, staircases, 0, q_poly)
-    assert Fraction(*exact) == full
+    assert Fraction(*exact[:2]) == full
     assert counting._scaled_sum(False, n, genus, staircases, 0, q_poly) == pytest.approx(float(full), abs=1e-9)
     if all(len(exps) >= n for exps, _c in q_poly.terms):
-        assert full == 0 and exact == (0, 1)
+        assert full == 0 and exact == (0, 1, None)
 
 
 def test_orbit_sum_refuses_an_off_weight_summand():
@@ -139,7 +139,7 @@ def test_orbit_sum_refuses_an_off_weight_summand():
 
 
 def test_orbit_sum_of_the_zero_integrand_is_zero():
-    assert Fraction(*counting._scaled_sum(True, 3, 1, 0, 0, AlphaPolynomial(()))) == 0
+    assert counting._scaled_sum(True, 3, 1, 0, 0, AlphaPolynomial(())) == (0, 1, None)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -247,7 +247,7 @@ def test_the_engine_equals_the_point_sum_and_the_per_representative_formula(n, f
         for genus, insertions, q_poly in calls:
             got = (orbit_trace(n, genus, insertions) if q_poly is None
                    else counting._scaled_sum(True, n, genus, len(insertions), 0, q_poly))
-            assert Fraction(*got) == expected[genus, insertions, q_poly], (genus, insertions, q_poly)
+            assert Fraction(*got[:2]) == expected[genus, insertions, q_poly], (genus, insertions, q_poly)
 
     # descending first builds the squares to the top bit at once and
     # ascending reads them; after a clear, ascending adds one square at a time
