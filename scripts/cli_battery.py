@@ -89,6 +89,9 @@ BATTERY: list[list[str]] = [
     ["count", "--g", "3", "--rank", "2", "--ell", "0"],
     ["count", "--g", "3", "--rank", "5", "--ell", "1", *JSON],
     ["ntilde", "--g", "3", "--n", "2", "--ell", "0", "--e", "-2", "--Q", "a1 *"],
+    ["ntilde", "--g", "3", "--n", "2", "--ell", "0", "--e", "-2", "--Q", "a1 +"],
+    ["ntilde", "--g", "3", "--n", "2", "--ell", "0", "--e", "-2", "--Q", "a1 + + a2"],
+    ["ntilde", "--g", "3", "--n", "2", "--ell", "0", "--e", "-2", "--Q", "a25"],  # past every answerable n
     ["ntilde", "--g", "3", "--n", "2", "--ell", "0", "--e", "-2", "--u", "-1"],
     ["qmul", "--n", "4", "--a", "2,2", "--b", "1"],
     ["table", "--n", "3", "--mode", "float"],

@@ -17,9 +17,10 @@ refusal, quantum.Refusal: the structure table, which table, qmul and gw
 an ntilde past n = 20), 4 I/O failure, 5 internal error (any other
 exception: a fault of the program).  The library decides every verdict and
 refuses past its size budgets, whose caps all live in quantum; this module
-only maps the verdicts to exit codes, and reads what an answer checked (its
-sign-check prime) from the library's record: quantum.Answer, or count's
-CountReport.
+only maps the verdicts to exit codes.  It reads each answer and what it
+checked (its sign-check prime) from the library's record, quantum.Answer
+(gw, ntilde) or counting.CountReport (count), and asks the same library
+function for the float route under --mode float.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import math
 import os
 import sys
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 
 from . import counting, partitions, quantum
@@ -77,15 +78,16 @@ def _emit(args, doc: dict, lines: list[str]) -> None:
     print(json.dumps(doc, indent=2) if args.format == "json" else "\n".join(lines))
 
 
-def _answer(args, doc: dict, lines: list[str], exact, approx_of, note: str) -> int:
-    # The one tail of gw, count and ntilde.  Under --mode float the float route
-    # re-sums the answer into float_value and float_agrees; where it leaves the
-    # double range (note) or refuses the query, float_value is None beside a
-    # float_note, and the exact value stands.  A disagreement of either
-    # cross-check, the float route or gw --trace, exits 1.
+def _answer(args, doc: dict, lines: list[str], exact, route, note: str) -> int:
+    # The one tail of gw, count and ntilde.  Under --mode float route(exact=False),
+    # the library's answer on its float route, re-sums the answer into
+    # float_value and float_agrees; where it leaves the double range (note)
+    # or refuses the query, float_value is None beside a float_note, and the
+    # exact value stands.  A disagreement of either cross-check, the float
+    # route or gw --trace, exits 1.
     if args.mode == "float":
         try:
-            doc["float_value"] = approx_of()
+            doc["float_value"] = route(exact=False).value
         except (OverflowError, Refusal) as exc:
             doc["float_value"], doc["float_note"] = None, str(exc) if isinstance(exc, Refusal) else note
             lines.append(f"float route: {doc['float_note']}")
@@ -110,7 +112,7 @@ def cmd_gw(args) -> int:
     if args.trace:
         doc["trace_value"], doc["trace_agrees"] = decimal_string(trace), trace == answer.value
         lines.append(f"trace route: {doc['trace_value']} ({'agree' if doc['trace_agrees'] else 'DISAGREE'})")
-    return _answer(args, doc, lines, answer.value, lambda: quantum.gw_invariant_float(query),
+    return _answer(args, doc, lines, answer.value, partial(quantum.gw_answer, query),
                    f"4^{args.d} times the float sum cannot be represented as a double")
 
 
@@ -122,7 +124,7 @@ def cmd_count(args) -> int:
         return NOT_APPLICABLE
     lines = [doc["N"], f"e0 = {report.e0}, required w2 = {report.required_w2} (mod 2)",
              *(f"note: {note}" for note in report.notes)]
-    return _answer(args, doc, lines, report.value, lambda: counting.count_float(args.g, args.rank, args.ell),
+    return _answer(args, doc, lines, report.value, partial(counting.count_answer, args.g, args.rank, args.ell),
                    f"N has {len(doc['N'])} digits and cannot be represented as a double")
 
 
@@ -177,10 +179,9 @@ def cmd_qmul(args) -> int:
     product = quantum.quantum_product(
         args.n, QuantumElement.basis(lam), QuantumElement.basis(mu)
     )
-    terms = [
-        {"nu": partitions.format_partition(nu), "d": d, "c": str(c)}
-        for (nu, d), c in sorted(product.terms.items(), key=lambda kv: (kv[0][1], kv[0][0]))
-    ]
+    # by degree, then by class: each (d, nu) once, so no two coefficients are compared
+    terms = [{"nu": partitions.format_partition(nu), "d": d, "c": str(c)}
+             for d, nu, c in sorted((d, nu, c) for (nu, d), c in product.terms.items())]
     _emit(args, {"n": args.n, "a": args.a, "b": args.b, "terms": terms}, [str(product)])
     return OK
 
@@ -193,7 +194,7 @@ def cmd_ntilde(args) -> int:
            "value": decimal_string(answer.value)}
     if answer.sign_check_prime is not None:
         doc["sign_check_prime"] = answer.sign_check_prime
-    return _answer(args, doc, [doc["value"]], answer.value, lambda: counting.n_tilde_float(query),
+    return _answer(args, doc, [doc["value"]], answer.value, partial(counting.n_tilde_answer, query),
                    f"the value has {len(doc['value'])} digits and cannot be represented as a double")
 
 

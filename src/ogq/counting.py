@@ -12,16 +12,17 @@ prime mod which a term read P~_rho by its sign; its float value over all
 2^(n-1) complex points (evaluation_sum), so `--mode float` is an
 independent summation of the same formula.  One plan (_plan) picks the
 power of two and the staircase power at rank 2n and degree e; n_tilde_answer
-and the one count plan (_count_plan), which count and count_float share for
-both rank parities, read it.  The intermediate quantity n_tilde covers
-arbitrary degree e and an arbitrary polynomial integrand in the halved
-elementary classes a_i = P~_(i), each term on the expected weight read as
-single-row insertions on both routes (_integrand_terms), the others
-integrating to 0; n_tilde_answer plans it once and returns the value with
-that prime (quantum.Answer).  An even-rank count is n_tilde's sum at e_0
-with the integrand 1, doubled for even ell; an odd-rank count is half the
-even-rank count one rank up, the same sum with one power of two less.  A
-count that contradicts a closed form of CATALOG is a failed proof
+and the one count plan (_count_plan), which count_answer reads on both
+routes and for both rank parities, read it.  The intermediate quantity
+n_tilde covers arbitrary degree e and an arbitrary polynomial integrand in
+the halved elementary classes a_i = P~_(i), each term on the expected
+weight read as single-row insertions on both routes (_integrand_terms),
+the others integrating to 0; n_tilde_answer plans it once and returns the
+value with that prime (quantum.Answer).  An even-rank count is n_tilde's
+sum at e_0 with the integrand 1, doubled for even ell; an odd-rank count is
+half the even-rank count one rank up, the same sum with one power of two
+less; count_answer returns it as a CountReport, built once.  A count that
+contradicts a closed form of CATALOG is a failed proof
 (CatalogMismatchError).  The trivial-bundle case is literally a
 Gromov-Witten invariant, which gives an independent bridge for testing.
 
@@ -248,29 +249,13 @@ def decimal_string(value: int | Fraction) -> str:
     return decimal_string(high) + decimal_string(low).zfill(low_digits)
 
 
-class CountReport:
-    """Outcome of a maximal-isotropic-subbundle count.  Reports compare by
-    their fields and are unhashable; each starts with its own notes list."""
+class CountReport(namedtuple("CountReport", "genus rank ell e0 applicable value required_w2 reason "
+                                             "decomposition notes", defaults=(None, None, None, None, ()))):
+    """Outcome of a maximal-isotropic-subbundle count, built once: on the
+    exact route the count with its decomposition and catalogue notes, on
+    the float route a double with no decomposition and no notes."""
 
-    __slots__ = ("genus", "rank", "ell", "e0", "applicable", "value", "required_w2", "reason",
-                 "decomposition", "notes")
-    __hash__ = None
-
-    def __init__(self, genus: int, rank: int, ell: int, e0: int | None, applicable: bool,
-                 value: int | None = None, required_w2: int | None = None, reason: str | None = None,
-                 decomposition: dict | None = None, notes: list[str] | None = None):
-        self.genus, self.rank, self.ell, self.e0, self.applicable = genus, rank, ell, e0, applicable
-        self.value, self.required_w2, self.reason = value, required_w2, reason
-        self.decomposition, self.notes = decomposition, [] if notes is None else notes
-
-    def _astuple(self) -> tuple:
-        return tuple(getattr(self, key) for key in self.__slots__)
-
-    def __eq__(self, other):
-        return self._astuple() == other._astuple() if other.__class__ is self.__class__ else NotImplemented
-
-    def __repr__(self) -> str:
-        return "CountReport(" + ", ".join(f"{key}={getattr(self, key)!r}" for key in self.__slots__) + ")"
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         out = {
@@ -335,54 +320,56 @@ def _check_prefactor(exponent: int, n: int, shift: int, genus: int, doubling: in
         )
 
 
-def count(genus: int, rank: int, ell: int) -> CountReport:
-    """Count for rank >= 3, invariant ell, at the extremal degree e_0, from
-    one exact orbit trace, divided once.  Even rank 2n: n_tilde at e_0 with
-    constant integrand, doubled when ell is even.  Odd rank 2n+1 (ell even):
-    half the even-rank count one rank up, whose extremal degree is
-    e_0 + ell/2, so the companion's sum with one power of two less.  Parity
-    failures come back as a report with applicable = False instead of an
-    exception.
+def count_answer(genus: int, rank: int, ell: int, exact: bool = True) -> CountReport:
+    """Count for rank >= 3, invariant ell, at the extremal degree e_0, planned
+    once (_count_plan) and summed on one route: exact, one orbit trace
+    divided once, or a double over all 2^(n-1) complex points.  Even rank
+    2n: n_tilde at e_0 with constant integrand, doubled when ell is even.
+    Odd rank 2n+1 (ell even): half the even-rank count one rank up, whose
+    extremal degree is e_0 + ell/2, so the companion's sum with one power of
+    two less.  Parity failures raise NotApplicableError and NotCoveredError;
+    the float route raises OverflowError past the range of a double.
 
-    What is checked: the power-of-two prefactor against its closed form
-    (_check_prefactor), the companion's extremal degree, that the count is a
-    nonnegative integer (the orbit sum is a trace, rational by construction;
-    at odd rank this is that the companion count is even), and the closed
-    forms of CATALOG: a count off one whose hypotheses it meets raises
-    CatalogMismatchError, a ProofFailure; else the report notes whether one
-    applies.  Each staircase factor 2^m * P~_rho = +-r has its sign read mod
-    a prime p at every representative: the square is checked mod p, not
-    proved, and the decomposition names p, from the same sum.  Outside this
-    call, `--mode float` re-sums the same plan over all 2^(n-1) points in
-    complex doubles from the complex points, with no prime, and `verify`'s
-    trivial-bundle bridge compares n_tilde with Gromov-Witten invariants
-    (whose exact sum reads P~_rho's sign mod the same p).
+    The exact route checks the power-of-two prefactor against its closed
+    form (_check_prefactor), the companion's extremal degree, that the count
+    is a nonnegative integer (the orbit sum is a trace, rational by
+    construction; at odd rank this is that the companion count is even), and
+    the closed forms of CATALOG: a count off one whose hypotheses it meets
+    raises CatalogMismatchError, a ProofFailure; else the report notes
+    whether one applies.  Each staircase factor 2^m * P~_rho = +-r has its
+    sign read mod a prime p at every representative: the square is checked
+    mod p, not proved, and the decomposition names p.  The float route reads
+    neither the orbits, nor a prime, nor CATALOG: `--mode float` is an
+    independent summation of the same plan.
     """
-    try:
-        e0, n, exponent, rho_power, route_keys = _count_plan(genus, rank, ell)
-    except NotApplicableError as exc:
-        return CountReport(genus=genus, rank=rank, ell=ell, e0=None, applicable=False,
-                           reason=f"not applicable: {exc}")
-    except NotCoveredError as exc:
-        return CountReport(genus=genus, rank=rank, ell=ell, e0=exc.e0, applicable=False,
-                           reason=f"not covered: {exc}",
-                           required_w2=None if exc.e0 is None else exc.e0 % 2)
-    num, den, prime = _scaled_sum(True, n, genus, rho_power, exponent)
-    report = CountReport(genus=genus, rank=rank, ell=ell, e0=e0, applicable=True,
-                         value=quantum.as_count(num, den, "count"), required_w2=e0 % 2, decomposition={
-                             **route_keys, "orbits": quantum.orbit_count(n), "points": 2 ** (n - 1)})
+    e0, n, exponent, rho_power, route_keys = _count_plan(genus, rank, ell)
+    total = _scaled_sum(exact, n, genus, rho_power, exponent)
+    if not exact:
+        return CountReport(genus, rank, ell, e0, True, total, e0 % 2)
+    num, den, prime = total
+    value = quantum.as_count(num, den, "count")
+    decomposition = {**route_keys, "orbits": quantum.orbit_count(n), "points": 2 ** (n - 1)}
     if prime is not None:
-        report.decomposition["sign_check_prime"] = prime
-    _check_catalog(report)
-    return report
+        decomposition["sign_check_prime"] = prime
+    return CountReport(genus, rank, ell, e0, True, value, e0 % 2, None, decomposition,
+                       _check_catalog(genus, rank, ell, value))
+
+
+def count(genus: int, rank: int, ell: int) -> CountReport:
+    """count_answer's exact report, with the parity failures returned as a
+    report with applicable = False instead of an exception."""
+    try:
+        return count_answer(genus, rank, ell)
+    except NotApplicableError as exc:
+        return CountReport(genus, rank, ell, None, False, reason=f"not applicable: {exc}")
+    except NotCoveredError as exc:
+        return CountReport(genus, rank, ell, exc.e0, False, reason=f"not covered: {exc}",
+                           required_w2=None if exc.e0 is None else exc.e0 % 2)
 
 
 def count_float(genus: int, rank: int, ell: int) -> float:
-    """Float fast path of count(): the same plan summed in doubles; raises
-    the parity verdicts as exceptions, and OverflowError when the count is
-    past the range of a double."""
-    _e0, n, exponent, rho_power, _keys = _count_plan(genus, rank, ell)
-    return _scaled_sum(False, n, genus, rho_power, exponent)
+    """count_answer's float value, a fast path from the complex points."""
+    return count_answer(genus, rank, ell, exact=False).value
 
 
 # (rank, ell): hypotheses, their test on g, the closed form and its name.
@@ -397,19 +384,18 @@ CATALOG = {
 }
 
 
-def _check_catalog(report: CountReport) -> None:
+def _check_catalog(genus: int, rank: int, ell: int, value: int) -> tuple[str, ...]:
     # a note where a catalogued form applies or not; a count off it is a failed proof
-    entry = CATALOG.get((report.rank, report.ell))
+    entry = CATALOG.get((rank, ell))
     if entry is None:
-        return
+        return ()
     label, predicate, value_fn, form = entry
-    if not predicate(report.genus):
-        report.notes.append(f"outside catalogued hypotheses ({label}) for this family")
-    elif report.value != value_fn(report.genus):
-        raise CatalogMismatchError(f"count(g={report.genus}, rank={report.rank}, ell={report.ell}) contradicts "
+    if not predicate(genus):
+        return (f"outside catalogued hypotheses ({label}) for this family",)
+    if value != value_fn(genus):
+        raise CatalogMismatchError(f"count(g={genus}, rank={rank}, ell={ell}) contradicts "
                                    f"the catalogued closed form {form} (hypotheses: {label})")
-    else:
-        report.notes.append(f"matches catalogued closed form {form}")
+    return (f"matches catalogued closed form {form}",)
 
 
 def trivial_bundle_number(genus: int, n: int, e: int, u: int, insertions) -> int:

@@ -381,8 +381,15 @@ def parse_alpha_poly(text: str) -> AlphaPolynomial:
     cleaned = text.replace(" ", "")
     if not cleaned:
         raise InvalidInput("empty polynomial text")
-    for chunk in cleaned.replace("-", "+-").split("+"):
+    from .quantum import EXACT_MAX_N  # read at call time: quantum imports this module
+
+    chunks = cleaned.replace("-", "+-").split("+")
+    for k, chunk in enumerate(chunks):
         if not chunk:
+            # the rewrite leaves one before each "-", and a leading "+" one at the
+            # start; any other is a "+" with no term after it
+            if k and not (k + 1 < len(chunks) and chunks[k + 1].startswith("-")):
+                raise InvalidInput(f"dangling sign in {text!r}")
             continue
         coeff = Fraction(1)
         if chunk.startswith("-"):
@@ -397,6 +404,8 @@ def parse_alpha_poly(text: str) -> AlphaPolynomial:
                 idx = int(match.group(1))
                 if idx < 1:
                     raise InvalidInput(f"variable index must be >= 1 in {factor!r}")
+                if idx >= EXACT_MAX_N:  # a_i for i >= n is 0, and every route refuses n > EXACT_MAX_N
+                    raise InvalidInput(f"variable index must be <= {EXACT_MAX_N - 1} in {factor!r}")
                 exps[idx] = exps.get(idx, 0) + int(match.group(2) or 1)
             else:
                 try:

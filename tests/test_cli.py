@@ -449,7 +449,13 @@ def test_gw_past_the_full_table_budget_still_answers_what_builds_no_table(monkey
 def test_a_float_disagreement_on_a_count_past_the_double_range_exits_1(monkeypatch, capsys):
     # N(399, rank 14, ell 0) has 1,436 digits: agreement is decided exactly,
     # so a wrong float value is a failed check, not an OverflowError (exit 5)
-    monkeypatch.setattr(counting, "count_float", lambda *args: 1.0)
+    real = counting.count_answer
+
+    def one_on_the_float_route(genus, rank, ell, exact=True):
+        report = real(genus, rank, ell)
+        return report if exact else report._replace(value=1.0)
+
+    monkeypatch.setattr(counting, "count_answer", one_on_the_float_route)
     code, out, _ = run(["count", "--g", "399", "--rank", "14", "--ell", "0", "--mode", "float",
                         "--format", "json"], capsys)
     doc = json.loads(out)

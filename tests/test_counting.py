@@ -740,13 +740,14 @@ def test_odd_staircase_powers_run_no_pfaffian_recursion(monkeypatch):
 def test_a_cold_float_count_and_n_tilde_read_nothing_of_the_exact_route():
     # the independence guard for the counts: the float sums, a staircase
     # factor and an integrand included, build no exact row, table, staircase
-    # sign or S_rho power, at the points or at the orbits
-    exact_caches = (quantum._point_table, quantum._tables, quantum._ptilde_rho, quantum._schur_powers)
+    # sign, S_rho power or orbit, at the points or at the orbits
+    exact_caches = (quantum._point_table, quantum._tables, quantum._ptilde_rho, quantum._schur_powers,
+                    quantum._orbits)
     for cached in exact_caches + (quantum._schur_power,):
         cached.cache_clear()
     assert count_float(2, 14, 1) == pytest.approx(54272, rel=1e-9)
     assert n_tilde_float(NQuery(3, 3, 0, -6, 2, parse_alpha_poly("a1^2 + a1 + 3"))) == pytest.approx(192, rel=1e-9)
-    assert [cached.cache_info().currsize for cached in exact_caches] == [0] * 4
+    assert [cached.cache_info().currsize for cached in exact_caches] == [0] * 5
     assert not quantum._powers
 
 

@@ -6,15 +6,18 @@ public API.
 No module holds an assert statement, so every invariant survives `python -O`.
 The size budgets are one policy: only quantum defines a *_MAX_N cap or
 raises SizeBudgetError.  S_rho's powers have one store in quantum: no
-ladder or second power cache, and no int_pow.  One function in counting reaches the sums, one
-plans a count, and one function in the package raises OverflowError, so no
-second copy of any creeps back.  An integrand belongs to counting alone:
+ladder or second power cache, and no int_pow.  One function in counting
+reaches the sums, one plans and sums a count on both routes
+(count_answer), and one function in the package raises OverflowError, so
+no second copy of any creeps back.  An integrand belongs to counting alone:
 quantum's sums take insertions only, symfunc evaluates no integrand on
 integers, and counting expands one in one function.  The CLI has one answer
 path: one tail for the cross-checks of gw, count and ntilde, and one
 indented JSON print, the emitter every subcommand but table prints through.
 The CLI reads what an answer checked from the library's record: it calls
-no plan, no degree check and no sign-check prime of its own.
+no plan, no degree check and no sign-check prime of its own, and reaches
+each float route through the library's answer function, with no float twin
+and no lambda.
 Start-up pays only for what runs: importing the CLI loads neither
 dataclasses (with inspect), typing, traceback nor the verify suites."""
 
@@ -220,14 +223,28 @@ def routes_into(graph: dict[str, set[str]], caller: str, targets: set[str]) -> s
 
 
 PLANS_AND_SUMS = {"max_iso_degree", "_plan", "orbit_trace", "evaluation_sum"}
+COUNT_ROUTE = {"_count_plan", "_scaled_sum"}
+
+
+def count_routes(path: Path) -> dict[str, set[str]]:
+    # the functions of one module calling the count plan and the scaled sum,
+    # and what count, count_float and count_answer reach of the plans and sums
+    graph = calls_of(path)
+    found = {name: functions_holding(path, calls_named(name)) for name in sorted(COUNT_ROUTE)}
+    for caller in ("count", "count_float", "count_answer"):
+        if caller in graph:
+            found[caller] = routes_into(graph, caller, PLANS_AND_SUMS | COUNT_ROUTE)
+    return found
 
 
 def test_counting_plans_a_count_in_one_function():
     path = SRC / "counting.py"
     assert functions_holding(path, calls_named("max_iso_degree")) == {"_count_plan"}
-    graph = calls_of(path)
-    for caller in ("count", "count_float"):
-        assert routes_into(graph, caller, PLANS_AND_SUMS) == {"_count_plan", "_scaled_sum"}
+    # count_answer plans and sums a count on both routes (_count_plan calls
+    # itself for the odd-rank companion); count and count_float read it
+    assert count_routes(path) == {
+        "_count_plan": {"_count_plan", "count_answer"}, "_scaled_sum": {"count_answer", "n_tilde_answer"},
+        "count": {"count_answer"}, "count_float": {"count_answer"}, "count_answer": COUNT_ROUTE}
 
 
 def test_the_plan_guards_fire(tmp_path):
@@ -245,6 +262,24 @@ def test_the_plan_guards_fire(tmp_path):
     assert functions_holding(probe, calls_named("max_iso_degree")) == {"_count_plan", "count"}
     assert routes_into(calls_of(probe), "count", PLANS_AND_SUMS) == {
         "_scaled_sum", "_count_plan", "_helper", "max_iso_degree"}
+    # the parent's pair: count and count_float each planned and summed a count
+    probe.write_text(
+        "def count(genus, rank, ell):\n"
+        "    try:\n"
+        "        e0, n, exponent, rho_power, route_keys = _count_plan(genus, rank, ell)\n"
+        "    except NotApplicableError as exc:\n"
+        "        return CountReport(genus=genus, rank=rank, ell=ell, e0=None, applicable=False)\n"
+        "    num, den, prime = _scaled_sum(True, n, genus, rho_power, exponent)\n"
+        "    report = CountReport(genus=genus, rank=rank, ell=ell, e0=e0, applicable=True)\n"
+        "    _check_catalog(report)\n"
+        "    return report\n"
+        "def count_float(genus, rank, ell):\n"
+        "    _e0, n, exponent, rho_power, _keys = _count_plan(genus, rank, ell)\n"
+        "    return _scaled_sum(False, n, genus, rho_power, exponent)\n"
+    )
+    assert count_routes(probe) == {
+        "_count_plan": {"count", "count_float"}, "_scaled_sum": {"count", "count_float"},
+        "count": COUNT_ROUTE, "count_float": COUNT_ROUTE}
 
 
 def test_one_function_in_the_package_raises_overflow_error():
@@ -369,16 +404,25 @@ def test_the_answer_path_guard_fires(tmp_path):
     assert "_float_line" in module_names(probe)
 
 
-RE_DERIVATIONS = ("degree_ok", "sign_check_prime", "_n_tilde_plan", "_count_plan", "_integrand_terms")
+RE_DERIVATIONS = ("degree_ok", "sign_check_prime", "_n_tilde_plan", "_count_plan", "_integrand_terms",
+                  "gw_invariant_float", "n_tilde_float", "count_float")
+
+
+def holds_a_lambda(node) -> bool:
+    return isinstance(node, ast.Lambda)
 
 
 def test_the_cli_re_derives_nothing_the_library_planned():
-    assert functions_holding(SRC / "cli.py", calls_named(*RE_DERIVATIONS)) == set()
+    # the float routes are the library's answer functions called with exact=False
+    cli = SRC / "cli.py"
+    assert functions_holding(cli, calls_named(*RE_DERIVATIONS)) == set()
+    assert functions_holding(cli, holds_a_lambda) == set()
 
 
 def test_the_re_derivation_guard_fires(tmp_path):
-    # the parent's cmd_gw, which checked the degree and looked the prime up
-    # after the sum, and a re-plan of an ntilde query
+    # the grandparent's cmd_gw, which checked the degree and looked the prime
+    # up after the sum, a re-plan of an ntilde query, and the parent's
+    # cmd_count, which reached the float count through a lambda
     probe = tmp_path / "probe.py"
     probe.write_text(
         "def cmd_gw(args):\n"
@@ -391,9 +435,16 @@ def test_the_re_derivation_guard_fires(tmp_path):
         "def cmd_ntilde(query):\n"
         "    return counting._integrand_terms(*counting._n_tilde_plan(query))\n"
         "def cmd_count(args):\n"
+        "    report = counting.count(args.g, args.rank, args.ell)\n"
+        "    doc = report.to_json_dict()\n"
+        "    lines = [doc['N']]\n"
+        "    return _answer(args, doc, lines, report.value, lambda: counting.count_float(args.g, args.rank, args.ell),\n"
+        "                   f\"N has {len(doc['N'])} digits and cannot be represented as a double\")\n"
+        "def cmd_qmul(args):\n"
         "    return counting.count(args.g, args.rank, args.ell)\n"
     )
-    assert functions_holding(probe, calls_named(*RE_DERIVATIONS)) == {"cmd_gw", "cmd_ntilde"}
+    assert functions_holding(probe, calls_named(*RE_DERIVATIONS)) == {"cmd_gw", "cmd_ntilde", "cmd_count"}
+    assert functions_holding(probe, holds_a_lambda) == {"cmd_count"}
 
 
 COLD_START_FREE = ("dataclasses", "inspect", "typing", "traceback", "ogq.verify")

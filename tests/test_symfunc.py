@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from ogq import quantum
 from ogq.cyclotomic import CycloNum, field_degree, root_of_unity
-from ogq.partitions import all_strict, rho
+from ogq.partitions import InvalidInput, all_strict, rho
 from ogq.symfunc import (
     AlphaPolynomial,
     _int_ptilde,
@@ -309,6 +309,28 @@ def test_alpha_polynomial_str_and_parse_round_trip():
 def test_parse_alpha_poly_rejects(text):
     with pytest.raises(ValueError):
         parse_alpha_poly(text)
+
+
+@pytest.mark.parametrize("text", ["a1 +", "a1 + + a2", "+", "a1 -", "-", "++a1", "a1 ++ -a2"])
+def test_a_sign_with_no_term_after_it_is_bad_input(text):
+    with pytest.raises(InvalidInput, match="dangling sign"):
+        parse_alpha_poly(text)
+
+
+@pytest.mark.parametrize("text, parsed", [("-a1", "-1*a1"), ("+a1", "a1"), ("+-a1", "-1*a1"),
+                                          ("a1 - a2", "-1*a2 + a1"), ("a1 + -a2", "-1*a2 + a1"),
+                                          ("a1 +- a2", "-1*a2 + a1")])
+def test_a_leading_sign_and_a_plus_before_a_minus_parse(text, parsed):
+    assert str(parse_alpha_poly(text)) == parsed
+
+
+def test_a_variable_past_every_answerable_n_is_refused_before_its_key_is_built():
+    # a_i with i >= n integrates to 0 and every route refuses n > EXACT_MAX_N,
+    # so a19 is the last variable kept; a dense key as long as the index is never built
+    assert parse_alpha_poly("a19") == AlphaPolynomial.variable(19)
+    for text in ("a20", "a25", "2*a1*a99999999999", "a1 + a100000000^2"):
+        with pytest.raises(InvalidInput, match="variable index must be <= 19"):
+            parse_alpha_poly(text)
 
 
 def test_alpha_polynomial_weighted_degree():
