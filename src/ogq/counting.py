@@ -21,9 +21,9 @@ the others integrating to 0; n_tilde_answer plans it once and returns the
 value with that prime (quantum.Answer).  An even-rank count is n_tilde's
 sum at e_0 with the integrand 1, doubled for even ell; an odd-rank count is
 half the even-rank count one rank up, the same sum with one power of two
-less; count_answer returns it as a CountReport, built once.  A count that
-contradicts a closed form of CATALOG is a failed proof
-(CatalogMismatchError).  The trivial-bundle case is literally a
+less; count_answer returns it as a CountReport built once, or on the
+float route as a quantum.Answer.  A count off a CATALOG closed form is a
+failed proof (CatalogMismatchError).  The trivial-bundle case is literally a
 Gromov-Witten invariant, which gives an independent bridge for testing.
 
 Parity limits are first-class outcomes: a query whose extremal degree does
@@ -41,6 +41,7 @@ import math
 import sys
 from collections import namedtuple
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import partitions, quantum
 from .cyclotomic import ProofFailure
@@ -249,13 +250,14 @@ def decimal_string(value: int | Fraction) -> str:
     return decimal_string(high) + decimal_string(low).zfill(low_digits)
 
 
-class CountReport(namedtuple("CountReport", "genus rank ell e0 applicable value required_w2 reason "
-                                             "decomposition notes", defaults=(None, None, None, None, ()))):
-    """Outcome of a maximal-isotropic-subbundle count, built once: on the
-    exact route the count with its decomposition and catalogue notes, on
-    the float route a double with no decomposition and no notes."""
+class CountReport(SimpleNamespace):
+    """An exact count's outcome, built once: the count with its decomposition
+    and catalogue notes, or the refusal's reason.  Compares by its fields."""
 
-    __slots__ = ()
+    def __init__(self, genus, rank, ell, e0, applicable, value=None, required_w2=None, reason=None,
+                 decomposition=None, notes=()):
+        super().__init__(genus=genus, rank=rank, ell=ell, e0=e0, applicable=applicable, value=value,
+                         required_w2=required_w2, reason=reason, decomposition=decomposition, notes=notes)
 
     def to_json_dict(self) -> dict:
         out = {
@@ -320,15 +322,16 @@ def _check_prefactor(exponent: int, n: int, shift: int, genus: int, doubling: in
         )
 
 
-def count_answer(genus: int, rank: int, ell: int, exact: bool = True) -> CountReport:
+def count_answer(genus: int, rank: int, ell: int, exact: bool = True) -> CountReport | quantum.Answer:
     """Count for rank >= 3, invariant ell, at the extremal degree e_0, planned
     once (_count_plan) and summed on one route: exact, one orbit trace
-    divided once, or a double over all 2^(n-1) complex points.  Even rank
-    2n: n_tilde at e_0 with constant integrand, doubled when ell is even.
-    Odd rank 2n+1 (ell even): half the even-rank count one rank up, whose
-    extremal degree is e_0 + ell/2, so the companion's sum with one power of
-    two less.  Parity failures raise NotApplicableError and NotCoveredError;
-    the float route raises OverflowError past the range of a double.
+    divided once, as a CountReport; float, a double over all 2^(n-1) complex
+    points, as a quantum.Answer with no prime (OverflowError past the range
+    of a double).  Even rank 2n: n_tilde at e_0 with constant integrand,
+    doubled when ell is even.  Odd rank 2n+1 (ell even): half the even-rank
+    count one rank up, whose extremal degree is e_0 + ell/2, so the
+    companion's sum with one power of two less.  Parity failures raise
+    NotApplicableError and NotCoveredError.
 
     The exact route checks the power-of-two prefactor against its closed
     form (_check_prefactor), the companion's extremal degree, that the count
@@ -345,7 +348,7 @@ def count_answer(genus: int, rank: int, ell: int, exact: bool = True) -> CountRe
     e0, n, exponent, rho_power, route_keys = _count_plan(genus, rank, ell)
     total = _scaled_sum(exact, n, genus, rho_power, exponent)
     if not exact:
-        return CountReport(genus, rank, ell, e0, True, total, e0 % 2)
+        return quantum.Answer(total, None)
     num, den, prime = total
     value = quantum.as_count(num, den, "count")
     decomposition = {**route_keys, "orbits": quantum.orbit_count(n), "points": 2 ** (n - 1)}

@@ -453,7 +453,7 @@ def test_a_float_disagreement_on_a_count_past_the_double_range_exits_1(monkeypat
 
     def one_on_the_float_route(genus, rank, ell, exact=True):
         report = real(genus, rank, ell)
-        return report if exact else report._replace(value=1.0)
+        return report if exact else quantum.Answer(1.0, None)
 
     monkeypatch.setattr(counting, "count_answer", one_on_the_float_route)
     code, out, _ = run(["count", "--g", "399", "--rank", "14", "--ell", "0", "--mode", "float",

@@ -793,6 +793,20 @@ def test_an_answer_names_the_prime_its_own_sum_checked():
     assert quantum.gw_answer(GWQuery(3, 1, 0, ((2, 1), (1,))), exact=False) == (0.0, None)
 
 
+def test_a_float_count_is_an_answer_with_no_prime_and_an_exact_one_a_report():
+    # the float route returns the record gw and ntilde return there; the
+    # exact route the report count returns; a parity verdict raises on both
+    exact = counting.count_answer(3, 14, 0)
+    assert exact == count(3, 14, 0) and type(exact) is CountReport
+    approx = counting.count_answer(3, 14, 0, exact=False)
+    assert type(approx) is quantum.Answer and approx == (pytest.approx(exact.value, rel=1e-9), None)
+    for route in (True, False):
+        with pytest.raises(NotApplicableError):
+            counting.count_answer(4, 6, 0, exact=route)
+        with pytest.raises(NotCoveredError):
+            counting.count_answer(2, 4, 0, exact=route)
+
+
 def test_the_report_names_the_check_prime_for_any_staircase_power():
     assert count(2, 32, 1).to_json_dict()["decomposition"]["sign_check_prime"] == 61
     assert count(3, 14, 0).to_json_dict()["decomposition"]["sign_check_prime"] == 73

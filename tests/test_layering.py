@@ -9,7 +9,8 @@ raises SizeBudgetError.  S_rho's powers have one store in quantum: no
 ladder or second power cache, and no int_pow.  One function in counting
 reaches the sums, one plans and sums a count on both routes
 (count_answer), and one function in the package raises OverflowError, so
-no second copy of any creeps back.  An integrand belongs to counting alone:
+no second copy of any creeps back.  No function edits a record after
+building it: a count's report is built once, with its notes.  An integrand belongs to counting alone:
 quantum's sums take insertions only, symfunc evaluates no integrand on
 integers, and counting expands one in one function.  The CLI has one answer
 path: one tail for the cross-checks of gw, count and ntilde, and one
@@ -280,6 +281,51 @@ def test_the_plan_guards_fire(tmp_path):
     assert count_routes(probe) == {
         "_count_plan": {"count", "count_float"}, "_scaled_sum": {"count", "count_float"},
         "count": COUNT_ROUTE, "count_float": COUNT_ROUTE}
+
+
+MUTATORS = {"append", "extend", "insert", "update", "setdefault", "pop", "popitem", "clear", "remove"}
+
+
+def edits_a_record(node) -> bool:
+    # an attribute set or deleted on anything but self, an item set or deleted
+    # in a container an attribute holds, or such a container changed in place
+    if isinstance(node, (ast.Attribute, ast.Subscript)) and isinstance(node.ctx, (ast.Store, ast.Del)):
+        return getattr(node.value, "id", None) != "self" if isinstance(node, ast.Attribute) else (
+            isinstance(node.value, ast.Attribute))
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in MUTATORS and isinstance(node.func.value, ast.Attribute))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_no_function_edits_a_record_after_building_it(path):
+    # a CountReport, like every record, is built once with all it says; the
+    # wiring of quantum's cache_clear at module level is no function's
+    assert functions_holding(path, edits_a_record) - {None} == set()
+
+
+def test_the_record_edit_guard_fires(tmp_path):
+    # the grandparent's count and _check_catalog, which filled a report in
+    # after building it, and an edit of one of self's containers
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "def count(genus, rank, ell):\n"
+        "    report = CountReport(genus=genus, rank=rank, ell=ell, e0=e0, applicable=True)\n"
+        "    if prime is not None:\n"
+        "        report.decomposition['sign_check_prime'] = prime\n"
+        "    _check_catalog(report)\n"
+        "    return report\n"
+        "def _check_catalog(report):\n"
+        "    report.notes.append('matches catalogued closed form')\n"
+        "def _wrong_value(report):\n"
+        "    report.value += 1\n"
+        "class Ring:\n"
+        "    def __init__(self, terms):\n"
+        "        self.terms = terms\n"
+        "    def add(self, key):\n"
+        "        del self.terms[key]\n"
+        "f.cache_clear = g\n"
+    )
+    assert functions_holding(probe, edits_a_record) == {"count", "_check_catalog", "_wrong_value", "add", None}
 
 
 def test_one_function_in_the_package_raises_overflow_error():

@@ -63,14 +63,12 @@ def test_the_immutable_records_refuse_assignment():
 
 def test_count_reports_compare_by_fields_and_each_owns_its_notes():
     a, b = CountReport(3, 6, 0, -4, True), CountReport(3, 6, 0, -4, True)
-    assert a == b and a.notes == ()
+    # notes default to an empty tuple, so no two reports share a list to append to
+    assert a == b and a.notes == () and type(a.notes) is tuple
     assert a == CountReport(3, 6, 0, -4, True, notes=()) != CountReport(3, 6, 0, -4, True, notes=("checked",))
     assert a != CountReport(3, 6, 0, -4, True, value=1)
-    for field in CountReport._fields:
-        with pytest.raises(AttributeError):
-            setattr(a, field, None)
-    with pytest.raises(AttributeError):
-        a.extra = 1
+    with pytest.raises(TypeError):
+        hash(a)
     assert repr(b) == ("CountReport(genus=3, rank=6, ell=0, e0=-4, applicable=True, value=None, "
                        "required_w2=None, reason=None, decomposition=None, notes=())")
 
